@@ -14,13 +14,11 @@ import (
 // the same (config, benchmark) are different points, never each other's
 // "latest result".
 func pointKey(r Record) string {
-	k := r.Config + "/" + r.Benchmark
-	if r.Meta != nil && r.Meta.Sampling != nil {
-		s := r.Meta.Sampling
-		k += fmt.Sprintf("#sampled-w%d-p%d-u%d-s%d",
-			s.WindowInsts, s.PeriodInsts, s.WarmupInsts, s.Seed)
+	var s *stats.SamplingMeta
+	if r.Meta != nil {
+		s = r.Meta.Sampling
 	}
-	return k
+	return stats.PointLabel(r.Config, r.Benchmark, s)
 }
 
 // latestResult picks, per sweep point, the authoritative record: the last

@@ -1,5 +1,7 @@
 package stats
 
+import "fmt"
+
 // Result provenance values (Meta.Provenance and journal records).
 const (
 	// ProvCold marks a result simulated from scratch.
@@ -43,6 +45,19 @@ type SamplingMeta struct {
 	Seed uint64 `json:"seed"`
 	// Windows is the number of measurement windows actually completed.
 	Windows int `json:"windows"`
+}
+
+// PointLabel names one sweep point in run events, journal reports and
+// progress displays: "<config>/<bench>", with the sampling schedule
+// appended when s is non-nil, so a sampled estimate is never read as the
+// detailed measurement of the same configuration.
+func PointLabel(config, bench string, s *SamplingMeta) string {
+	k := config + "/" + bench
+	if s != nil {
+		k += fmt.Sprintf("#sampled-w%d-p%d-u%d-s%d",
+			s.WindowInsts, s.PeriodInsts, s.WarmupInsts, s.Seed)
+	}
+	return k
 }
 
 // Meta records the provenance of one run so serialized results (summary
