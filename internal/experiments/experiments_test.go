@@ -54,6 +54,17 @@ func TestRunnerMemoizes(t *testing.T) {
 	if c == a || len(r.CachedKeys()) != 2 {
 		t.Error("distinct configs must not collide")
 	}
+	// The memo keys on content, not name: an icache machine named
+	// "baseline" is not the baseline trace-cache machine.
+	renamed := config.ICache()
+	renamed.Name = "baseline"
+	d := runT(t, r, renamed, "compress")
+	if d == a || len(r.CachedKeys()) != 3 {
+		t.Errorf("same-name configs with different content shared a result: cached = %v", r.CachedKeys())
+	}
+	if d.EffFetchRate() != c.EffFetchRate() {
+		t.Errorf("renamed icache eff rate %v, want the icache machine's %v", d.EffFetchRate(), c.EffFetchRate())
+	}
 }
 
 func TestSweepOrder(t *testing.T) {

@@ -13,8 +13,8 @@ type RunPhase uint8
 
 // Run lifecycle phases.
 const (
-	// RunQueued: the key was registered in the memo; the simulation is
-	// waiting for a worker slot.
+	// RunQueued: the request was registered in the memo; it is waiting
+	// for a worker slot.
 	RunQueued RunPhase = iota
 	// RunStarted: a worker slot was acquired; the simulation is executing.
 	RunStarted
@@ -34,12 +34,13 @@ func (p RunPhase) String() string {
 }
 
 // RunEvent is one run-lifecycle notification delivered to Runner.OnRun.
-// Every RunE/RunConfiguredE resolution produces exactly one RunDone event:
-// the executing request emits it with the simulation's provenance
-// (stats.ProvCold or stats.ProvCheckpointFork), and every memo-sharing
-// request emits one with Memoized set and stats.ProvMemoized — so journal
-// records and progress trackers built on these events tie out against the
-// runner's counters.
+// Every RunE/RunConfiguredE/RunSampledE resolution produces exactly one
+// RunDone event: the executing request emits it with its result's
+// provenance (stats.ProvCold, ProvCheckpointFork, ProvReplay, ProvSampled
+// or ProvStore), and every memo-sharing request emits one with Memoized
+// set and stats.ProvMemoized — so journal records and progress trackers
+// built on these events tie out against the runner's counters. Key is the
+// point's display label (stats.PointLabel), not its memo identity.
 type RunEvent struct {
 	Phase                  RunPhase
 	Key, Config, Benchmark string

@@ -4,17 +4,31 @@
 // absolute values differ (different workloads and substrate), but the
 // comparative shapes are the reproduction target.
 //
+// # Execution
+//
+// Every run request (RunE, RunConfiguredE, RunSampledE, and the sweeps
+// built on them) is one request {configuration, benchmark, mode},
+// resolved by one executor. A request's identity is its content, not its
+// name: the full Config.Hash of the requested configuration with the
+// runner's budgets applied (Warmup, Budget, FastForward, Sampling), the
+// benchmark, and the mode (detailed or sampled). The executor tries, in
+// order: the persistent result store (Store), replay of the benchmark's
+// recorded retired stream (Replay; detailed mode only), a fork from the
+// shared fast-forward checkpoint (FastForward), and finally a detailed or
+// sampled simulation. RunEvent.Key is a display label ("config/bench",
+// see stats.PointLabel), not the identity.
+//
 // # Concurrency
 //
 // A Runner is safe for concurrent use. Memoization is singleflight: the
-// first caller of a (configuration, benchmark) key simulates it, every
-// concurrent caller of the same key blocks until that simulation finishes
-// and then shares the identical *stats.Run — a run in flight is awaited,
-// never duplicated. Actual simulations are bounded by a worker pool of
-// Workers slots (default GOMAXPROCS); goroutines waiting on an in-flight
-// key do not hold a slot, so fan-out can be arbitrarily wide without
-// deadlock. Each simulation runs single-threaded and is a pure function of
-// its configuration, program, and budgets, so results are bit-identical to
+// first caller of an identity executes it, every concurrent caller of the
+// same identity blocks until that execution finishes and then shares the
+// identical *stats.Run — a run in flight is awaited, never duplicated.
+// Executions are bounded by a worker pool of Workers slots (default
+// GOMAXPROCS); goroutines waiting on an in-flight identity do not hold a
+// slot, so fan-out can be arbitrarily wide without deadlock. Each
+// simulation runs single-threaded and is a pure function of its
+// configuration, program, and budgets, so results are bit-identical to
 // sequential execution regardless of Workers (run provenance metadata such
 // as wall time necessarily differs; no simulated statistic does). Sweep,
 // SweepE and RunAll fan work across the pool while returning or emitting
@@ -35,6 +49,7 @@ import (
 	"tracecache/internal/obs"
 	"tracecache/internal/program"
 	"tracecache/internal/resultstore"
+	"tracecache/internal/sampling"
 	"tracecache/internal/sim"
 	"tracecache/internal/stats"
 	"tracecache/internal/trace"
@@ -43,7 +58,8 @@ import (
 
 // Runner executes simulations with memoization, so configurations shared
 // between experiments (baseline, promotion, packing) are simulated once.
-// See the package comment for the concurrency contract.
+// See the package comment for the execution order and the concurrency
+// contract.
 type Runner struct {
 	// Warmup instructions retire before measurement; Budget instructions
 	// are then measured.
@@ -130,20 +146,16 @@ type Runner struct {
 
 	mu     sync.Mutex
 	sem    chan struct{} // sized from Workers on first use
-	runs   map[string]*runEntry
+	runs   map[memoKey]*runEntry
 	traces map[string]*traceEntry // per-benchmark recordings (Replay)
 }
 
-// runEntry is one singleflight memoization slot: done closes once run/err
-// are final, and they are immutable afterwards.
+// runEntry is one singleflight memoization slot: done closes once the
+// result is final, and it is immutable afterwards.
 type runEntry struct {
-	done chan struct{}
-	run  *stats.Run
-	// sampled is set only on sampled-path entries (RunSampledE), whose
-	// keys carry the sampling schedule; run then holds the pooled window
-	// counters.
-	sampled *stats.Sampled
-	err     error
+	done  chan struct{}
+	label string
+	result
 }
 
 // NewRunner builds a runner with the given instruction budgets.
@@ -151,7 +163,7 @@ func NewRunner(warmup, budget uint64) *Runner {
 	return &Runner{
 		Warmup: warmup,
 		Budget: budget,
-		runs:   make(map[string]*runEntry),
+		runs:   make(map[memoKey]*runEntry),
 	}
 }
 
@@ -210,27 +222,81 @@ func (r *Runner) ShortBenchmarks() []string {
 }
 
 // RunE simulates the benchmark under the configuration, memoized by
-// configuration name. Concurrent calls with the same key share one
-// simulation.
+// content (see the package comment). Concurrent calls with the same
+// identity share one execution.
 func (r *Runner) RunE(cfg sim.Config, bench string) (*stats.Run, error) {
-	return r.shared(cfg, bench, nil)
+	e := r.do(r.newRequest(cfg, bench, modeDetailed, nil))
+	return e.run, e.err
 }
 
 // RunConfiguredE is RunE with a per-benchmark configuration hook applied
 // before simulation; static promotion uses it because its annotations
-// depend on the program. Memoization keys on the configuration name, so
-// the hook runs at most once per key.
+// depend on the program. The memo identity is taken before the hook runs,
+// so the hook runs at most once per identity; the store key is taken
+// after it.
 func (r *Runner) RunConfiguredE(cfg sim.Config, bench string, prep func(*sim.Config, *program.Program)) (*stats.Run, error) {
-	return r.shared(cfg, bench, prep)
+	e := r.do(r.newRequest(cfg, bench, modeDetailed, prep))
+	return e.run, e.err
 }
 
-// shared is the singleflight core: at most one goroutine simulates a key;
-// the rest wait for its entry and share the result. The executing request
-// emits RunQueued/RunStarted/RunDone with the simulation's provenance;
-// every sharing request emits one memoized RunDone after the result is
-// final, carrying the identical *stats.Run.
-func (r *Runner) shared(cfg sim.Config, bench string, prep func(*sim.Config, *program.Program)) (*stats.Run, error) {
-	key := cfg.Name + "/" + bench
+// runMode is how a request is executed: a full detailed measurement, or
+// a sampled estimate under Runner.Sampling.
+type runMode uint8
+
+const (
+	modeDetailed runMode = iota
+	modeSampled
+)
+
+// request is one run request: a configuration, with the runner's budgets
+// applied, on a benchmark in one mode. prep, when non-nil, adjusts the
+// configuration for the program once it is known.
+type request struct {
+	cfg   sim.Config
+	bench string
+	mode  runMode
+	prep  func(*sim.Config, *program.Program)
+}
+
+// memoKey is a request's identity: what it computes, not what it is
+// called, so two configurations that share a name never share a result.
+type memoKey struct {
+	hash, bench string
+	mode        runMode
+}
+
+// newRequest applies the runner's budgets to cfg for the mode.
+func (r *Runner) newRequest(cfg sim.Config, bench string, mode runMode, prep func(*sim.Config, *program.Program)) request {
+	cfg.WarmupInsts = r.Warmup
+	cfg.MaxInsts = r.Budget
+	cfg.FastForwardInsts = r.FastForward
+	cfg.Check = r.Check
+	if mode == modeSampled {
+		cfg.WarmupInsts = 0 // each window carries its own warmup
+		cfg.Sampling = r.Sampling
+	}
+	return request{cfg: cfg, bench: bench, mode: mode, prep: prep}
+}
+
+// label is the request's RunEvent.Key (stats.PointLabel).
+func (q request) label() string {
+	var sm *stats.SamplingMeta
+	if q.mode == modeSampled {
+		p := q.cfg.Sampling
+		sm = &stats.SamplingMeta{WindowInsts: p.WindowInsts, PeriodInsts: p.PeriodInsts,
+			WarmupInsts: p.WarmupInsts, Seed: p.Seed}
+	}
+	return stats.PointLabel(q.cfg.Name, q.bench, sm)
+}
+
+// do is the singleflight core: at most one goroutine executes an
+// identity; the rest wait for its entry and share the result. The
+// executing request emits RunQueued/RunStarted/RunDone with the result's
+// provenance; every sharing request emits one memoized RunDone after the
+// result is final, carrying the identical *stats.Run.
+func (r *Runner) do(q request) *runEntry {
+	key := memoKey{hash: q.cfg.Hash(), bench: q.bench, mode: q.mode}
+	label := q.label()
 	r.mu.Lock()
 	if e, ok := r.runs[key]; ok {
 		r.mu.Unlock()
@@ -239,80 +305,77 @@ func (r *Runner) shared(cfg sim.Config, bench string, prep func(*sim.Config, *pr
 		}
 		<-e.done
 		r.emit(RunEvent{
-			Phase: RunDone, Key: key, Config: cfg.Name, Benchmark: bench,
+			Phase: RunDone, Key: label, Config: q.cfg.Name, Benchmark: q.bench,
 			Run: e.run, Err: e.err,
 			Memoized: true, Provenance: stats.ProvMemoized,
 		})
-		return e.run, e.err
+		return e
 	}
-	e := &runEntry{done: make(chan struct{})}
+	e := &runEntry{done: make(chan struct{}), label: label}
 	r.runs[key] = e
 	r.mu.Unlock()
 
 	if m := r.Metrics; m != nil {
 		m.MemoMisses.Inc()
 	}
-	r.emit(RunEvent{Phase: RunQueued, Key: key, Config: cfg.Name, Benchmark: bench})
-	res := r.simulate(key, cfg, bench, prep)
-	e.run, e.err = res.run, res.err
+	r.emit(RunEvent{Phase: RunQueued, Key: label, Config: q.cfg.Name, Benchmark: q.bench})
+	e.result = r.execute(q, label)
 	if m := r.Metrics; m != nil {
-		if res.err != nil {
+		if e.err != nil {
 			m.RunsFailed.Inc()
 		} else {
 			m.RunsCompleted.Inc()
-			switch res.provenance {
-			case stats.ProvCheckpointFork:
-				m.CheckpointForks.Inc()
-			case stats.ProvReplay:
-				m.Replays.Inc()
-			case stats.ProvStore:
-				m.StoreServed.Inc()
-			default:
-				m.ColdStarts.Inc()
-			}
+			provenances[e.provenance].counter(m).Inc()
 		}
 	}
 	r.emit(RunEvent{
-		Phase: RunDone, Key: key, Config: cfg.Name, Benchmark: bench,
-		Run: res.run, Err: res.err,
-		Provenance: res.provenance,
-		QueueWait:  res.queueWait, Wall: res.wall,
+		Phase: RunDone, Key: label, Config: q.cfg.Name, Benchmark: q.bench,
+		Run: e.run, Err: e.err,
+		Provenance: e.provenance,
+		QueueWait:  e.queueWait, Wall: e.wall,
 	})
 	close(e.done)
-	return e.run, e.err
+	return e
 }
 
-// simResult carries one simulation's outcome plus the request-level
-// provenance and timing that counters, events, and journal records need.
-type simResult struct {
-	run        *stats.Run
+// result carries one executed request's outcome plus the provenance and
+// timing that counters, events, and journal records need.
+type result struct {
+	run *stats.Run
+	// sampled is the aggregate of a sampled request; run then holds its
+	// pooled window counters.
+	sampled    *stats.Sampled
 	err        error
 	provenance string
 	queueWait  time.Duration
 	wall       time.Duration
 }
 
-// simulate executes one simulation under a worker slot, converting panics
-// from configuration or simulator internals into errors so a bad config in
-// a parallel sweep fails that sweep instead of the process.
-func (r *Runner) simulate(key string, cfg sim.Config, bench string, prep func(*sim.Config, *program.Program)) (res simResult) {
+// execute resolves one request under a worker slot, trying in order the
+// persistent store, replay of the benchmark's recorded stream, a fork
+// from the shared fast-forward checkpoint, and a detailed or sampled
+// simulation. It converts panics from configuration or simulator
+// internals into errors, so a bad config in a parallel sweep fails that
+// sweep instead of the process, and persists every result it computed.
+func (r *Runner) execute(q request, key string) (res result) {
+	cfg := q.cfg
 	// Registered before the recover defer, so it runs after it (LIFO) and
 	// observes the final result — including panics converted to errors,
-	// which it must not persist.
+	// which it must not persist. cfg is read after prep has run.
 	defer func() {
-		r.storePut(cfg, bench, res.provenance, res.run, nil)
+		r.storePut(cfg, q.bench, res)
 	}()
 	defer func() {
 		if p := recover(); p != nil {
-			res = simResult{err: fmt.Errorf("experiments: %s: panic: %v", key, p),
+			res = result{err: fmt.Errorf("experiments: %s: panic: %v", key, p),
 				queueWait: res.queueWait, wall: res.wall}
 		}
 	}()
-	fail := func(err error) simResult {
-		return simResult{err: fmt.Errorf("experiments: %s: %w", key, err),
+	fail := func(err error) result {
+		return result{err: fmt.Errorf("experiments: %s: %w", key, err),
 			queueWait: res.queueWait, wall: res.wall}
 	}
-	prog, err := workload.SharedProgram(bench)
+	prog, err := workload.SharedProgram(q.bench)
 	if err != nil {
 		return fail(err)
 	}
@@ -327,7 +390,7 @@ func (r *Runner) simulate(key string, cfg sim.Config, bench string, prep func(*s
 		m.WorkersBusy.Add(1)
 		m.QueueWait.Observe(res.queueWait.Seconds())
 	}
-	r.emit(RunEvent{Phase: RunStarted, Key: key, Config: cfg.Name, Benchmark: bench,
+	r.emit(RunEvent{Phase: RunStarted, Key: key, Config: cfg.Name, Benchmark: q.bench,
 		QueueWait: res.queueWait})
 	//tcvet:ignore determinism wall-clock telemetry only: run-wall measurement start, never simulated state
 	startedAt := time.Now()
@@ -339,28 +402,17 @@ func (r *Runner) simulate(key string, cfg sim.Config, bench string, prep func(*s
 			m.RunWall.Observe(res.wall.Seconds())
 		}
 	}()
-	if prep != nil {
-		prep(&cfg, prog)
+	if q.prep != nil {
+		q.prep(&cfg, prog)
 	}
-	cfg.WarmupInsts = r.Warmup
-	cfg.MaxInsts = r.Budget
-	cfg.FastForwardInsts = r.FastForward
-	cfg.Check = r.Check
 
-	// Persistent-store fast path: a prior process (or job) that simulated
+	// Persistent-store fast path: a prior process (or job) that computed
 	// this exact point — same full configuration hash, benchmark, and
 	// fidelity mode — left its result on disk; serve it verbatim. Checked
 	// runs must actually simulate, so Check bypasses the store.
 	if r.Store != nil && !r.Check {
-		modes := []string{resultstore.ModeDetailed}
-		if r.Replay {
-			// A replay-mode request accepts either fidelity class it could
-			// itself have produced: a replayed point or the detailed run
-			// that recorded the stream.
-			modes = []string{resultstore.ModeReplay, resultstore.ModeDetailed}
-		}
-		if e := r.storeGet(cfg, bench, modes); e != nil {
-			res.run = e.Run
+		if e := r.storeGet(cfg, q.bench, r.storeModes(q.mode)); e != nil {
+			res.run, res.sampled = e.Run, e.Sampled
 			res.provenance = stats.ProvStore
 			return res
 		}
@@ -370,8 +422,8 @@ func (r *Runner) simulate(key string, cfg sim.Config, bench string, prep func(*s
 	// recording (from TraceDir or by recording during its own detailed
 	// run); every front-end-equivalent point after that replays it.
 	var rec *traceEntry
-	if r.Replay && !r.Check {
-		te, creator := r.traceEntryFor(bench)
+	if q.mode == modeDetailed && r.Replay && !r.Check {
+		te, creator := r.traceEntryFor(q.bench)
 		if creator {
 			if h, recs, ok := r.loadTrace(cfg, prog); ok {
 				te.hdr, te.recs, te.coreHash = h, recs, h.CoreHash
@@ -427,7 +479,7 @@ func (r *Runner) simulate(key string, cfg sim.Config, bench string, prep func(*s
 		recW = w
 		s.AttachRecorder(recW)
 	}
-	res.provenance = stats.ProvCold
+	forked := false
 	if r.FastForward > 0 && recW == nil {
 		// The capture itself is memoized process-wide; the first arrival
 		// captures (under its worker slot), later arrivals block on the
@@ -435,19 +487,47 @@ func (r *Runner) simulate(key string, cfg sim.Config, bench string, prep func(*s
 		// A recording run skips the restore: the stream must start at the
 		// program entry, so it fast-forwards functionally under the tap
 		// (cfg.FastForwardInsts is set) and its provenance stays cold.
-		cp, err := workload.SharedCheckpoint(bench, r.FastForward)
+		cp, err := workload.SharedCheckpoint(q.bench, r.FastForward)
 		if err != nil {
 			return fail(err)
 		}
 		if err := s.ApplyCheckpoint(cp); err != nil {
 			return fail(err)
 		}
+		forked = true
+	}
+
+	if q.mode == modeSampled {
+		r.logf("sampling %s...\n", key)
+		out, err := sampling.Run(s)
+		if err != nil {
+			return fail(err)
+		}
+		if chk := s.Checker(); chk != nil && chk.Total() > 0 {
+			return fail(fmt.Errorf("%s", chk.Report()))
+		}
+		if len(out.Violations) > 0 {
+			return fail(fmt.Errorf("sampling audit: %d violation(s), first: %s",
+				len(out.Violations), out.Violations[0].Detail))
+		}
+		if forked && out.Sampled.Meta != nil {
+			// Meta is shared between the aggregate and the pooled run.
+			out.Sampled.Meta.CheckpointShared = true
+		}
+		res.run, res.sampled = out.Run, out.Sampled
+		// A sampled estimate counts as sampled whether or not its
+		// functional prefix was forked.
+		res.provenance = stats.ProvSampled
+		return res
+	}
+
+	res.provenance = stats.ProvCold
+	if forked {
 		res.provenance = stats.ProvCheckpointFork
 	}
 	r.logf("running %s...\n", key)
 	res.run = s.Run()
 	if chk := s.Checker(); chk != nil && chk.Total() > 0 {
-		res.run = nil
 		return fail(fmt.Errorf("%s", chk.Report()))
 	}
 	if recW != nil {
@@ -470,15 +550,23 @@ func (r *Runner) simulate(key string, cfg sim.Config, bench string, prep func(*s
 // across the worker pool, and returns them in paper order. The first error
 // (in paper order) is returned with a nil slice.
 func (r *Runner) SweepE(cfg sim.Config) ([]*stats.Run, error) {
+	return sweep(r, func(bench string) (*stats.Run, error) { return r.RunE(cfg, bench) })
+}
+
+// sweep calls run for every benchmark, fanning the calls across the
+// worker pool (sequentially with one worker), and returns the results in
+// paper order. The first error (in paper order) is returned with a nil
+// slice.
+func sweep[T any](r *Runner, run func(bench string) (T, error)) ([]T, error) {
 	names := workload.Names()
-	out := make([]*stats.Run, len(names))
+	out := make([]T, len(names))
 	if r.workers() <= 1 {
 		for i, b := range names {
-			run, err := r.RunE(cfg, b)
+			v, err := run(b)
 			if err != nil {
 				return nil, err
 			}
-			out[i] = run
+			out[i] = v
 		}
 		return out, nil
 	}
@@ -488,7 +576,7 @@ func (r *Runner) SweepE(cfg sim.Config) ([]*stats.Run, error) {
 		wg.Add(1)
 		go func(i int, b string) {
 			defer wg.Done()
-			out[i], errs[i] = r.RunE(cfg, b)
+			out[i], errs[i] = run(b)
 		}(i, b)
 	}
 	wg.Wait()
@@ -514,13 +602,14 @@ func (r *Runner) AvgEffRateE(cfg sim.Config) (float64, error) {
 	return sum / float64(len(runs)), nil
 }
 
-// CachedKeys lists memoized runs (for tests). In-flight keys are included;
-// completed and failed runs are not distinguished.
+// CachedKeys lists the labels of memoized runs (for tests), one per memo
+// slot. In-flight runs are included; completed and failed runs are not
+// distinguished.
 func (r *Runner) CachedKeys() []string {
 	r.mu.Lock()
 	keys := make([]string, 0, len(r.runs))
-	for k := range r.runs {
-		keys = append(keys, k)
+	for _, e := range r.runs {
+		keys = append(keys, e.label)
 	}
 	r.mu.Unlock()
 	sort.Strings(keys)

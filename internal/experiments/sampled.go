@@ -3,244 +3,41 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"sync"
-	"time"
 
 	"tracecache/internal/config"
 	"tracecache/internal/core"
-	"tracecache/internal/resultstore"
-	"tracecache/internal/sampling"
 	"tracecache/internal/sim"
 	"tracecache/internal/stats"
 	"tracecache/internal/textplot"
 	"tracecache/internal/workload"
 )
 
-// This file is the runner's sampled execution path: RunSampledE and
-// SweepSampledE drive internal/sampling under the same singleflight memo,
-// worker pool, checkpoint sharing, metrics, and run-event plumbing as the
-// detailed path — but memo keys carry the sampling schedule, so a sampled
-// estimate can never be conflated with (or shared as) a detailed
-// measurement of the same configuration. SampledComparison renders the
-// paper-scale headline table with confidence intervals.
-
-// sampledKey is the memo key of one sampled request. The schedule is part
-// of the key for the same reason it is part of Config.Hash: a sampled
-// result is an estimate parameterized by its schedule, not the same
-// number as a detailed run of the key's configuration.
-func sampledKey(cfg string, bench string, p sim.SamplingParams) string {
-	return fmt.Sprintf("%s/%s#sampled-w%d-p%d-u%d-s%d",
-		cfg, bench, p.WindowInsts, p.PeriodInsts, p.WarmupInsts, p.Seed)
-}
+// This file is the runner's sampled entry point: RunSampledE and
+// SweepSampledE resolve requests in sampled mode through the same
+// executor as the detailed path, whose memo identity includes the mode
+// and the sampling schedule, so a sampled estimate can never be
+// conflated with (or shared as) a detailed measurement of the same
+// configuration. SampledComparison renders the paper-scale headline table
+// with confidence intervals.
 
 // RunSampledE estimates the benchmark under the configuration with the
 // runner's sampling schedule (Runner.Sampling must be enabled; Budget is
 // the total committed-stream extent the schedule covers). Requests are
-// memoized and singleflighted exactly like RunE, under a key that carries
-// the schedule. The returned aggregate carries ProvSampled metadata; its
-// pooled counters are also recorded in the journal via the usual RunDone
-// event.
+// memoized and singleflighted exactly like RunE. The returned aggregate
+// carries ProvSampled metadata; its pooled counters are also recorded in
+// the journal via the usual RunDone event.
 func (r *Runner) RunSampledE(cfg sim.Config, bench string) (*stats.Sampled, error) {
-	p := r.Sampling
-	if !p.Enabled() {
+	if !r.Sampling.Enabled() {
 		return nil, fmt.Errorf("experiments: RunSampledE without a sampling schedule (set Runner.Sampling)")
 	}
-	key := sampledKey(cfg.Name, bench, p)
-	r.mu.Lock()
-	if e, ok := r.runs[key]; ok {
-		r.mu.Unlock()
-		if m := r.Metrics; m != nil {
-			m.MemoHits.Inc()
-		}
-		<-e.done
-		r.emit(RunEvent{
-			Phase: RunDone, Key: key, Config: cfg.Name, Benchmark: bench,
-			Run: e.run, Err: e.err,
-			Memoized: true, Provenance: stats.ProvMemoized,
-		})
-		return e.sampled, e.err
-	}
-	e := &runEntry{done: make(chan struct{})}
-	r.runs[key] = e
-	r.mu.Unlock()
-
-	if m := r.Metrics; m != nil {
-		m.MemoMisses.Inc()
-	}
-	r.emit(RunEvent{Phase: RunQueued, Key: key, Config: cfg.Name, Benchmark: bench})
-	res := r.simulateSampled(key, cfg, bench)
-	e.run, e.sampled, e.err = res.run, res.sampled, res.err
-	if m := r.Metrics; m != nil {
-		if res.err != nil {
-			m.RunsFailed.Inc()
-		} else {
-			m.RunsCompleted.Inc()
-			if res.provenance == stats.ProvStore {
-				m.StoreServed.Inc()
-			} else {
-				m.SampledRuns.Inc()
-			}
-		}
-	}
-	r.emit(RunEvent{
-		Phase: RunDone, Key: key, Config: cfg.Name, Benchmark: bench,
-		Run: res.run, Err: res.err,
-		Provenance: res.provenance,
-		QueueWait:  res.queueWait, Wall: res.wall,
-	})
-	close(e.done)
+	e := r.do(r.newRequest(cfg, bench, modeSampled, nil))
 	return e.sampled, e.err
-}
-
-// sampledSimResult mirrors simResult for the sampled path.
-type sampledSimResult struct {
-	run        *stats.Run
-	sampled    *stats.Sampled
-	err        error
-	provenance string
-	queueWait  time.Duration
-	wall       time.Duration
-}
-
-// simulateSampled executes one sampled run under a worker slot: shared
-// checkpoint for the functional prefix when the runner fast-forwards, the
-// sampling driver for the schedule, and a hard failure on any sampling-
-// audit or self-check violation.
-func (r *Runner) simulateSampled(key string, cfg sim.Config, bench string) (res sampledSimResult) {
-	// Registered before the recover defer so it runs after it (LIFO) and
-	// never persists a panic-converted result.
-	defer func() {
-		r.storePut(cfg, bench, res.provenance, res.run, res.sampled)
-	}()
-	defer func() {
-		if p := recover(); p != nil {
-			res = sampledSimResult{err: fmt.Errorf("experiments: %s: panic: %v", key, p),
-				queueWait: res.queueWait, wall: res.wall}
-		}
-	}()
-	fail := func(err error) sampledSimResult {
-		return sampledSimResult{err: fmt.Errorf("experiments: %s: %w", key, err),
-			queueWait: res.queueWait, wall: res.wall}
-	}
-	prog, err := workload.SharedProgram(bench)
-	if err != nil {
-		return fail(err)
-	}
-	//tcvet:ignore determinism wall-clock telemetry only: queue-wait measurement start, never simulated state
-	queuedAt := time.Now()
-	release := r.acquire()
-	defer release()
-	//tcvet:ignore determinism wall-clock telemetry only: queue-wait histogram and journal, never simulated state
-	res.queueWait = time.Since(queuedAt)
-	if m := r.Metrics; m != nil {
-		m.RunsStarted.Inc()
-		m.WorkersBusy.Add(1)
-		m.QueueWait.Observe(res.queueWait.Seconds())
-	}
-	r.emit(RunEvent{Phase: RunStarted, Key: key, Config: cfg.Name, Benchmark: bench,
-		QueueWait: res.queueWait})
-	//tcvet:ignore determinism wall-clock telemetry only: run-wall measurement start, never simulated state
-	startedAt := time.Now()
-	defer func() {
-		//tcvet:ignore determinism wall-clock telemetry only: run-wall histogram and journal, never simulated state
-		res.wall = time.Since(startedAt)
-		if m := r.Metrics; m != nil {
-			m.WorkersBusy.Add(-1)
-			m.RunWall.Observe(res.wall.Seconds())
-		}
-	}()
-	cfg.WarmupInsts = 0 // each window carries its own warmup
-	cfg.MaxInsts = r.Budget
-	cfg.FastForwardInsts = r.FastForward
-	cfg.Sampling = r.Sampling
-	cfg.Check = r.Check
-	res.provenance = stats.ProvSampled
-
-	// Persistent-store fast path: sampled estimates are their own fidelity
-	// class, so only a sampled entry — same configuration hash (schedule
-	// included) and benchmark — can serve a sampled request.
-	if r.Store != nil && !r.Check {
-		if e := r.storeGet(cfg, bench, []string{resultstore.ModeSampled}); e != nil && e.Sampled != nil {
-			res.run, res.sampled = e.Run, e.Sampled
-			res.provenance = stats.ProvStore
-			return res
-		}
-	}
-
-	s, err := sim.New(cfg, prog)
-	if err != nil {
-		return fail(err)
-	}
-	if m := r.Metrics; m != nil {
-		s.AttachMetrics(m.Sim)
-	}
-	if r.NewObserver != nil {
-		if bus := r.NewObserver(); bus != nil {
-			s.AttachObserver(bus)
-		}
-	}
-	forked := false
-	if r.FastForward > 0 {
-		cp, err := workload.SharedCheckpoint(bench, r.FastForward)
-		if err != nil {
-			return fail(err)
-		}
-		if err := s.ApplyCheckpoint(cp); err != nil {
-			return fail(err)
-		}
-		forked = true
-	}
-	r.logf("sampling %s...\n", key)
-	out, err := sampling.Run(s)
-	if err != nil {
-		return fail(err)
-	}
-	if chk := s.Checker(); chk != nil && chk.Total() > 0 {
-		return fail(fmt.Errorf("%s", chk.Report()))
-	}
-	if len(out.Violations) > 0 {
-		return fail(fmt.Errorf("sampling audit: %d violation(s), first: %s",
-			len(out.Violations), out.Violations[0].Detail))
-	}
-	if forked && out.Sampled.Meta != nil {
-		// Meta is shared between the aggregate and the pooled run.
-		out.Sampled.Meta.CheckpointShared = true
-	}
-	res.run, res.sampled = out.Run, out.Sampled
-	return res
 }
 
 // SweepSampledE estimates the configuration over every benchmark, fanning
 // across the worker pool, in paper order.
 func (r *Runner) SweepSampledE(cfg sim.Config) ([]*stats.Sampled, error) {
-	names := workload.Names()
-	out := make([]*stats.Sampled, len(names))
-	if r.workers() <= 1 {
-		for i, b := range names {
-			sm, err := r.RunSampledE(cfg, b)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = sm
-		}
-		return out, nil
-	}
-	errs := make([]error, len(names))
-	var wg sync.WaitGroup
-	for i, b := range names {
-		wg.Add(1)
-		go func(i int, b string) {
-			defer wg.Done()
-			out[i], errs[i] = r.RunSampledE(cfg, b)
-		}(i, b)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return sweep(r, func(bench string) (*stats.Sampled, error) { return r.RunSampledE(cfg, bench) })
 }
 
 // SampledComparisonConfigs is the headline comparison set: the reference

@@ -58,6 +58,17 @@ func TestRunSampledMemoSeparation(t *testing.T) {
 	if sm2 != sm {
 		t.Fatal("repeated sampled request did not share the memoized aggregate")
 	}
+
+	// Same-name, different-content configs get separate slots.
+	renamed := config.ICache()
+	renamed.Name = "baseline"
+	sm3, err := r.RunSampledE(renamed, "gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sm3 == sm || len(r.CachedKeys()) != 3 {
+		t.Fatalf("an icache machine named baseline shared the baseline's sampled estimate: cached = %v", r.CachedKeys())
+	}
 }
 
 // TestSweepSampledParallelDeterminism: a sampled sweep is bit-identical

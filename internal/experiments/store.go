@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"tracecache/internal/metrics"
 	"tracecache/internal/resultstore"
 	"tracecache/internal/sim"
 	"tracecache/internal/stats"
@@ -14,6 +15,22 @@ func storeKey(cfg sim.Config, bench, mode string) resultstore.Key {
 	return resultstore.Key{ConfigHash: cfg.Hash(), Benchmark: bench, Mode: mode}
 }
 
+// storeModes lists the store modes that may serve a request of the
+// mode, in preference order. Mode matching is fidelity-preserving
+// (DESIGN.md §11): a detailed request accepts only detailed entries, and
+// under Replay also a replayed point (either fidelity class it could
+// itself have produced: a replayed point or the detailed run that
+// recorded the stream); a sampled request accepts only sampled entries.
+func (r *Runner) storeModes(mode runMode) []string {
+	switch {
+	case mode == modeSampled:
+		return []string{resultstore.ModeSampled}
+	case r.Replay:
+		return []string{resultstore.ModeReplay, resultstore.ModeDetailed}
+	}
+	return []string{resultstore.ModeDetailed}
+}
+
 // storeGet looks the point up under each acceptable mode in preference
 // order and returns the first usable entry, or nil on miss. Store
 // corruption is logged and treated as a miss — the point re-simulates.
@@ -24,42 +41,43 @@ func (r *Runner) storeGet(cfg sim.Config, bench string, modes []string) *results
 			r.logf("result store: %v\n", err)
 			continue
 		}
-		if e != nil && e.Run != nil {
+		if e != nil && e.Run != nil && (mode != resultstore.ModeSampled || e.Sampled != nil) {
 			return e
 		}
 	}
 	return nil
 }
 
-// storeModeOf maps a run's provenance to its store fidelity mode.
-func storeModeOf(provenance string) string {
-	switch provenance {
-	case stats.ProvReplay:
-		return resultstore.ModeReplay
-	case stats.ProvSampled:
-		return resultstore.ModeSampled
-	default:
-		// Cold and checkpoint-fork runs are both full detailed
-		// measurements; the checkpoint only changed who executed the
-		// functional prefix.
-		return resultstore.ModeDetailed
-	}
+// provenances maps every provenance an executed request can end with to
+// the RunnerMetrics counter that counts it and the store mode its result
+// is persisted under. Store-served results are never persisted again.
+var provenances = map[string]struct {
+	counter func(*RunnerMetrics) *metrics.Counter
+	mode    string
+}{
+	stats.ProvCold: {func(m *RunnerMetrics) *metrics.Counter { return m.ColdStarts }, resultstore.ModeDetailed},
+	// A checkpoint fork is a full detailed measurement too: the checkpoint
+	// only changed who executed the functional prefix.
+	stats.ProvCheckpointFork: {func(m *RunnerMetrics) *metrics.Counter { return m.CheckpointForks }, resultstore.ModeDetailed},
+	stats.ProvReplay:         {func(m *RunnerMetrics) *metrics.Counter { return m.Replays }, resultstore.ModeReplay},
+	stats.ProvSampled:        {func(m *RunnerMetrics) *metrics.Counter { return m.SampledRuns }, resultstore.ModeSampled},
+	stats.ProvStore:          {func(m *RunnerMetrics) *metrics.Counter { return m.StoreServed }, ""},
 }
 
-// storePut persists one completed result. It is a no-op without a store,
+// storePut persists one computed result. It is a no-op without a store,
 // for failed or store-served results, and for checked runs (their
 // purpose is to distrust cached numbers, so they neither read nor seed
 // the store). Persistence errors are logged, never fatal: the store is a
 // cache, and losing a put only costs a future re-simulation.
-func (r *Runner) storePut(cfg sim.Config, bench, provenance string, run *stats.Run, sampled *stats.Sampled) {
-	if r.Store == nil || r.Check || run == nil || provenance == stats.ProvStore {
+func (r *Runner) storePut(cfg sim.Config, bench string, res result) {
+	if r.Store == nil || r.Check || res.run == nil || res.provenance == stats.ProvStore {
 		return
 	}
 	e := &resultstore.Entry{
-		Key:     storeKey(cfg, bench, storeModeOf(provenance)),
+		Key:     storeKey(cfg, bench, provenances[res.provenance].mode),
 		Config:  cfg.Name,
-		Run:     run,
-		Sampled: sampled,
+		Run:     res.run,
+		Sampled: res.sampled,
 	}
 	if err := r.Store.Put(e); err != nil {
 		r.logf("result store: %v\n", err)
