@@ -8,14 +8,17 @@ import (
 	"tracecache/internal/core"
 	"tracecache/internal/fetch"
 	"tracecache/internal/program"
+	"tracecache/internal/stats"
 )
 
 // frontEnd bundles the fetch-path structures — cache hierarchy, indirect
 // predictor, trace cache, fill unit, multiple-branch/hybrid predictor and
-// fetch engine — shared by the detailed simulator and the replay engine.
+// fetch engine — that the detailed simulator and the replay engine both
+// embed, together with the retire-time update that trains them.
 // Everything here is driven purely by fetch requests and the retired
 // stream, which is what makes a front-end-only replay possible: Replayer
-// runs exactly these structures with no execution core attached.
+// runs exactly these structures, and retires through exactly the same
+// update, with no execution core attached.
 type frontEnd struct {
 	hier *cache.Hierarchy
 	ind  *bpred.IndirectPredictor
@@ -27,20 +30,20 @@ type frontEnd struct {
 }
 
 // newFrontEnd builds the front end the configuration describes.
-func newFrontEnd(cfg Config, prog *program.Program) (*frontEnd, error) {
-	f := &frontEnd{}
+func newFrontEnd(cfg Config, prog *program.Program) (frontEnd, error) {
+	var f frontEnd
 	ccs := cfg.cacheConfigs()
 	l1i, err := cache.New(ccs[0])
 	if err != nil {
-		return nil, fmt.Errorf("sim %q: %w", cfg.Name, err)
+		return f, fmt.Errorf("sim %q: %w", cfg.Name, err)
 	}
 	l1d, err := cache.New(ccs[1])
 	if err != nil {
-		return nil, fmt.Errorf("sim %q: %w", cfg.Name, err)
+		return f, fmt.Errorf("sim %q: %w", cfg.Name, err)
 	}
 	l2, err := cache.New(ccs[2])
 	if err != nil {
-		return nil, fmt.Errorf("sim %q: %w", cfg.Name, err)
+		return f, fmt.Errorf("sim %q: %w", cfg.Name, err)
 	}
 	f.hier = &cache.Hierarchy{L1I: l1i, L1D: l1d, L2: l2}
 	f.ind = bpred.NewIndirectPredictor(cfg.IndirectEntries)
@@ -48,7 +51,7 @@ func newFrontEnd(cfg Config, prog *program.Program) (*frontEnd, error) {
 	case FrontTrace:
 		tc, err := core.NewTraceCache(cfg.TC)
 		if err != nil {
-			return nil, err
+			return f, err
 		}
 		f.tc = tc
 		f.fill = core.NewFillUnit(cfg.Fill, tc)
@@ -74,4 +77,83 @@ func newFrontEnd(cfg Config, prog *program.Program) (*frontEnd, error) {
 		})
 	}
 	return f, nil
+}
+
+// TraceCache returns the trace cache (nil for the icache front end).
+func (f *frontEnd) TraceCache() *core.TraceCache { return f.tc }
+
+// FillUnit returns the fill unit (nil for the icache front end).
+func (f *frontEnd) FillUnit() *core.FillUnit { return f.fill }
+
+// Hierarchy returns the cache hierarchy.
+func (f *frontEnd) Hierarchy() *cache.Hierarchy { return f.hier }
+
+// retireUpdate is the retire-time front-end update both engines apply to
+// every committed instruction: the fill unit (and through it the bias
+// table) consumes the instruction, the predictor that supplied a
+// conditional branch's direction and the indirect predictor train on the
+// outcome, a store makes its data access, and run accumulates the
+// retirement and per-source branch counters. taken, nextPC and memAddr
+// are the committed outcome; mispredicted reports that the fetch-time
+// prediction disagreed with it. hasMem is false only for a replayed store
+// whose record carries no address.
+//
+//tc:hotpath
+func (f *frontEnd) retireUpdate(run *stats.Run, fi *fetch.FetchedInst, alignFill, taken, mispredicted bool, nextPC int, memAddr uint64, hasMem bool) {
+	in := fi.Inst
+	run.Retired++
+	if f.fill != nil {
+		if alignFill {
+			f.fill.Align()
+		}
+		f.fill.Retire(fi.PC, in, taken)
+	}
+	switch {
+	case in.IsCondBranch():
+		run.CondBranches++
+		src := stats.SrcEmbedded
+		if fi.Promoted {
+			src = stats.SrcPromoted
+			run.PromotedExecuted++
+			if mispredicted {
+				run.PromotedFaults++
+			}
+		} else if fi.UsedSlot {
+			src = stats.SrcSlot
+			f.mbp.Update(fi.Ctx, taken)
+		} else if fi.UsedHybrid {
+			src = stats.SrcHybrid
+			f.hyb.Update(fi.HCtx, taken)
+		}
+		run.CondBySource[src]++
+		if mispredicted {
+			run.MissBySource[src]++
+			run.CondMispredicts++
+		}
+	case in.IsIndirect():
+		run.IndirectJumps++
+		f.ind.Update(fi.PC, nextPC)
+		if mispredicted {
+			run.IndirectMisses++
+		}
+	case in.IsReturn():
+		run.Returns++
+	case in.IsStore():
+		if hasMem {
+			f.hier.AccessData(memAddr)
+		}
+	}
+}
+
+// demote checks a faulting promoted branch for demotion: when the bias
+// table no longer trusts the promoted direction, every trace-cache
+// segment carrying the branch as promoted is invalidated. It returns the
+// number of segments invalidated and whether the branch was demoted. The
+// detailed machine checks when the fault resolves, replay just before the
+// branch retires; both precede the branch's retireUpdate.
+func (f *frontEnd) demote(pc int, predicted bool) (int, bool) {
+	if f.fill == nil || f.fill.Bias() == nil || !f.fill.Bias().ShouldDemote(pc, predicted) {
+		return 0, false
+	}
+	return f.tc.InvalidatePromoted(pc), true
 }

@@ -7,8 +7,6 @@ import (
 	"runtime"
 	"time"
 
-	"tracecache/internal/cache"
-	"tracecache/internal/core"
 	"tracecache/internal/fetch"
 	"tracecache/internal/program"
 	"tracecache/internal/stats"
@@ -34,10 +32,10 @@ import (
 // Cycle-domain statistics (Cycles, IPC, cycle classification, wrong-path
 // fetch counts, resolution latencies) are undefined and left zero.
 type Replayer struct {
+	frontEnd
 	cfg      Config
 	prog     *program.Program
 	progHash uint64
-	f        *frontEnd
 	run      stats.Run
 	fiBuf    []*fetch.FetchedInst
 	recs     []trace.Rec // the stream being replayed
@@ -55,20 +53,11 @@ func NewReplayer(cfg Config, prog *program.Program) (*Replayer, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Replayer{cfg: cfg, prog: prog, progHash: prog.Hash(), f: f}
+	r := &Replayer{frontEnd: f, cfg: cfg, prog: prog, progHash: prog.Hash()}
 	r.run.Config = cfg.Name
 	r.run.Benchmark = prog.Name
 	return r, nil
 }
-
-// TraceCache returns the trace cache (nil for the icache front end).
-func (r *Replayer) TraceCache() *core.TraceCache { return r.f.tc }
-
-// FillUnit returns the fill unit (nil for the icache front end).
-func (r *Replayer) FillUnit() *core.FillUnit { return r.f.fill }
-
-// Hierarchy returns the cache hierarchy.
-func (r *Replayer) Hierarchy() *cache.Hierarchy { return r.f.hier }
 
 // Stats returns the statistics collected so far.
 func (r *Replayer) Stats() *stats.Run { return &r.run }
@@ -120,7 +109,7 @@ func (r *Replayer) ReplayRecords(h trace.Header, recs []trace.Rec) (*stats.Run, 
 		if !warming && r.run.Retired >= r.cfg.MaxInsts {
 			break
 		}
-		b := r.f.fe.Fetch(pc)
+		b := r.fe.Fetch(pc)
 		consumed := 0
 		mispredBR := false
 		redirected := false
@@ -143,7 +132,7 @@ func (r *Replayer) ReplayRecords(h trace.Header, recs []trace.Rec) (*stats.Run, 
 				// Return misfetch (the RAS is ideal on the committed path,
 				// so this mirrors a recovery that should never trigger):
 				// redirect to the committed continuation.
-				r.f.fe.ResolveEffect(fi, false)
+				r.fe.ResolveEffect(fi, false)
 				redirected = true
 				pc = r.recs[r.idx].PC
 				break
@@ -217,12 +206,12 @@ func (r *Replayer) divergeErr(fetched, recorded int, total uint64) error {
 		r.cfg.Name, r.prog.Name, total, fetched, recorded)
 }
 
-// commitInst retires one fetched instruction against its record: the
-// fill unit and bias table consume it, predictors train, statistics
-// accumulate, and a mispredicted branch or misfetched indirect restores
-// the fetch state and redirects (redir true, target the committed next
-// PC). This is the front-end-visible half of Simulator.retireInst plus
-// the resolve-time recovery effects of Simulator.recoverBranch.
+// commitInst retires one fetched instruction against its record through
+// the detailed machine's retire-time front-end update (frontEnd.
+// retireUpdate), after the demotion check a faulting promoted branch
+// makes at resolve time there; a mispredicted branch or misfetched
+// indirect then restores the fetch state and redirects (redir true,
+// target the committed next PC), as Simulator.recoverBranch does.
 //
 //tc:hotpath
 func (r *Replayer) commitInst(fi *fetch.FetchedInst, rec *trace.Rec, alignFill bool) (target int, redir bool) {
@@ -235,59 +224,14 @@ func (r *Replayer) commitInst(fi *fetch.FetchedInst, rec *trace.Rec, alignFill b
 	case in.IsIndirect():
 		mispred = fi.PredTarget != rec.Target
 	}
-	// A faulting promoted branch checks demotion before it retires (in
-	// the detailed machine the fault resolves cycles before the commit
-	// updates the bias table; order preserved here).
-	if mispred && fi.Promoted && r.f.fill != nil && r.f.fill.Bias() != nil &&
-		r.f.fill.Bias().ShouldDemote(fi.PC, fi.Predicted) {
-		r.f.tc.InvalidatePromoted(fi.PC)
+	if mispred && fi.Promoted {
+		r.demote(fi.PC, fi.Predicted)
 	}
-	r.run.Retired++
-	if r.f.fill != nil {
-		if alignFill {
-			r.f.fill.Align()
-		}
-		r.f.fill.Retire(fi.PC, in, actual)
-	}
-	switch {
-	case in.IsCondBranch():
-		r.run.CondBranches++
-		src := stats.SrcEmbedded
-		if fi.Promoted {
-			src = stats.SrcPromoted
-			r.run.PromotedExecuted++
-			if mispred {
-				r.run.PromotedFaults++
-			}
-		} else if fi.UsedSlot {
-			src = stats.SrcSlot
-			r.f.mbp.Update(fi.Ctx, actual)
-		} else if fi.UsedHybrid {
-			src = stats.SrcHybrid
-			r.f.hyb.Update(fi.HCtx, actual)
-		}
-		r.run.CondBySource[src]++
-		if mispred {
-			r.run.MissBySource[src]++
-			r.run.CondMispredicts++
-		}
-	case in.IsIndirect():
-		r.run.IndirectJumps++
-		r.f.ind.Update(fi.PC, rec.Target)
-		if mispred {
-			r.run.IndirectMisses++
-		}
-	case in.IsReturn():
-		r.run.Returns++
-	case in.IsStore():
-		if rec.HasMem {
-			r.f.hier.AccessData(rec.MemAddr)
-		}
-	}
+	r.retireUpdate(&r.run, fi, alignFill, actual, mispred, rec.Target, rec.MemAddr, rec.HasMem)
 	if !mispred {
 		return 0, false
 	}
-	r.f.fe.ResolveEffect(fi, actual)
+	r.fe.ResolveEffect(fi, actual)
 	if in.IsCondBranch() {
 		if actual {
 			return in.Target, true
@@ -310,7 +254,7 @@ func (r *Replayer) inject(suffix []fetch.FetchedInst) (int, int, bool, error) {
 	for i := range suffix {
 		r.fiBuf = append(r.fiBuf, &suffix[i])
 	}
-	resume := r.f.fe.ApplyEffects(r.fiBuf)
+	resume := r.fe.ApplyEffects(r.fiBuf)
 	n := 0
 	for i := range suffix {
 		if r.idx >= len(r.recs) {
@@ -332,7 +276,7 @@ func (r *Replayer) inject(suffix []fetch.FetchedInst) (int, int, bool, error) {
 			return n, resume, true, nil
 		}
 		if fi.Inst.IsReturn() && r.idx < len(r.recs) && fi.PredTarget != r.recs[r.idx].PC {
-			r.f.fe.ResolveEffect(fi, false)
+			r.fe.ResolveEffect(fi, false)
 			return n, r.recs[r.idx].PC, false, nil
 		}
 	}

@@ -5,8 +5,6 @@ import (
 	"runtime"
 	"time"
 
-	"tracecache/internal/bpred"
-	"tracecache/internal/cache"
 	"tracecache/internal/check"
 	"tracecache/internal/core"
 	"tracecache/internal/engine"
@@ -83,17 +81,11 @@ const noProducer = ^uint64(0)
 
 // Simulator runs one program under one configuration.
 type Simulator struct {
+	frontEnd
 	cfg   Config
 	prog  *program.Program
 	state *exec.State
 	eng   *engine.Engine
-	fe    fetch.Engine
-	tc    *core.TraceCache
-	fill  *core.FillUnit
-	mbp   bpred.MultiPredictor
-	hyb   *bpred.Hybrid
-	ind   *bpred.IndirectPredictor
-	hier  *cache.Hierarchy
 
 	run       stats.Run
 	cycle     uint64
@@ -179,9 +171,6 @@ type Simulator struct {
 	ffwdDone       uint64
 	fromCheckpoint bool
 
-	// OnRetireBranch, when set, observes every retiring conditional
-	// branch (a diagnostic hook for per-site analysis tooling).
-	OnRetireBranch func(pc int, taken, mispredicted, promoted bool)
 	// OnRetire, when set, observes every retiring instruction in commit
 	// order (a test hook: fast-forward determinism is asserted against it).
 	OnRetire func(pc int)
@@ -192,14 +181,11 @@ func New(cfg Config, prog *program.Program) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Simulator{cfg: cfg, prog: prog, state: exec.NewState(prog), pendingBrIdx: -1}
 	f, err := newFrontEnd(cfg, prog)
 	if err != nil {
 		return nil, err
 	}
-	s.hier, s.ind = f.hier, f.ind
-	s.tc, s.fill = f.tc, f.fill
-	s.mbp, s.hyb, s.fe = f.mbp, f.hyb, f.fe
+	s := &Simulator{frontEnd: f, cfg: cfg, prog: prog, state: exec.NewState(prog), pendingBrIdx: -1}
 	s.eng = engine.New(cfg.Engine, s.hier)
 	size := 1
 	for size < 2*cfg.Engine.Window() {
@@ -310,15 +296,6 @@ func (s *Simulator) growRecords() {
 //
 //tc:hotpath
 func (s *Simulator) rec(id int) *fetchRec { return &s.records[id&s.recMask] }
-
-// TraceCache returns the trace cache (nil for the icache configuration).
-func (s *Simulator) TraceCache() *core.TraceCache { return s.tc }
-
-// FillUnit returns the fill unit (nil for the icache configuration).
-func (s *Simulator) FillUnit() *core.FillUnit { return s.fill }
-
-// Hierarchy returns the cache hierarchy.
-func (s *Simulator) Hierarchy() *cache.Hierarchy { return s.hier }
 
 // Engine returns the execution core.
 func (s *Simulator) Engine() *engine.Engine { return s.eng }
@@ -527,10 +504,14 @@ func (s *Simulator) retire() {
 	}
 }
 
+// retireInst commits one instruction: the lockstep checker and the
+// recording tap see it, the shared front-end update trains on it, and the
+// detailed machine's own bookkeeping (resolution latency, serialization,
+// undo-log release, fetch record) follows.
+//
 //tc:hotpath
 func (s *Simulator) retireInst(d *dyn) {
 	in := d.fi.Inst
-	s.run.Retired++
 	if s.met != nil {
 		s.metInsts++
 	}
@@ -548,53 +529,10 @@ func (s *Simulator) retireInst(d *dyn) {
 	if s.trc != nil {
 		s.recordRetire(d.fi.PC, in, d.taken, d.nextPC, d.memAddr)
 	}
-	if s.fill != nil {
-		if d.alignFill {
-			s.fill.Align()
-		}
-		s.fill.Retire(d.fi.PC, in, d.taken)
-	}
-	switch {
-	case in.IsCondBranch():
-		if s.OnRetireBranch != nil {
-			s.OnRetireBranch(d.fi.PC, d.taken, d.mispredicted, d.fi.Promoted)
-		}
-		s.run.CondBranches++
-		src := stats.SrcEmbedded
-		if d.fi.Promoted {
-			src = stats.SrcPromoted
-			s.run.PromotedExecuted++
-			if d.mispredicted {
-				s.run.PromotedFaults++
-			}
-		} else if d.fi.UsedSlot {
-			src = stats.SrcSlot
-			s.mbp.Update(d.fi.Ctx, d.taken)
-		} else if d.fi.UsedHybrid {
-			src = stats.SrcHybrid
-			s.hyb.Update(d.fi.HCtx, d.taken)
-		}
-		s.run.CondBySource[src]++
-		if d.mispredicted {
-			s.run.MissBySource[src]++
-		}
-		if d.mispredicted {
-			s.run.CondMispredicts++
-			s.run.ResolutionSum += d.resolution
-			s.run.ResolutionsCounted++
-		}
-	case in.IsIndirect():
-		s.run.IndirectJumps++
-		s.ind.Update(d.fi.PC, d.nextPC)
-		if d.mispredicted {
-			s.run.IndirectMisses++
-			s.run.ResolutionSum += d.resolution
-			s.run.ResolutionsCounted++
-		}
-	case in.IsReturn():
-		s.run.Returns++
-	case in.IsStore():
-		s.hier.AccessData(d.memAddr)
+	s.retireUpdate(&s.run, &d.fi, d.alignFill, d.taken, d.mispredicted, d.nextPC, d.memAddr, true)
+	if d.mispredicted && (in.IsCondBranch() || in.IsIndirect()) {
+		s.run.ResolutionSum += d.resolution
+		s.run.ResolutionsCounted++
 	}
 	if s.serialInFl && s.serialSeq == d.seq {
 		s.serialInFl = false
@@ -652,14 +590,10 @@ func (s *Simulator) recoverBranch(d *dyn) {
 		if s.obs != nil {
 			s.obs.Emit(obs.Event{Kind: obs.KindPromotedFault, Cycle: s.cycle, PC: d.fi.PC})
 		}
-		if s.fill != nil && s.fill.Bias() != nil &&
-			s.fill.Bias().ShouldDemote(d.fi.PC, d.fi.Predicted) {
-			n := s.tc.InvalidatePromoted(d.fi.PC)
-			if s.obs != nil {
-				s.obs.Emit(obs.Event{
-					Kind: obs.KindDemote, Cycle: s.cycle, PC: d.fi.PC, V1: uint64(n),
-				})
-			}
+		if n, ok := s.demote(d.fi.PC, d.fi.Predicted); ok && s.obs != nil {
+			s.obs.Emit(obs.Event{
+				Kind: obs.KindDemote, Cycle: s.cycle, PC: d.fi.PC, V1: uint64(n),
+			})
 		}
 		s.recover(d, stats.CycleBranchMiss, d.nextPC)
 		s.redirectHold += uint64(s.cfg.FaultPenalty)
