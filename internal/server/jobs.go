@@ -233,6 +233,11 @@ func (s *Server) submitJob(w http.ResponseWriter, r *http.Request) {
 	}
 
 	s.mu.Lock()
+	if s.closed() {
+		s.mu.Unlock()
+		writeError(w, http.StatusServiceUnavailable, "server closed")
+		return
+	}
 	// Re-check under the lock: a racing identical submission may have
 	// created the job while the quota was consulted.
 	if j, ok := s.bySpec[hash]; ok {
@@ -257,6 +262,7 @@ func (s *Server) submitJob(w http.ResponseWriter, r *http.Request) {
 	s.jobs[j.ID] = j
 	s.bySpec[hash] = j
 	s.order = append(s.order, j.ID)
+	s.running.Add(1)
 	s.mu.Unlock()
 	s.met.JobsSubmitted.Inc()
 	s.logf("job %s: %d points (%s)", j.ID, len(pts), summarizeSpec(&spec))
@@ -276,11 +282,24 @@ func (s *Server) workers() int {
 // sharing the server's store, trace directory, journal, and metrics. A
 // fresh runner per job means results come from the persistent store, not
 // a process-lifetime memo, so restarted daemons and long-lived ones
-// behave identically.
+// behave identically. A job still waiting for its slot when Close runs
+// fails every point with "server closed" and simulates nothing.
 func (s *Server) runJob(j *Job, pts []point, params sim.SamplingParams) {
+	defer s.running.Done()
 	defer close(j.finished)
-	s.jobSem <- struct{}{}
-	defer func() { <-s.jobSem }()
+	select {
+	case s.jobSem <- struct{}{}:
+		defer func() { <-s.jobSem }()
+	case <-s.done:
+	}
+	if s.closed() {
+		results := make([]PointResult, len(pts))
+		for i, pt := range pts {
+			results[i] = PointResult{Config: pt.cfg.Name, Benchmark: pt.bench, Error: "server closed"}
+		}
+		s.finishJob(j, results)
+		return
+	}
 
 	j.mu.Lock()
 	j.state = JobRunning
@@ -332,8 +351,13 @@ func (s *Server) runJob(j *Job, pts []point, params sim.SamplingParams) {
 		}(i, pt)
 	}
 	wg.Wait()
-	j.progress.Finish()
+	s.finishJob(j, results)
+}
 
+// finishJob records a job's results and makes it terminal: failed when
+// any point failed, done otherwise.
+func (s *Server) finishJob(j *Job, results []PointResult) {
+	j.progress.Finish()
 	failed := 0
 	for _, res := range results {
 		if res.Error != "" {

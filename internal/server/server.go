@@ -82,9 +82,13 @@ type Server struct {
 	jrnl          *journal.Writer
 	quotas        *quotaPool
 
-	httpSrv   *http.Server
+	httpSrv *http.Server
+	// done is closed by Close, under mu, so a submission that sees it
+	// open registers its job in running before Close waits.
 	done      chan struct{}
 	closeOnce sync.Once
+	// running counts runJob goroutines; Close waits for them.
+	running sync.WaitGroup
 
 	mu     sync.Mutex
 	seq    int
@@ -197,22 +201,36 @@ func (s *Server) Start(addr string) (string, error) {
 }
 
 // Close stops the server: the shutdown signal ends in-flight SSE streams
-// promptly, open connections close, and the journal closes (in-flight
-// job appends discard safely afterwards). Running jobs finish in the
-// background; their store puts still land, so their work is not lost.
+// promptly, later submissions are refused with 503, and open connections
+// close. Running jobs finish and jobs still waiting for a slot fail
+// without simulating; Close returns once every job is terminal, so no
+// store put or journal append outlives it, and then closes the journal.
 // Idempotent.
 func (s *Server) Close() error {
 	var err error
 	s.closeOnce.Do(func() {
+		s.mu.Lock()
 		close(s.done)
+		s.mu.Unlock()
 		if s.httpSrv != nil {
 			err = s.httpSrv.Close()
 		}
+		s.running.Wait()
 		if jerr := s.jrnl.Close(); err == nil {
 			err = jerr
 		}
 	})
 	return err
+}
+
+// closed reports whether Close has begun.
+func (s *Server) closed() bool {
+	select {
+	case <-s.done:
+		return true
+	default:
+		return false
+	}
 }
 
 func (s *Server) index(w http.ResponseWriter, _ *http.Request) {

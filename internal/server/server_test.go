@@ -5,8 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -438,4 +441,89 @@ func TestPointSeriesAndTrace(t *testing.T) {
 	if len(tr.TraceEvents) == 0 {
 		t.Error("trace has no events")
 	}
+}
+
+// TestCloseWaitsForJobs: Close returns only once every job is terminal.
+// A running job finishes, so its store puts land before Close returns; a
+// job still waiting for its slot fails without simulating; a submission
+// after Close is refused. Nothing writes to the store afterwards.
+func TestCloseWaitsForJobs(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := testServer(t, dir, func(o *Options) { o.MaxConcurrentJobs = 1 })
+	// One point long enough to still hold the only slot while the
+	// second job is submitted.
+	running, code := submit(t, ts, `{"configs":["baseline"],"benchmarks":["gcc"],"warmupInsts":500,"measureInsts":100000}`)
+	if code != http.StatusCreated {
+		t.Fatalf("first submit = %d", code)
+	}
+	s.mu.Lock()
+	rj := s.jobs[running.ID]
+	s.mu.Unlock()
+	for rj.stateNow() == JobQueued {
+		time.Sleep(time.Millisecond)
+	}
+	queued, code := submit(t, ts, smallSpec())
+	if code != http.StatusCreated {
+		t.Fatalf("second submit = %d", code)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for id, want := range map[string]string{running.ID: JobDone, queued.ID: JobFailed} {
+		s.mu.Lock()
+		j := s.jobs[id]
+		s.mu.Unlock()
+		select {
+		case <-j.finished:
+		default:
+			t.Fatalf("job %s still live after Close", id)
+		}
+		if got := j.stateNow(); got != want {
+			t.Errorf("job %s state = %s, want %s", id, got, want)
+		}
+	}
+	qj := await(t, s, queued.ID)
+	for _, res := range qj.results {
+		if res.Error != "server closed" {
+			t.Errorf("queued point %s/%s error = %q, want \"server closed\"", res.Config, res.Benchmark, res.Error)
+		}
+	}
+	if got := s.runnerMetrics.RunsStarted.Value(); got != 1 {
+		t.Errorf("runs started = %d, want 1 (the queued job must not simulate)", got)
+	}
+	if _, code := submit(t, ts, smallSpec("go", "li")); code != http.StatusServiceUnavailable {
+		t.Errorf("submit after Close = %d, want 503", code)
+	}
+
+	// The absence of a late write can only be observed over an interval.
+	before := storeListing(t, dir)
+	if len(before) == 0 {
+		t.Fatal("store is empty: the running job's put did not land before Close returned")
+	}
+	time.Sleep(100 * time.Millisecond)
+	if after := storeListing(t, dir); !reflect.DeepEqual(before, after) {
+		t.Errorf("store changed after Close:\nbefore %v\nafter  %v", before, after)
+	}
+}
+
+// storeListing lists every file under dir with its size.
+func storeListing(t *testing.T, dir string) map[string]int64 {
+	t.Helper()
+	out := make(map[string]int64)
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		info, err := d.Info()
+		if err != nil {
+			return err
+		}
+		out[path] = info.Size()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
