@@ -1,9 +1,10 @@
 #!/bin/sh
 # CI for the tracecache repo: tier-1 build+test, vet+gofmt+tcvet static
 # gates, a race pass over the observability layer, the simulator, and the
-# parallel sweep engine, a fast-forward smoke+accuracy step, a tcserve
-# sweep-service smoke (restart + store-served resubmission), and a
-# benchmark smoke step so the perf harness stays runnable.
+# parallel sweep engine, a fast-forward smoke+accuracy step, a warm
+# result-store smoke, a tcserve sweep-service smoke (restart +
+# store-served resubmission), and a benchmark smoke step so the perf
+# harness stays runnable.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -28,8 +29,8 @@ go test -race ./internal/obs/... ./internal/sim/... \
 	./internal/metrics/... ./internal/monitor/... ./internal/journal/... \
 	./internal/resultstore/... ./internal/server/... ./internal/atomicfile/...
 
-echo "== go test -race (sweep engine: worker pool + singleflight + program cache) =="
-go test -race -run 'Parallel|Singleflight|RunE|SweepE|RunAll|Shared|FastForward' \
+echo "== go test -race (sweep engine: worker pool + singleflight + executor in every mode + program cache) =="
+go test -race -run 'Parallel|Singleflight|RunE|SweepE|RunAll|Shared|FastForward|Sampled|Store|Replay|Memoizes' \
 	./internal/experiments/ ./internal/workload/
 
 echo "== fast-forward smoke (checkpoint-shared sweep) =="
@@ -82,6 +83,18 @@ grep -q '"total"' /tmp/tcbench-ci-progress.json || {
 /tmp/tcbench-ci -exp all -warmup 2000 -insts 8000 -j 1 >/tmp/tcbench-ci-bare.out 2>/dev/null
 cmp /tmp/tcbench-ci-monitored.out /tmp/tcbench-ci-bare.out || {
 	echo "FAIL: monitored stdout differs from bare run"; exit 1; }
+
+echo "== store smoke (a warm result store serves every executed point; stdout unchanged) =="
+rm -rf /tmp/tcbench-ci-store /tmp/tcbench-ci-store1.jsonl /tmp/tcbench-ci-store2.jsonl
+for n in 1 2; do
+	/tmp/tcbench-ci -exp all -warmup 2000 -insts 8000 -j 1 -store /tmp/tcbench-ci-store \
+		-journal /tmp/tcbench-ci-store$n.jsonl >/tmp/tcbench-ci-store$n.out 2>/dev/null
+	cmp /tmp/tcbench-ci-store$n.out /tmp/tcbench-ci-bare.out || {
+		echo "FAIL: store run $n stdout differs from bare run"; exit 1; }
+done
+/tmp/tcbench-ci -journal-report /tmp/tcbench-ci-store2.jsonl >/tmp/tcbench-ci-store2.report
+grep -q '^provenance: 0 cold, 0 checkpoint-fork, 0 replay, ' /tmp/tcbench-ci-store2.report || {
+	echo "FAIL: warm-store run simulated:"; head -2 /tmp/tcbench-ci-store2.report; exit 1; }
 
 echo "== replay smoke (record -> replay -> verify within fidelity bounds) =="
 rm -rf /tmp/tcsim-ci-traces && mkdir -p /tmp/tcsim-ci-traces
