@@ -166,10 +166,12 @@ func Open(dir string) (*Store, error) {
 func (s *Store) Dir() string { return s.dir }
 
 // encode renders an entry file: a one-line header carrying the magic,
-// the format version and the payload CRC, then the JSON payload.
+// the format version and the payload CRC, then the JSON payload. It
+// stamps the version on a copy, so the caller's entry stays unchanged.
 func encode(e *Entry) ([]byte, error) {
-	e.Version = FormatVersion
-	payload, err := json.Marshal(e)
+	c := *e
+	c.Version = FormatVersion
+	payload, err := json.Marshal(&c)
 	if err != nil {
 		return nil, fmt.Errorf("resultstore: %w", err)
 	}

@@ -67,6 +67,11 @@ func TestRoundTrip(t *testing.T) {
 	if err := s.Put(want); err != nil {
 		t.Fatal(err)
 	}
+	// Put must not write to its caller's entry: concurrent Puts of one
+	// entry would race on it.
+	if !reflect.DeepEqual(want, sampleEntry()) {
+		t.Errorf("Put modified its argument: got %+v, want %+v", want, sampleEntry())
+	}
 	got, err := s.Get(want.Key)
 	if err != nil {
 		t.Fatal(err)
