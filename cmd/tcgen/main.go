@@ -15,39 +15,26 @@ import (
 	"tracecache"
 	"tracecache/internal/buildinfo"
 	"tracecache/internal/isa"
-	"tracecache/internal/metrics"
-	"tracecache/internal/monitor"
 	"tracecache/internal/textplot"
 	"tracecache/internal/workload"
 )
 
 func main() {
 	var (
-		bench    = flag.String("bench", "gcc", "benchmark name")
-		disasm   = flag.Bool("disasm", false, "print the disassembly")
-		doStat   = flag.Bool("stats", true, "print static and dynamic statistics")
-		limit    = flag.Uint64("limit", 500_000, "dynamic-analysis instruction budget")
-		list     = flag.Bool("list", false, "list benchmarks")
-		save     = flag.String("save", "", "write the program image to this file")
-		scale    = flag.Int("scale", 0, "replicate the code footprint this many times (power of two <= 64) for paper-scale runs; 0 or 1 generate the standard program")
-		version  = flag.Bool("version", false, "print version and exit")
-		httpAddr = flag.String("http", "", "serve /metrics and /debug/pprof on this address while generating/analyzing")
+		bench   = flag.String("bench", "gcc", "benchmark name")
+		disasm  = flag.Bool("disasm", false, "print the disassembly")
+		doStat  = flag.Bool("stats", true, "print static and dynamic statistics")
+		limit   = flag.Uint64("limit", 500_000, "dynamic-analysis instruction budget")
+		list    = flag.Bool("list", false, "list benchmarks")
+		save    = flag.String("save", "", "write the program image to this file")
+		scale   = flag.Int("scale", 0, "replicate the code footprint this many times (power of two <= 64) for paper-scale runs; 0 or 1 generate the standard program")
+		version = flag.Bool("version", false, "print version and exit")
 	)
 	flag.Parse()
 
 	if *version {
 		fmt.Println(buildinfo.String("tcgen"))
 		return
-	}
-	if *httpAddr != "" {
-		srv := &monitor.Server{Registry: metrics.NewRegistry()}
-		addr, err := srv.Start(*httpAddr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tcgen: %v\n", err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "tcgen: monitoring on http://%s (/metrics /debug/pprof)\n", addr)
 	}
 	if *list {
 		for _, name := range tracecache.Benchmarks() {

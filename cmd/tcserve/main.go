@@ -1,8 +1,10 @@
 // Command tcserve is the sweep service daemon: it accepts simulation
 // sweeps over an HTTP/JSON API, executes them on a shared worker pool
 // backed by the persistent content-addressed result store, and serves
-// results, live progress (JSON/SSE), windowed time-series, and
-// Chrome/Perfetto traces.
+// each job's status, results and live progress (JSON/SSE), plus /metrics
+// and /debug/pprof/. tcsim -list names the configs and benchmarks a
+// sweep may use; tcserve -version and the startup log line report the
+// version and the store.
 //
 // Usage:
 //
@@ -37,8 +39,6 @@ func main() {
 		workers  = flag.Int("j", 0, "concurrent simulations per job (default GOMAXPROCS)")
 		maxJobs  = flag.Int("max-jobs", 2, "sweep jobs simulating concurrently; later jobs queue")
 		maxPts   = flag.Int("max-points", 1024, "largest accepted sweep, in points")
-		qRate    = flag.Float64("quota-rate", 1, "per-client submission tokens per second (negative disables quotas)")
-		qBurst   = flag.Float64("quota-burst", 8, "per-client submission burst capacity")
 		version  = flag.Bool("version", false, "print version and exit")
 	)
 	flag.Parse()
@@ -60,8 +60,6 @@ func main() {
 		Workers:           *workers,
 		MaxConcurrentJobs: *maxJobs,
 		MaxPointsPerJob:   *maxPts,
-		QuotaRate:         *qRate,
-		QuotaBurst:        *qBurst,
 		Logf:              logger.Printf,
 	})
 	if err != nil {
@@ -75,7 +73,7 @@ func main() {
 		os.Exit(1)
 	}
 	logger.Printf("%s serving on http://%s (store %s)", buildinfo.String("tcserve"), addr, *storeDir)
-	logger.Printf("POST /api/jobs to submit a sweep; GET /metrics, /api/jobs, /debug/pprof/")
+	logger.Printf("POST /api/jobs to submit a sweep; GET /api/jobs, /metrics, /debug/pprof/")
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)

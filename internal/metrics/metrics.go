@@ -267,28 +267,3 @@ func (r *Registry) sortedFamilies() []*family {
 	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
 	return fams
 }
-
-// Snapshot returns every series as a flat name{labels} -> value map
-// (histograms contribute _count and _sum entries). The monitoring surface
-// publishes it under /debug/vars.
-func (r *Registry) Snapshot() map[string]float64 {
-	out := make(map[string]float64)
-	for _, fam := range r.sortedFamilies() {
-		for _, s := range fam.series {
-			suffix := ""
-			if s.labels != "" {
-				suffix = "{" + s.labels + "}"
-			}
-			switch fam.kind {
-			case kindCounter:
-				out[fam.name+suffix] = float64(s.c.Value())
-			case kindGauge:
-				out[fam.name+suffix] = float64(s.g.Value())
-			case kindHistogram:
-				out[fam.name+"_count"+suffix] = float64(s.h.Count())
-				out[fam.name+"_sum"+suffix] = s.h.Sum()
-			}
-		}
-	}
-	return out
-}

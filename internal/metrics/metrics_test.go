@@ -160,19 +160,6 @@ func TestKindMismatchPanics(t *testing.T) {
 	r.Gauge("x", "x")
 }
 
-// TestSnapshot checks the flat expvar-facing view.
-func TestSnapshot(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("a_total", "a").Add(2)
-	r.Gauge("g", "g").Set(-3)
-	h := r.Histogram("h", "h", []float64{1})
-	h.Observe(0.5)
-	snap := r.Snapshot()
-	if snap["a_total"] != 2 || snap["g"] != -3 || snap["h_count"] != 1 || snap["h_sum"] != 0.5 {
-		t.Errorf("snapshot = %v", snap)
-	}
-}
-
 // TestBusSink checks the obs bridge counts events by kind.
 func TestBusSink(t *testing.T) {
 	r := NewRegistry()

@@ -2,7 +2,6 @@ package monitor
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
@@ -15,22 +14,55 @@ import (
 	"tracecache/internal/metrics"
 )
 
-// Server is the monitoring HTTP surface: Prometheus metrics, live sweep
-// progress (JSON and SSE), expvar, and pprof. Zero values disable the
-// corresponding endpoints' content, not the endpoints.
+// Handle registers the endpoints every HTTP surface serves on mux:
+// /metrics, the Prometheus text exposition of reg (nil serves an empty
+// one), and the /debug/pprof/ profiles.
+func Handle(mux *http.ServeMux, reg *metrics.Registry) {
+	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		if reg != nil {
+			_ = reg.WritePrometheus(w)
+		}
+	})
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+}
+
+// Serve listens on addr (e.g. "127.0.0.1:0"), serves h in the
+// background, and returns the server and its bound address. Close the
+// server to stop it.
+func Serve(addr string, h http.Handler) (*http.Server, string, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, "", err
+	}
+	srv := &http.Server{Handler: h}
+	go func() {
+		// ErrServerClosed (and listener-closed errors) are the normal
+		// shutdown path; the server has no other way to fail that the
+		// caller could act on.
+		_ = srv.Serve(ln)
+	}()
+	return srv, ln.Addr().String(), nil
+}
+
+// Server is the monitoring HTTP surface: the shared /metrics and pprof
+// set plus live sweep progress (JSON and SSE) on /progress.
 type Server struct {
-	// Registry feeds /metrics and the expvar snapshot. Nil serves an
-	// empty exposition.
+	// Registry feeds /metrics. Nil serves an empty exposition.
 	Registry *metrics.Registry
 	// Progress feeds /progress. Nil serves a zero snapshot.
 	Progress *Progress
 
 	httpSrv *http.Server
 
-	// done signals in-flight streaming handlers (progressSSE) to return
-	// promptly on Close, instead of lingering until their next ticker
-	// fire. Lazily created so a Server used via Handler alone (httptest)
-	// still shuts its streams down.
+	// done signals in-flight /progress streams to return promptly on
+	// Close, instead of lingering until their next ticker fire. Lazily
+	// created so a Server used via Handler alone (httptest) still shuts
+	// its streams down.
 	mu        sync.Mutex
 	done      chan struct{}
 	closeOnce sync.Once
@@ -47,50 +79,23 @@ func (s *Server) shutdownChan() chan struct{} {
 	return s.done
 }
 
-// expvarOnce guards the process-global expvar publication: the first
-// server's registry becomes the "tracecache_metrics" var (expvar.Publish
-// panics on duplicates).
-var expvarOnce sync.Once
-
 // Handler builds the monitoring mux.
 func (s *Server) Handler() http.Handler {
-	if s.Registry != nil {
-		reg := s.Registry
-		expvarOnce.Do(func() {
-			expvar.Publish("tracecache_metrics", expvar.Func(func() any {
-				return reg.Snapshot()
-			}))
-		})
-	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/", s.index)
-	mux.HandleFunc("/metrics", s.metrics)
-	mux.HandleFunc("/progress", s.progress)
-	mux.Handle("/debug/vars", expvar.Handler())
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	Handle(mux, s.Registry)
+	mux.HandleFunc("GET /progress", s.progress)
 	return mux
 }
 
-// Start listens on addr (e.g. "127.0.0.1:0"), serves the monitoring mux
-// in the background, and returns the bound address. Close the server to
-// stop it.
+// Start serves the monitoring mux on addr in the background and returns
+// the bound address. Close the server to stop it.
 func (s *Server) Start(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
+	srv, bound, err := Serve(addr, s.Handler())
 	if err != nil {
 		return "", fmt.Errorf("monitor: %w", err)
 	}
-	s.httpSrv = &http.Server{Handler: s.Handler()}
-	go func() {
-		// ErrServerClosed (and listener-closed errors) are the normal
-		// shutdown path; the server has no other way to fail that the
-		// caller could act on.
-		_ = s.httpSrv.Serve(ln)
-	}()
-	return ln.Addr().String(), nil
+	s.httpSrv = srv
+	return bound, nil
 }
 
 // Close stops a started server. The shutdown signal fires before the
@@ -104,30 +109,6 @@ func (s *Server) Close() error {
 		return nil
 	}
 	return s.httpSrv.Close()
-}
-
-func (s *Server) index(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path != "/" {
-		http.NotFound(w, r)
-		return
-	}
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	fmt.Fprint(w, `<html><head><title>tracecache monitor</title></head><body>
-<h1>tracecache monitor</h1><ul>
-<li><a href="/metrics">/metrics</a> — Prometheus exposition</li>
-<li><a href="/progress">/progress</a> — sweep progress (JSON; add ?sse=1 for a live stream)</li>
-<li><a href="/debug/vars">/debug/vars</a> — expvar</li>
-<li><a href="/debug/pprof/">/debug/pprof/</a> — profiling</li>
-</ul></body></html>
-`)
-}
-
-func (s *Server) metrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if s.Registry == nil {
-		return
-	}
-	_ = s.Registry.WritePrometheus(w)
 }
 
 // snapshot returns the current progress, or a zero snapshot without a

@@ -103,14 +103,8 @@ func TestEndpoints(t *testing.T) {
 			t.Errorf("/progress body = %q (err %v)", body, err)
 		}
 	}
-	if code, body := get("/debug/vars"); code != 200 || !strings.Contains(body, "tracecache_metrics") {
-		t.Errorf("/debug/vars: code=%d body=%.80q", code, body)
-	}
 	if code, _ := get("/debug/pprof/"); code != 200 {
 		t.Errorf("/debug/pprof/: code=%d", code)
-	}
-	if code, body := get("/"); code != 200 || !strings.Contains(body, "/metrics") {
-		t.Errorf("index: code=%d body=%.80q", code, body)
 	}
 	if code, _ := get("/nope"); code != 404 {
 		t.Errorf("unknown path: code=%d, want 404", code)

@@ -1,12 +1,15 @@
 // Package monitor is the opt-in live observability surface of a sweep: a
-// Progress tracker fed by runner events, and an HTTP server exposing it
-// alongside Prometheus metrics, expvar, and pprof. Nothing here runs
-// unless a binary passes -http; all monitoring output is out-of-band
-// (HTTP and stderr), never stdout, so enabling it cannot change a
-// sweep's committed results.
+// Progress tracker fed by runner events, the one HTTP handler set every
+// surface shares (Handle: /metrics and /debug/pprof/; Serve: listen and
+// serve), and a Server that adds /progress to that set for tcbench -http
+// and tcsim -http. tcserve mounts the same set next to its job routes.
+// Nothing here runs unless a binary asks for it; all monitoring output is
+// out-of-band (HTTP and stderr), never stdout, so enabling it cannot
+// change a sweep's committed results.
 package monitor
 
 import (
+	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -82,12 +85,14 @@ type Progress struct {
 	rate       float64
 }
 
-// NewProgress builds a tracker. workers sizes the ETA divisor; insts,
-// when non-nil, reads the fleet committed-instruction counter (e.g.
-// sim.Metrics.Insts.Value) for the live throughput estimate.
+// NewProgress builds a tracker. workers sizes the ETA divisor; a
+// non-positive count means GOMAXPROCS, the runner's own default, so a
+// tracker built from an unset worker count reports the pool that runs.
+// insts, when non-nil, reads the fleet committed-instruction counter
+// (e.g. sim.Metrics.Insts.Value) for the live throughput estimate.
 func NewProgress(workers int, insts func() uint64) *Progress {
-	if workers < 1 {
-		workers = 1
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
 	now := time.Now()
 	return &Progress{

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net/http"
-	"sort"
-	"strconv"
 	"sync"
 
 	"tracecache/internal/config"
@@ -24,7 +22,7 @@ import (
 // Two submissions with the same normalized spec are the same work — they
 // coalesce into one job and address the same store entries.
 type SweepSpec struct {
-	// Configs names the machine configurations (see /api/configs).
+	// Configs names the machine configurations (tcsim -list prints them).
 	Configs []string `json:"configs"`
 	// Benchmarks names the workloads; empty selects the full suite.
 	Benchmarks []string `json:"benchmarks,omitempty"`
@@ -195,8 +193,9 @@ func (j *Job) provListener() func(experiments.RunEvent) {
 	}
 }
 
-// submitJob accepts a sweep spec, coalescing identical live submissions
-// into the existing job.
+// submitJob accepts a sweep spec. In one locked section it joins a live
+// identical job, else refuses with 503 once Close has begun, else
+// creates the job.
 func (s *Server) submitJob(w http.ResponseWriter, r *http.Request) {
 	var spec SweepSpec
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
@@ -222,31 +221,9 @@ func (s *Server) submitJob(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, j.status(len(pts)))
 		return
 	}
-	s.mu.Unlock()
-
-	// New work: charge the client's bucket before committing to it.
-	if ok, retryAfter := s.quotas.allow(clientKey(r)); !ok {
-		s.met.QuotaRejected.Inc()
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
-		writeError(w, http.StatusTooManyRequests, "quota exceeded, retry in %ds", retryAfter)
-		return
-	}
-
-	s.mu.Lock()
 	if s.closed() {
 		s.mu.Unlock()
 		writeError(w, http.StatusServiceUnavailable, "server closed")
-		return
-	}
-	// Re-check under the lock: a racing identical submission may have
-	// created the job while the quota was consulted.
-	if j, ok := s.bySpec[hash]; ok {
-		j.mu.Lock()
-		j.coalesced++
-		j.mu.Unlock()
-		s.mu.Unlock()
-		s.met.JobsCoalesced.Inc()
-		writeJSON(w, http.StatusOK, j.status(len(pts)))
 		return
 	}
 	s.seq++
@@ -254,7 +231,7 @@ func (s *Server) submitJob(w http.ResponseWriter, r *http.Request) {
 		ID:       fmt.Sprintf("j%04d-%s", s.seq, hash[:8]),
 		SpecHash: hash,
 		Spec:     spec,
-		progress: monitor.NewProgress(s.workers(), s.runnerMetrics.Sim.Insts.Value),
+		progress: monitor.NewProgress(s.opts.Workers, s.runnerMetrics.Sim.Insts.Value),
 		finished: make(chan struct{}),
 		state:    JobQueued,
 		prov:     make(map[string]int),
@@ -269,13 +246,6 @@ func (s *Server) submitJob(w http.ResponseWriter, r *http.Request) {
 
 	go s.runJob(j, pts, params)
 	writeJSON(w, http.StatusCreated, j.status(len(pts)))
-}
-
-func (s *Server) workers() int {
-	if s.opts.Workers > 0 {
-		return s.opts.Workers
-	}
-	return 0 // runner resolves its own default (GOMAXPROCS)
 }
 
 // runJob executes a job under the job-concurrency gate on a fresh runner
@@ -462,13 +432,6 @@ func (s *Server) jobProgress(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	monitor.ProgressHandler(j.progress.Snapshot, s.done)(w, r)
-}
-
-// configNames lists the submittable configuration names, sorted.
-func configNames() []string {
-	names := append([]string(nil), config.Names()...)
-	sort.Strings(names)
-	return names
 }
 
 // summarizeSpec renders a short log description of a spec.

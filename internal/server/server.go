@@ -1,13 +1,14 @@
 // Package server is the tcserve sweep service: a long-running HTTP/JSON
 // daemon that accepts simulation sweeps (detailed, replay-backed, or
-// sampled), executes them on a shared worker pool, and serves results,
-// live progress (JSON and SSE), windowed time-series, and Perfetto
-// traces. Every point goes through experiments.Runner backed by the
-// persistent content-addressed result store (internal/resultstore), so a
-// point any process has ever simulated is served from disk — across
-// daemon restarts, CLI runs sharing the store directory, and any number
-// of clients. Identical in-flight submissions coalesce into one job, and
-// per-client token buckets bound how fast new work can be submitted.
+// sampled), executes them on a shared worker pool, and serves three
+// things per job: its status, its results, and its live progress (JSON
+// and SSE). /metrics and pprof come from the handler set every HTTP
+// surface shares (monitor.Handle). Every point goes through
+// experiments.Runner backed by the persistent content-addressed result
+// store (internal/resultstore), so a point any process has ever simulated
+// is served from disk — across daemon restarts, CLI runs sharing the
+// store directory, and any number of clients. Identical in-flight
+// submissions coalesce into one job.
 //
 // The daemon changes where results come from, never what they are: a
 // job's /results payload is byte-identical whether its points were
@@ -18,17 +19,14 @@ package server
 import (
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
-	"net/http/pprof"
 	"sync"
 
-	"tracecache/internal/buildinfo"
 	"tracecache/internal/experiments"
 	"tracecache/internal/journal"
 	"tracecache/internal/metrics"
+	"tracecache/internal/monitor"
 	"tracecache/internal/resultstore"
-	"tracecache/internal/workload"
 )
 
 // Options configures a Server. Zero values select the documented
@@ -51,11 +49,6 @@ type Options struct {
 	// MaxPointsPerJob rejects sweeps larger than this many points
 	// (default 1024).
 	MaxPointsPerJob int
-	// QuotaRate is the per-client token refill rate in submissions per
-	// second (default 1); QuotaBurst is the bucket capacity (default 8).
-	// A negative QuotaRate disables quotas.
-	QuotaRate  float64
-	QuotaBurst float64
 	// Logf, when non-nil, receives server log lines.
 	Logf func(format string, args ...any)
 }
@@ -66,7 +59,6 @@ type serverMetrics struct {
 	JobsCoalesced *metrics.Counter
 	JobsCompleted *metrics.Counter
 	JobsFailed    *metrics.Counter
-	QuotaRejected *metrics.Counter
 }
 
 // Server is the sweep service. Build with New, serve with Start (or
@@ -80,7 +72,6 @@ type Server struct {
 	runnerMetrics *experiments.RunnerMetrics
 	met           *serverMetrics
 	jrnl          *journal.Writer
-	quotas        *quotaPool
 
 	httpSrv *http.Server
 	// done is closed by Close, under mu, so a submission that sees it
@@ -106,12 +97,6 @@ func New(opts Options) (*Server, error) {
 	}
 	if opts.MaxPointsPerJob <= 0 {
 		opts.MaxPointsPerJob = 1024
-	}
-	if opts.QuotaRate == 0 {
-		opts.QuotaRate = 1
-	}
-	if opts.QuotaBurst <= 0 {
-		opts.QuotaBurst = 8
 	}
 	store, err := resultstore.Open(opts.StoreDir)
 	if err != nil {
@@ -140,11 +125,8 @@ func New(opts Options) (*Server, error) {
 				"Jobs that finished with every point resolved."),
 			JobsFailed: reg.Counter("tracecache_server_jobs_failed_total",
 				"Jobs that finished with at least one failed point."),
-			QuotaRejected: reg.Counter("tracecache_server_quota_rejected_total",
-				"Submissions rejected by per-client quotas."),
 		},
 		jrnl:   jrnl,
-		quotas: newQuotaPool(opts.QuotaRate, opts.QuotaBurst),
 		done:   make(chan struct{}),
 		jobs:   make(map[string]*Job),
 		bySpec: make(map[string]*Job),
@@ -153,51 +135,34 @@ func New(opts Options) (*Server, error) {
 	return s, nil
 }
 
-// Registry returns the server's metrics registry (for tests and embedding).
-func (s *Server) Registry() *metrics.Registry { return s.reg }
-
 func (s *Server) logf(format string, args ...any) {
 	if s.opts.Logf != nil {
 		s.opts.Logf(format, args...)
 	}
 }
 
-// Handler builds the service mux.
+// Handler builds the service mux: the shared /metrics and pprof set plus
+// the job routes.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /{$}", s.index)
-	mux.HandleFunc("GET /healthz", s.healthz)
-	mux.HandleFunc("GET /api/configs", s.listConfigs)
-	mux.HandleFunc("GET /api/benchmarks", s.listBenchmarks)
+	monitor.Handle(mux, s.reg)
 	mux.HandleFunc("POST /api/jobs", s.submitJob)
 	mux.HandleFunc("GET /api/jobs", s.listJobs)
 	mux.HandleFunc("GET /api/jobs/{id}", s.jobStatus)
 	mux.HandleFunc("GET /api/jobs/{id}/results", s.jobResults)
 	mux.HandleFunc("GET /api/jobs/{id}/progress", s.jobProgress)
-	mux.HandleFunc("GET /api/points/{config}/{bench}/series", s.pointSeries)
-	mux.HandleFunc("GET /api/points/{config}/{bench}/trace", s.pointTrace)
-	mux.HandleFunc("GET /metrics", s.metrics)
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
 }
 
-// Start listens on addr, serves the mux in the background, and returns
-// the bound address. Close stops it.
+// Start serves the mux on addr in the background and returns the bound
+// address. Close stops it.
 func (s *Server) Start(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
+	srv, bound, err := monitor.Serve(addr, s.Handler())
 	if err != nil {
 		return "", fmt.Errorf("server: %w", err)
 	}
-	s.httpSrv = &http.Server{Handler: s.Handler()}
-	go func() {
-		// ErrServerClosed is the normal shutdown path.
-		_ = s.httpSrv.Serve(ln)
-	}()
-	return ln.Addr().String(), nil
+	s.httpSrv = srv
+	return bound, nil
 }
 
 // Close stops the server: the shutdown signal ends in-flight SSE streams
@@ -231,41 +196,6 @@ func (s *Server) closed() bool {
 	default:
 		return false
 	}
-}
-
-func (s *Server) index(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	fmt.Fprint(w, `<html><head><title>tcserve</title></head><body>
-<h1>tcserve — trace cache sweep service</h1><ul>
-<li>POST <a href="/api/jobs">/api/jobs</a> — submit a sweep (JSON spec)</li>
-<li>GET <a href="/api/jobs">/api/jobs</a> — job list; /api/jobs/{id}, /api/jobs/{id}/results, /api/jobs/{id}/progress (?sse=1)</li>
-<li>GET /api/points/{config}/{bench}/series — windowed time-series (?sse=1 streams intervals)</li>
-<li>GET /api/points/{config}/{bench}/trace — Chrome/Perfetto trace events</li>
-<li>GET <a href="/api/configs">/api/configs</a>, <a href="/api/benchmarks">/api/benchmarks</a></li>
-<li>GET <a href="/metrics">/metrics</a> — Prometheus exposition; <a href="/debug/pprof/">/debug/pprof/</a></li>
-</ul></body></html>
-`)
-}
-
-func (s *Server) healthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{
-		"status":  "ok",
-		"version": buildinfo.Version(),
-		"store":   s.store.Dir(),
-	})
-}
-
-func (s *Server) listConfigs(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"configs": configNames()})
-}
-
-func (s *Server) listBenchmarks(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"benchmarks": workload.Names()})
-}
-
-func (s *Server) metrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = s.reg.WritePrometheus(w)
 }
 
 // writeJSON renders one JSON response with the given status.

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -20,9 +21,8 @@ import (
 func testServer(t *testing.T, dir string, mutate func(*Options)) (*Server, *httptest.Server) {
 	t.Helper()
 	opts := Options{
-		StoreDir:  dir,
-		Workers:   2,
-		QuotaRate: -1, // most tests are not about quotas
+		StoreDir: dir,
+		Workers:  2,
 	}
 	if mutate != nil {
 		mutate(&opts)
@@ -204,13 +204,9 @@ func TestResultsByteIdenticalAcrossRestart(t *testing.T) {
 
 // TestCoalescing holds the job gate so the first job stays live, then
 // resubmits the identical spec: it must join the existing job, not
-// create or charge for a new one.
+// create a new one.
 func TestCoalescing(t *testing.T) {
-	s, ts := testServer(t, t.TempDir(), func(o *Options) {
-		o.MaxConcurrentJobs = 1
-		o.QuotaRate = 1
-		o.QuotaBurst = 1 // one submission, then empty
-	})
+	s, ts := testServer(t, t.TempDir(), func(o *Options) { o.MaxConcurrentJobs = 1 })
 	s.jobSem <- struct{}{} // occupy the only slot: jobs queue, stay live
 	defer func() { <-s.jobSem }()
 
@@ -218,8 +214,7 @@ func TestCoalescing(t *testing.T) {
 	if code != http.StatusCreated {
 		t.Fatalf("first submit = %d", code)
 	}
-	// Identical spec joins the live job — 200, same id, no quota charge
-	// even though the bucket is now empty.
+	// Identical spec joins the live job — 200, same id.
 	st2, code := submit(t, ts, smallSpec())
 	if code != http.StatusOK {
 		t.Fatalf("coalesced submit = %d, want 200", code)
@@ -232,47 +227,6 @@ func TestCoalescing(t *testing.T) {
 	}
 	if got := s.met.JobsCoalesced.Value(); got != 1 {
 		t.Errorf("jobs_coalesced_total = %d, want 1", got)
-	}
-	// A different spec is new work against an empty bucket: 429.
-	_, code = submit(t, ts, smallSpec("go", "li"))
-	if code != http.StatusTooManyRequests {
-		t.Errorf("post-burst submit = %d, want 429", code)
-	}
-}
-
-func TestQuota(t *testing.T) {
-	s, ts := testServer(t, t.TempDir(), func(o *Options) {
-		o.QuotaRate = 1
-		o.QuotaBurst = 2
-	})
-	clock := time.Unix(1_700_000_000, 0)
-	s.quotas.now = func() time.Time { return clock }
-
-	specs := []string{smallSpec(), smallSpec("go", "li"), smallSpec("ijpeg", "perl")}
-	for i, spec := range specs[:2] {
-		if _, code := submit(t, ts, spec); code != http.StatusCreated {
-			t.Fatalf("submit %d = %d, want 201", i, code)
-		}
-	}
-	resp, err := http.Post(ts.URL+"/api/jobs", "application/json", strings.NewReader(specs[2]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("third submit = %d, want 429", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("429 without Retry-After")
-	}
-	if got := s.met.QuotaRejected.Value(); got != 1 {
-		t.Errorf("quota_rejected_total = %d, want 1", got)
-	}
-
-	// A second token accrues with time.
-	clock = clock.Add(1100 * time.Millisecond)
-	if _, code := submit(t, ts, specs[2]); code != http.StatusCreated {
-		t.Errorf("post-refill submit = %d, want 201", code)
 	}
 }
 
@@ -294,9 +248,6 @@ func TestBadRequests(t *testing.T) {
 	}
 	if code, _ := fetch(t, ts, "/api/jobs/nope"); code != http.StatusNotFound {
 		t.Errorf("unknown job = %d, want 404", code)
-	}
-	if code, _ := fetch(t, ts, "/api/points/nope/gcc/series"); code != http.StatusNotFound {
-		t.Errorf("unknown point config = %d, want 404", code)
 	}
 }
 
@@ -380,21 +331,9 @@ func TestProgressEndpointAndSSE(t *testing.T) {
 
 func TestListEndpoints(t *testing.T) {
 	s, ts := testServer(t, t.TempDir(), nil)
-	code, body := fetch(t, ts, "/api/configs")
-	if code != http.StatusOK || !bytes.Contains(body, []byte("baseline")) {
-		t.Errorf("configs = %d: %s", code, body)
-	}
-	code, body = fetch(t, ts, "/api/benchmarks")
-	if code != http.StatusOK || !bytes.Contains(body, []byte("gcc")) {
-		t.Errorf("benchmarks = %d: %s", code, body)
-	}
-	code, body = fetch(t, ts, "/healthz")
-	if code != http.StatusOK || !bytes.Contains(body, []byte(`"ok"`)) {
-		t.Errorf("healthz = %d: %s", code, body)
-	}
 	st, _ := submit(t, ts, smallSpec())
 	await(t, s, st.ID)
-	code, body = fetch(t, ts, "/api/jobs")
+	code, body := fetch(t, ts, "/api/jobs")
 	if code != http.StatusOK || !bytes.Contains(body, []byte(st.ID)) {
 		t.Errorf("job list = %d: %s", code, body)
 	}
@@ -405,41 +344,27 @@ func TestListEndpoints(t *testing.T) {
 	if !bytes.Contains(body, []byte("tracecache_store_hits_total")) {
 		t.Error("metrics exposition lacks store counters")
 	}
+	if code, _ := fetch(t, ts, "/debug/pprof/"); code != http.StatusOK {
+		t.Errorf("/debug/pprof/ = %d", code)
+	}
 }
 
-func TestPointSeriesAndTrace(t *testing.T) {
-	_, ts := testServer(t, t.TempDir(), nil)
-	code, body := fetch(t, ts, "/api/points/baseline/compress/series?warmup=500&insts=4000&interval=500")
-	if code != http.StatusOK {
-		t.Fatalf("series = %d: %s", code, body)
+// TestDefaultWorkersInProgress: with Workers left at 0 each job's runner
+// runs GOMAXPROCS slots, so the job's progress must report that pool
+// (its ETA divides by it), the same count /metrics reports.
+func TestDefaultWorkersInProgress(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	s, ts := testServer(t, t.TempDir(), func(o *Options) { o.Workers = 0 })
+	st, code := submit(t, ts, smallSpec())
+	if code != http.StatusCreated {
+		t.Fatalf("submit = %d", code)
 	}
-	var series struct {
-		Intervals []map[string]any `json:"intervals"`
+	if st.Progress.Workers != 3 {
+		t.Errorf("job progress workers = %d, want 3 (GOMAXPROCS)", st.Progress.Workers)
 	}
-	if err := json.Unmarshal(body, &series); err != nil {
-		t.Fatal(err)
-	}
-	if len(series.Intervals) == 0 {
-		t.Error("series has no intervals")
-	}
-
-	code, body = fetch(t, ts, "/api/points/baseline/compress/series?warmup=500&insts=4000&interval=500&sse=1")
-	if code != http.StatusOK || !bytes.Contains(body, []byte("event: interval")) || !bytes.Contains(body, []byte("event: done")) {
-		t.Errorf("series SSE = %d: %.200s", code, body)
-	}
-
-	code, body = fetch(t, ts, "/api/points/baseline/compress/trace?warmup=500&insts=2000")
-	if code != http.StatusOK {
-		t.Fatalf("trace = %d: %s", code, body)
-	}
-	var tr struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(body, &tr); err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.TraceEvents) == 0 {
-		t.Error("trace has no events")
+	await(t, s, st.ID)
+	if _, body := fetch(t, ts, "/metrics"); !bytes.Contains(body, []byte("tracecache_runner_workers_limit 3\n")) {
+		t.Error("metrics do not report a 3-slot worker pool")
 	}
 }
 

@@ -294,7 +294,7 @@ type (
 	RunEvent = experiments.RunEvent
 	// SweepProgress aggregates run events into live sweep status.
 	SweepProgress = monitor.Progress
-	// MonitorServer serves /metrics, /progress, expvar and pprof.
+	// MonitorServer serves /metrics, /progress and /debug/pprof/.
 	MonitorServer = monitor.Server
 	// JournalWriter appends one JSON line per simulation request.
 	JournalWriter = journal.Writer
@@ -312,8 +312,9 @@ func InstrumentRunner(r *MetricsRegistry) *RunnerMetrics {
 }
 
 // NewSweepProgress builds a live progress tracker; wire its Listener into
-// Runner.OnRun. workers sizes the ETA divisor and insts (may be nil)
-// reads the fleet committed-instruction counter, typically
+// Runner.OnRun. workers sizes the ETA divisor (non-positive means
+// GOMAXPROCS, the Runner's default) and insts (may be nil) reads the
+// fleet committed-instruction counter, typically
 // RunnerMetrics.Sim.Insts.Value.
 func NewSweepProgress(workers int, insts func() uint64) *SweepProgress {
 	return monitor.NewProgress(workers, insts)
