@@ -3,8 +3,9 @@
 # gates, a race pass over the observability layer, the simulator, and the
 # parallel sweep engine, a fast-forward smoke+accuracy step, a warm
 # result-store smoke, a tcserve sweep-service smoke (restart +
-# store-served resubmission), and a benchmark smoke step so the perf
-# harness stays runnable.
+# store-served resubmission, plus the /metrics and /debug/pprof/ handler
+# set that tcserve shares with tcbench -http), and a benchmark smoke step
+# so the perf harness stays runnable.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -127,7 +128,7 @@ go test -run 'TestRunMatchesDetailedTruth|TestRunAuditAndShape|TestRunDeterminis
 	./internal/sampling/
 go test -run 'TestCompareSampled|TestSamplingAudit' ./internal/check/
 
-echo "== tcserve smoke (sweep service; restart must serve the resubmitted sweep from the store) =="
+echo "== tcserve smoke (sweep service; restart must serve the resubmitted sweep from the store; shared /metrics + pprof set) =="
 go build -o /tmp/tcserve-ci ./cmd/tcserve
 rm -rf /tmp/tcserve-ci-store /tmp/tcserve-ci-journal.jsonl
 SWEEP_SPEC='{"configs":["baseline","packing"],"benchmarks":["compress","gcc","go"],"warmupInsts":2000,"measureInsts":8000}'
@@ -173,7 +174,10 @@ kill -TERM "$SRV_PID"; wait "$SRV_PID"
 start_tcserve
 run_sweep /tmp/tcserve-ci-results2.json
 curl -sf "http://$SRV_ADDR/metrics" >/tmp/tcserve-ci-metrics.txt
+curl -sf "http://$SRV_ADDR/debug/pprof/" >/dev/null
 kill -TERM "$SRV_PID"; wait "$SRV_PID"
+grep -q tracecache_server_jobs_submitted_total /tmp/tcserve-ci-metrics.txt || {
+	echo "FAIL: tcserve /metrics missing tracecache_server_jobs_submitted_total"; exit 1; }
 
 metric() { awk -v m="$1" '$1 == m {print $2}' /tmp/tcserve-ci-metrics.txt; }
 COLD=$(metric tracecache_runner_cold_starts_total)
