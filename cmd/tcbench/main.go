@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	tcbench                 # every experiment, all cores
+//	tcbench                 # every experiment, GOMAXPROCS workers
 //	tcbench -exp table2     # one experiment
 //	tcbench -exp fig10,fig11
 //	tcbench -j 1            # sequential (same output, more wall-clock)
@@ -25,7 +25,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 
 	"tracecache"
@@ -46,7 +45,7 @@ func main() {
 		ffwd     = flag.Uint64("ffwd", 0, "fast-forward instructions per run (one shared checkpoint per benchmark)")
 		warmup   = flag.Uint64("warmup", 400_000, "warmup instructions per run")
 		insts    = flag.Uint64("insts", 600_000, "measured instructions per run")
-		workers  = flag.Int("j", runtime.NumCPU(), "max concurrent simulations (1 = sequential)")
+		workers  = flag.Int("j", 0, "max concurrent simulations (1 = sequential; default GOMAXPROCS)")
 		list     = flag.Bool("list", false, "list experiments")
 		progress = flag.Bool("progress", false, "log each simulation to stderr")
 		version  = flag.Bool("version", false, "print version and exit")
@@ -125,6 +124,10 @@ func main() {
 	}
 	if *progress {
 		r.Log = os.Stderr
+	}
+	if *replay && *ffwd > 0 {
+		fmt.Fprintln(os.Stderr, "tcbench: -replay cannot be combined with -ffwd (fast-forwarded points fork the shared checkpoint)")
+		os.Exit(1)
 	}
 	if *sample != "" {
 		if *replay {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -78,5 +79,23 @@ func TestMonitoredStdoutByteIdentical(t *testing.T) {
 	report, _ := run(t, bin, "-journal-report", jPath)
 	if !strings.Contains(report, "journal:") || !strings.Contains(report, "cold") {
 		t.Errorf("journal report = %q", report)
+	}
+}
+
+// TestReplayWithFastForwardRefused: -replay and -ffwd exclude each other,
+// so the combination exits 1 with a one-line error before simulating.
+func TestReplayWithFastForwardRefused(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	var o, e bytes.Buffer
+	cmd := exec.Command(buildBinary(t), "-replay", "-ffwd", "1000")
+	cmd.Stdout, cmd.Stderr = &o, &e
+	var exit *exec.ExitError
+	if err := cmd.Run(); !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("exit = %v, want status 1", err)
+	}
+	if o.Len() != 0 || strings.Count(e.String(), "\n") != 1 {
+		t.Errorf("stdout %q, stderr %q: want no output and one error line", o.String(), e.String())
 	}
 }

@@ -27,9 +27,11 @@ func TestRunnerFastForwardProvenance(t *testing.T) {
 }
 
 // TestRunnerFastForwardMatchesDirectSimulation: the runner's
-// checkpoint-restored result carries the same statistics as assembling the
-// same run by hand, so sharing the prefix does not change any simulated
-// number.
+// checkpoint-restored result carries the same statistics as restoring
+// the same shared checkpoint into a simulator by hand, so the runner's
+// fork adds nothing of its own. It is not the result of sim.Simulate
+// with FastForwardInsts: a restored checkpoint leaves microarchitectural
+// state cold, while an in-simulator fast-forward warms it.
 func TestRunnerFastForwardMatchesDirectSimulation(t *testing.T) {
 	const ffwd, warm, meas = 50_000, 5_000, 20_000
 	r := NewRunner(warm, meas)

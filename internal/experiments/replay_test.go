@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"tracecache/internal/config"
@@ -33,13 +34,11 @@ func provenanceOf(t *testing.T, run *stats.Run) string {
 }
 
 // TestRunnerReplaySweep drives a front-end sweep through a replaying
-// runner: the first point records during its detailed run (cold even
-// under FastForward — a recording cannot restore a checkpoint), every
-// later point replays, and replayed statistics stay within the fidelity
+// runner: the first point records during its detailed run, every later
+// point replays, and replayed statistics stay within the fidelity
 // envelope of a detailed twin.
 func TestRunnerReplaySweep(t *testing.T) {
 	r := replayRunner()
-	r.FastForward = 2_000
 	reg := metrics.NewRegistry()
 	r.Metrics = InstrumentRunner(reg)
 
@@ -75,7 +74,6 @@ func TestRunnerReplaySweep(t *testing.T) {
 	// effective fetch rate within the documented envelope.
 	det := NewRunner(r.Warmup, r.Budget)
 	det.Workers = 1
-	det.FastForward = r.FastForward
 	for _, cfg := range frontEndSweep()[1:] {
 		dRun, err := det.RunE(cfg, bench)
 		if err != nil {
@@ -85,6 +83,36 @@ func TestRunnerReplaySweep(t *testing.T) {
 		if delta := math.Abs(rr-dr) / dr * 100; delta > 8 {
 			t.Errorf("%s: eff rate detailed=%.4f replayed=%.4f (%.2f%% apart)", cfg.Name, dr, rr, delta)
 		}
+	}
+}
+
+// TestRunnerReplayWithFastForwardForks: Replay does not apply under
+// FastForward, so a replaying runner forks the shared checkpoint like a
+// plain fast-forwarding one and returns the same statistics for the
+// same key. Recording used to skip the fork and warm its own prefix,
+// giving the recording point a different answer under the same key.
+func TestRunnerReplayWithFastForwardForks(t *testing.T) {
+	const ffwd = 20_000
+	r := replayRunner()
+	r.FastForward = ffwd
+	got, err := r.RunE(config.Baseline(), "gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := NewRunner(r.Warmup, r.Budget)
+	plain.Workers = 1
+	plain.FastForward = ffwd
+	want, err := plain.RunE(config.Baseline(), "gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := provenanceOf(t, got); p != stats.ProvCheckpointFork {
+		t.Errorf("provenance = %q, want %q", p, stats.ProvCheckpointFork)
+	}
+	gc, wc := *got, *want
+	gc.Meta, wc.Meta = nil, nil
+	if !reflect.DeepEqual(gc, wc) {
+		t.Errorf("Replay+FastForward differs from FastForward alone:\n got %+v\nwant %+v", gc, wc)
 	}
 }
 

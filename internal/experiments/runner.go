@@ -13,10 +13,10 @@
 // runner's budgets applied (Warmup, Budget, FastForward, Sampling), the
 // benchmark, and the mode (detailed or sampled). The executor tries, in
 // order: the persistent result store (Store), replay of the benchmark's
-// recorded retired stream (Replay; detailed mode only), a fork from the
-// shared fast-forward checkpoint (FastForward), and finally a detailed or
-// sampled simulation. RunEvent.Key is a display label ("config/bench",
-// see stats.PointLabel), not the identity.
+// recorded retired stream (Replay; detailed mode without FastForward
+// only), a fork from the shared fast-forward checkpoint (FastForward),
+// and finally a detailed or sampled simulation. RunEvent.Key is a
+// display label ("config/bench", see stats.PointLabel), not the identity.
 //
 // # Concurrency
 //
@@ -93,10 +93,13 @@ type Runner struct {
 	// statistics with stats.ProvReplay provenance and zero cycle-domain
 	// statistics, within the fidelity envelope of check.CompareReplay
 	// (see DESIGN.md §9). Points that vary core-side axes, and all runs
-	// when Check is set, bypass replay and simulate detailed. Under
-	// Workers > 1 which point records is completion-order dependent;
-	// every simulated statistic of each individual point is still
-	// deterministic. Set before the first Run call.
+	// when Check is set, bypass replay and simulate detailed. Replay
+	// needs FastForward == 0: with a fast-forward prefix every point
+	// forks the shared checkpoint instead, so a point's result never
+	// depends on whether it happened to record. Under Workers > 1 which
+	// point records is completion-order dependent; every simulated
+	// statistic of each individual point is still deterministic. Set
+	// before the first Run call.
 	Replay bool
 	// TraceDir, when non-empty with Replay, persists recordings under
 	// content-addressed names so later processes replay every point,
@@ -422,7 +425,7 @@ func (r *Runner) execute(q request, key string) (res result) {
 	// recording (from TraceDir or by recording during its own detailed
 	// run); every front-end-equivalent point after that replays it.
 	var rec *traceEntry
-	if q.mode == modeDetailed && r.Replay && !r.Check {
+	if q.mode == modeDetailed && r.Replay && r.FastForward == 0 && !r.Check {
 		te, creator := r.traceEntryFor(q.bench)
 		if creator {
 			if h, recs, ok := r.loadTrace(cfg, prog); ok {
@@ -480,13 +483,10 @@ func (r *Runner) execute(q request, key string) (res result) {
 		s.AttachRecorder(recW)
 	}
 	forked := false
-	if r.FastForward > 0 && recW == nil {
+	if r.FastForward > 0 {
 		// The capture itself is memoized process-wide; the first arrival
 		// captures (under its worker slot), later arrivals block on the
 		// OnceValues and then restore, which is a cheap copy.
-		// A recording run skips the restore: the stream must start at the
-		// program entry, so it fast-forwards functionally under the tap
-		// (cfg.FastForwardInsts is set) and its provenance stays cold.
 		cp, err := workload.SharedCheckpoint(q.bench, r.FastForward)
 		if err != nil {
 			return fail(err)

@@ -25,7 +25,7 @@ func (r *Runner) storeModes(mode runMode) []string {
 	switch {
 	case mode == modeSampled:
 		return []string{resultstore.ModeSampled}
-	case r.Replay:
+	case r.Replay && r.FastForward == 0:
 		return []string{resultstore.ModeReplay, resultstore.ModeDetailed}
 	}
 	return []string{resultstore.ModeDetailed}

@@ -39,7 +39,8 @@ type SweepSpec struct {
 	// with this schedule ("window:period:warmup[:seed]", as tcsim/tcbench
 	// -sample).
 	Sample string `json:"sample,omitempty"`
-	// Replay enables the front-end replay fast path for the sweep.
+	// Replay enables the front-end replay fast path for the sweep; it
+	// cannot be combined with Sample or FastForwardInsts.
 	Replay bool `json:"replay,omitempty"`
 }
 
@@ -75,6 +76,9 @@ func (s *Server) normalize(spec *SweepSpec) ([]point, sim.SamplingParams, error)
 			return nil, params, errors.New("sample and replay are mutually exclusive")
 		}
 		spec.WarmupInsts = 0 // windows carry their own warmup
+	}
+	if spec.Replay && spec.FastForwardInsts > 0 {
+		return nil, params, errors.New("replay and fastForwardInsts are mutually exclusive")
 	}
 	known := make(map[string]bool, len(workload.Names()))
 	for _, b := range workload.Names() {

@@ -238,6 +238,7 @@ func TestBadRequests(t *testing.T) {
 		`{"configs":["baseline"],"benchmarks":["no-such-bench"]}`,
 		`{"configs":["baseline"],"sample":"bogus"}`,
 		`{"configs":["baseline"],"sample":"1000:4000:200","replay":true}`,
+		`{"configs":["baseline"],"fastForwardInsts":1000,"replay":true}`,
 		`{"configs":["baseline"],"unknownField":1}`,
 		`not json`,
 	}
