@@ -1,11 +1,13 @@
 // Benchmarks regenerating every table and figure of the paper at reduced
-// instruction budgets. One benchmark per experiment:
+// instruction budgets, one per experiment, plus the headline comparison
+// and the simulator's raw throughput with and without -check:
 //
 //	go test -bench=. -benchmem
 //
 // The experiment runner memoizes simulations, so configurations shared by
 // several experiments are simulated once per process. For full-budget
-// reproductions use cmd/tcbench.
+// reproductions use cmd/tcbench; for speed figures with their spread, use
+// perfbench (bash perfbench/run.sh).
 package tracecache_test
 
 import (
@@ -64,37 +66,6 @@ func BenchmarkFig14Mispredicts(b *testing.B)          { benchExperiment(b, "fig1
 func BenchmarkFig15ResolutionTime(b *testing.B)       { benchExperiment(b, "fig15") }
 func BenchmarkFig16IdealCore(b *testing.B)            { benchExperiment(b, "fig16") }
 
-// benchSuite runs a fixed slice of experiments on a fresh (unmemoized)
-// runner with the given worker count, so sequential and parallel
-// scheduling can be compared at equal work.
-func benchSuite(b *testing.B, workers int) {
-	b.Helper()
-	exps := tracecache.Experiments()[:6] // table1..table3: heavy shared sweeps
-	for i := 0; i < b.N; i++ {
-		r := tracecache.NewRunner(benchWarmup/4, benchBudget/4)
-		r.Workers = workers
-		var sink int
-		err := tracecache.RunExperiments(r, exps, func(e tracecache.Experiment, out string) {
-			sink += len(out)
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if sink == 0 {
-			b.Fatal("suite produced no output")
-		}
-	}
-}
-
-// BenchmarkSuiteSequential measures experiment-suite wall clock with the
-// worker pool disabled (one simulation at a time).
-func BenchmarkSuiteSequential(b *testing.B) { benchSuite(b, 1) }
-
-// BenchmarkSuiteParallel measures the same suite fanned across all cores;
-// on a multi-core machine the ratio to BenchmarkSuiteSequential is the
-// sweep-engine speedup recorded in BENCH_perf.json.
-func BenchmarkSuiteParallel(b *testing.B) { benchSuite(b, 0) }
-
 // BenchmarkSimulatorThroughput measures raw simulation speed
 // (instructions simulated per second) on the baseline machine.
 func BenchmarkSimulatorThroughput(b *testing.B) {
@@ -118,8 +89,8 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 
 // BenchmarkSimulatorThroughputChecked is the same run with the
 // self-verification layer on (lockstep reference model + structural
-// invariants); the gap against BenchmarkSimulatorThroughput is the
-// recorded -check overhead.
+// invariants); the gap against BenchmarkSimulatorThroughput is what
+// -check costs.
 func BenchmarkSimulatorThroughputChecked(b *testing.B) {
 	prog, err := tracecache.BenchmarkProgram("gcc")
 	if err != nil {
@@ -138,331 +109,6 @@ func BenchmarkSimulatorThroughputChecked(b *testing.B) {
 		retired += run.Retired
 	}
 	b.ReportMetric(float64(retired)/b.Elapsed().Seconds(), "insts/s")
-}
-
-// warmSweep runs a warmup-heavy five-configuration sweep over two
-// benchmarks on a fresh runner, sequentially (the acceptance scenario is a
-// one-core container). Every run spends 200k instructions on a prefix
-// nobody measures; with ffwd == 0 that prefix is fully cycle-detailed in
-// each of the ten simulations, while a non-zero ffwd replaces that much of
-// it with a functional prefix restored from one shared architectural
-// checkpoint per benchmark (captured once per process, like production
-// sweeps).
-func warmSweep(b *testing.B, ffwd uint64) {
-	b.Helper()
-	const prefix = 200_000
-	configs := []tracecache.Config{
-		tracecache.BaselineConfig(),
-		tracecache.ICacheConfig(),
-		tracecache.PromotionConfig(64),
-		tracecache.PackingConfig(),
-		tracecache.BestConfig(),
-	}
-	benches := []string{"gcc", "go"}
-	for i := 0; i < b.N; i++ {
-		r := tracecache.NewRunner(prefix-ffwd, 20_000)
-		r.FastForward = ffwd
-		r.Workers = 1
-		var retired uint64
-		for _, cfg := range configs {
-			for _, bench := range benches {
-				run, err := r.RunE(cfg, bench)
-				if err != nil {
-					b.Fatal(err)
-				}
-				retired += run.Retired
-			}
-		}
-		if retired == 0 {
-			b.Fatal("sweep retired nothing")
-		}
-	}
-}
-
-// BenchmarkWarmupSweepDetailed pays the shared prefix cycle-detailed in
-// every sweep point: O(points × prefix) detailed work.
-func BenchmarkWarmupSweepDetailed(b *testing.B) { warmSweep(b, 0) }
-
-// BenchmarkWarmupSweepCheckpointed shares the prefix through one
-// checkpoint per benchmark: O(prefix) functional work plus a short
-// detailed warmup per point. The ratio to BenchmarkWarmupSweepDetailed is
-// the checkpoint-sweep speedup recorded in BENCH_perf.json.
-func BenchmarkWarmupSweepCheckpointed(b *testing.B) { warmSweep(b, 180_000) }
-
-// BenchmarkFastForwardAccuracy reports the statistical cost of replacing
-// detailed warmup with fast-forward as metrics: the same measured region
-// is simulated with an all-detailed 150k warmup and with 100k fast-forward
-// plus 50k detailed warmup, and the per-statistic deltas are recorded in
-// BENCH_perf.json. The runs are deterministic, so the deltas are exact
-// properties of the warming model, not noise.
-func BenchmarkFastForwardAccuracy(b *testing.B) {
-	prog, err := tracecache.BenchmarkProgram("gcc")
-	if err != nil {
-		b.Fatal(err)
-	}
-	var dIPC, dEff, dMisp float64
-	for i := 0; i < b.N; i++ {
-		det := tracecache.BaselineConfig()
-		det.WarmupInsts, det.MaxInsts = 150_000, 100_000
-		rd, err := tracecache.Simulate(det, prog)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ff := tracecache.BaselineConfig()
-		ff.FastForwardInsts, ff.WarmupInsts, ff.MaxInsts = 100_000, 50_000, 100_000
-		rf, err := tracecache.Simulate(ff, prog)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rd.Retired != rf.Retired {
-			b.Fatalf("measured regions differ: %d vs %d retired", rd.Retired, rf.Retired)
-		}
-		dIPC = 100 * (rf.IPC() - rd.IPC()) / rd.IPC()
-		dEff = 100 * (rf.EffFetchRate() - rd.EffFetchRate()) / rd.EffFetchRate()
-		dMisp = 100 * (rf.CondMispredictRate() - rd.CondMispredictRate())
-	}
-	b.ReportMetric(dIPC, "ipc-delta-%")
-	b.ReportMetric(dEff, "effrate-delta-%")
-	b.ReportMetric(dMisp, "mispredict-delta-pp")
-}
-
-// frontEndSweepConfigs are the five front-end configurations of the
-// replay sweep benchmarks (every pair differs only in front-end axes, so
-// one recording per benchmark serves all of them).
-func frontEndSweepConfigs() []tracecache.Config {
-	return []tracecache.Config{
-		tracecache.BaselineConfig(),
-		tracecache.ICacheConfig(),
-		tracecache.PromotionConfig(64),
-		tracecache.PackingConfig(),
-		tracecache.BestConfig(),
-	}
-}
-
-// frontEndSweep drives the ten-point front-end sweep (five configurations
-// by two benchmarks) through a fresh sequential runner per iteration.
-func frontEndSweep(b *testing.B, replay bool, traceDir string) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		r := tracecache.NewRunner(benchWarmup, benchBudget)
-		r.Workers = 1
-		r.Replay = replay
-		r.TraceDir = traceDir
-		var retired uint64
-		for _, cfg := range frontEndSweepConfigs() {
-			for _, bench := range []string{"gcc", "go"} {
-				run, err := r.RunE(cfg, bench)
-				if err != nil {
-					b.Fatal(err)
-				}
-				retired += run.Retired
-			}
-		}
-		if retired == 0 {
-			b.Fatal("sweep retired nothing")
-		}
-	}
-}
-
-// BenchmarkFrontEndSweepDetailed simulates every point of the front-end
-// sweep cycle-detailed: O(points × budget) detailed work.
-func BenchmarkFrontEndSweepDetailed(b *testing.B) { frontEndSweep(b, false, "") }
-
-// BenchmarkFrontEndSweepReplay resolves the same sweep from recorded
-// retired streams: each benchmark is recorded once outside the timed
-// region (the production workflow — recordings persist across sweeps via
-// Runner.TraceDir), then every point replays through the front end only.
-// The ratio to BenchmarkFrontEndSweepDetailed is the replay speedup
-// recorded in BENCH_perf.json.
-func BenchmarkFrontEndSweepReplay(b *testing.B) {
-	dir := b.TempDir()
-	pre := tracecache.NewRunner(benchWarmup, benchBudget)
-	pre.Workers = 1
-	pre.Replay = true
-	pre.TraceDir = dir
-	for _, bench := range []string{"gcc", "go"} {
-		if _, err := pre.RunE(tracecache.BaselineConfig(), bench); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	frontEndSweep(b, true, dir)
-}
-
-// BenchmarkReplayAccuracy reports the statistical cost of the replay
-// fast path as metrics, mirroring BenchmarkFastForwardAccuracy: the two
-// headline configurations are simulated detailed and replayed from one
-// recording, and the per-statistic deltas are recorded in
-// BENCH_perf.json next to the fast-forward accuracy deltas. The runs are
-// deterministic, so the deltas are exact properties of the replay model
-// (wrong-path absence, fetch-granular boundaries), not noise.
-func BenchmarkReplayAccuracy(b *testing.B) {
-	const bench = "gcc"
-	headline := []struct {
-		label string
-		cfg   tracecache.Config
-	}{
-		{"baseline", tracecache.BaselineConfig()},
-		{"best", tracecache.BestConfig()},
-	}
-	var dEff, dMisp [2]float64
-	for i := 0; i < b.N; i++ {
-		dir := b.TempDir()
-		rec := tracecache.NewRunner(benchWarmup, benchBudget)
-		rec.Workers = 1
-		rec.Replay = true
-		rec.TraceDir = dir
-		if _, err := rec.RunE(tracecache.BaselineConfig(), bench); err != nil {
-			b.Fatal(err)
-		}
-		det := tracecache.NewRunner(benchWarmup, benchBudget)
-		det.Workers = 1
-		rep := tracecache.NewRunner(benchWarmup, benchBudget)
-		rep.Workers = 1
-		rep.Replay = true
-		rep.TraceDir = dir
-		for j, h := range headline {
-			dRun, err := det.RunE(h.cfg, bench)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rRun, err := rep.RunE(h.cfg, bench)
-			if err != nil {
-				b.Fatal(err)
-			}
-			dEff[j] = 100 * (rRun.EffFetchRate() - dRun.EffFetchRate()) / dRun.EffFetchRate()
-			dMisp[j] = 100 * (rRun.CondMispredictRate() - dRun.CondMispredictRate())
-		}
-	}
-	for j, h := range headline {
-		b.ReportMetric(dEff[j], h.label+"-eff-delta-%")
-		b.ReportMetric(dMisp[j], h.label+"-mispredict-delta-pp")
-	}
-}
-
-// sampledSweep drives a six-point sweep (three configurations by two
-// benchmarks) at a fixed 400k-instruction committed-stream extent per
-// point, either fully detailed or through the statistical-sampling path
-// (10 windows of 1k insts + 1k warmup per point, ~0.5% measured in
-// detail). The ratio of the two variants is the sampled-sweep speedup
-// recorded in BENCH_perf.json.
-func sampledSweep(b *testing.B, sampled bool) {
-	b.Helper()
-	const budget = 400_000
-	configs := []tracecache.Config{
-		tracecache.BaselineConfig(),
-		tracecache.ICacheConfig(),
-		tracecache.BestConfig(),
-	}
-	benches := []string{"gcc", "go"}
-	for i := 0; i < b.N; i++ {
-		r := tracecache.NewRunner(0, budget)
-		r.Workers = 1
-		if sampled {
-			r.Sampling = tracecache.SamplingParams{
-				WindowInsts: 1000, PeriodInsts: 40_000, WarmupInsts: 1000, Seed: 1,
-			}
-		}
-		var measured uint64
-		for _, cfg := range configs {
-			for _, bench := range benches {
-				if sampled {
-					sm, err := r.RunSampledE(cfg, bench)
-					if err != nil {
-						b.Fatal(err)
-					}
-					measured += sm.MeasuredInsts
-				} else {
-					run, err := r.RunE(cfg, bench)
-					if err != nil {
-						b.Fatal(err)
-					}
-					measured += run.Retired
-				}
-			}
-		}
-		if measured == 0 {
-			b.Fatal("sweep measured nothing")
-		}
-	}
-}
-
-// BenchmarkSampledSweepDetailed simulates every point of the sweep
-// cycle-detailed over the full committed-stream extent.
-func BenchmarkSampledSweepDetailed(b *testing.B) { sampledSweep(b, false) }
-
-// BenchmarkSampledSweepSampled covers the same extent with the SMARTS-style
-// sampled execution mode (functional gaps + detailed windows).
-func BenchmarkSampledSweepSampled(b *testing.B) { sampledSweep(b, true) }
-
-// BenchmarkSampledAccuracy reports the statistical cost of sampling as
-// metrics, mirroring BenchmarkFastForwardAccuracy: the two headline
-// configurations are run fully detailed over a 200k-instruction extent
-// (the ground truth) and sampled over the same extent (10 windows, 5%
-// measured), and the per-statistic deltas plus the number of headline
-// metrics whose truth falls inside the sampled 95% CI (of 3) are recorded
-// in BENCH_perf.json. The runs are deterministic, so the deltas are exact
-// properties of the sampling model, not noise.
-func BenchmarkSampledAccuracy(b *testing.B) {
-	const bench = "gcc"
-	prog, err := tracecache.BenchmarkProgram(bench)
-	if err != nil {
-		b.Fatal(err)
-	}
-	headline := []struct {
-		label string
-		cfg   tracecache.Config
-	}{
-		{"baseline", tracecache.BaselineConfig()},
-		{"best", tracecache.BestConfig()},
-	}
-	var dIPC, dEff, dMisp, ciIPC, covered [2]float64
-	for i := 0; i < b.N; i++ {
-		for j, h := range headline {
-			det := h.cfg
-			det.WarmupInsts, det.MaxInsts = 0, 1_000_000
-			truth, err := tracecache.Simulate(det, prog)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sc := det
-			sc.Sampling = tracecache.SamplingParams{
-				WindowInsts: 1000, PeriodInsts: 50_000, WarmupInsts: 5000, Seed: 1,
-			}
-			sm, err := tracecache.SimulateSampled(sc, prog)
-			if err != nil {
-				b.Fatal(err)
-			}
-			dIPC[j] = 100 * (sm.IPC.Mean - truth.IPC()) / truth.IPC()
-			dEff[j] = 100 * (sm.EffFetchRate.Mean - truth.EffFetchRate()) / truth.EffFetchRate()
-			dMisp[j] = 100 * (sm.MispredictRate.Mean - truth.CondMispredictRate())
-			ciIPC[j] = sm.IPC.HalfWidth()
-			covered[j] = 0
-			if diff := sm.IPC.Mean - truth.IPC(); abs(diff) <= sm.IPC.HalfWidth() {
-				covered[j]++
-			}
-			if diff := sm.EffFetchRate.Mean - truth.EffFetchRate(); abs(diff) <= sm.EffFetchRate.HalfWidth() {
-				covered[j]++
-			}
-			if diff := sm.MispredictRate.Mean - truth.CondMispredictRate(); abs(diff) <= sm.MispredictRate.HalfWidth() {
-				covered[j]++
-			}
-		}
-	}
-	for j, h := range headline {
-		b.ReportMetric(dIPC[j], h.label+"-ipc-delta-%")
-		b.ReportMetric(dEff[j], h.label+"-eff-delta-%")
-		b.ReportMetric(dMisp[j], h.label+"-mispredict-delta-pp")
-		b.ReportMetric(ciIPC[j], h.label+"-ipc-ci-halfwidth")
-		b.ReportMetric(covered[j], h.label+"-covered-of-3")
-	}
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // BenchmarkHeadline reports the paper's headline comparison as metrics:

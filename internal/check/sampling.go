@@ -187,8 +187,8 @@ type SampledTolerance struct {
 }
 
 // DefaultSampledTolerance is the committed fidelity envelope, set from
-// measurement with roughly 2-3x headroom (see the sampling block of
-// BENCH_perf.json and DESIGN.md §10 for the observed deviations).
+// measurement (TestRunMatchesDetailedTruth in internal/sampling logs the
+// observed deviations; DESIGN.md §10 states the contract).
 func DefaultSampledTolerance() SampledTolerance {
 	return SampledTolerance{
 		IPCRelPct:     8,

@@ -129,43 +129,3 @@ func TestChromeTraceIntegration(t *testing.T) {
 		t.Fatal("no trace events")
 	}
 }
-
-// BenchmarkSimulatorObsDisabled measures the simulator with no observer
-// attached: the baseline the <=1% overhead criterion compares against.
-func BenchmarkSimulatorObsDisabled(b *testing.B) {
-	benchmarkSim(b, false, false)
-}
-
-// BenchmarkSimulatorObsEnabled measures the simulator with a bus, a
-// Chrome trace sink, and an interval collector all attached.
-func BenchmarkSimulatorObsEnabled(b *testing.B) {
-	benchmarkSim(b, true, true)
-}
-
-func benchmarkSim(b *testing.B, withBus, withColl bool) {
-	prog, err := tracecache.BenchmarkProgram("compress")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := tracecache.PromotionConfig(64)
-	cfg.WarmupInsts = 0
-	cfg.MaxInsts = 200_000
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s, err := tracecache.NewSimulator(cfg, prog)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if withBus {
-			bus := tracecache.NewEventBus(0)
-			bus.Attach(tracecache.NewChromeTrace(0))
-			s.AttachObserver(bus)
-		}
-		if withColl {
-			s.SetIntervalCollector(tracecache.NewIntervalCollector(10_000))
-		}
-		run := s.Run()
-		b.SetBytes(int64(run.Retired))
-	}
-}

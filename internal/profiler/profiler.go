@@ -1,6 +1,6 @@
 // Package profiler wires pprof CPU and heap profiling into the command-line
-// tools behind two flags, so perf work on the simulator (see BENCH_perf.json)
-// can collect profiles from any real workload, not just the Go benchmarks.
+// tools behind two flags, so perf work on the simulator (see perfbench) can
+// collect profiles from any real workload, not just the Go benchmarks.
 package profiler
 
 import (

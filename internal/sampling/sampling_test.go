@@ -208,6 +208,15 @@ func TestRunMatchesDetailedTruth(t *testing.T) {
 		}
 		truth := ds.Run()
 		tc := ds.TraceCacheStats()
+		sm := res.Sampled
+		t.Logf("%s: IPC delta %+.2f%% (detailed %.3f, sampled %.3f, 95%% CI half-width %.3f)", bench,
+			100*(sm.IPC.Mean-truth.IPC())/truth.IPC(), truth.IPC(), sm.IPC.Mean, sm.IPC.HalfWidth())
+		t.Logf("%s: eff-fetch-rate delta %+.2f%% (detailed %.2f, sampled %.2f)", bench,
+			100*(sm.EffFetchRate.Mean-truth.EffFetchRate())/truth.EffFetchRate(),
+			truth.EffFetchRate(), sm.EffFetchRate.Mean)
+		t.Logf("%s: mispredict-rate delta %+.2fpp (detailed %.2f%%, sampled %.2f%%)", bench,
+			100*(sm.MispredictRate.Mean-truth.CondMispredictRate()),
+			100*truth.CondMispredictRate(), 100*sm.MispredictRate.Mean)
 
 		vs := check.CompareSampled(
 			check.GroundTruth{Run: truth, TCLookups: tc.Lookups, TCHits: tc.Hits},

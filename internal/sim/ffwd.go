@@ -23,8 +23,8 @@ import (
 // wrong-path training cannot be reproduced without the pipeline, so
 // fast-forward trains them on the committed path using a pseudo fetch
 // group (reset at taken control flow, the predictor's slot budget, or the
-// fetch width) — the measured accuracy deltas are recorded in
-// BENCH_perf.json and the README.
+// fetch width) — TestFastForwardAccuracy logs the measured accuracy
+// deltas.
 
 // ApplyCheckpoint restores a shared architectural checkpoint into this
 // simulator: registers, memory, call stack, PC, committed-instruction

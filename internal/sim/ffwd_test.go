@@ -189,6 +189,12 @@ func TestFastForwardAccuracy(t *testing.T) {
 		t.Fatalf("measured regions differ: retired %d/%d, branches %d/%d",
 			rd.Retired, rf.Retired, rd.CondBranches, rf.CondBranches)
 	}
+	t.Logf("IPC delta %+.2f%% (detailed %.3f, ffwd %.3f)",
+		100*(rf.IPC()-rd.IPC())/rd.IPC(), rd.IPC(), rf.IPC())
+	t.Logf("eff-fetch-rate delta %+.2f%% (detailed %.2f, ffwd %.2f)",
+		100*(rf.EffFetchRate()-rd.EffFetchRate())/rd.EffFetchRate(), rd.EffFetchRate(), rf.EffFetchRate())
+	t.Logf("mispredict-rate delta %+.2fpp (detailed %.2f%%, ffwd %.2f%%)",
+		100*(rf.CondMispredictRate()-rd.CondMispredictRate()), 100*rd.CondMispredictRate(), 100*rf.CondMispredictRate())
 	if d := relDelta(rf.IPC(), rd.IPC()); d > 0.10 {
 		t.Errorf("IPC delta %.1f%% (detailed %.3f, ffwd %.3f), want <= 10%%", 100*d, rd.IPC(), rf.IPC())
 	}

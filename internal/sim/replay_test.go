@@ -106,6 +106,10 @@ func TestReplayFidelity(t *testing.T) {
 				cfg.MaxInsts = 60_000
 				data, det, ds := recordDetailed(t, cfg, prog)
 				rep, rr := replayStream(t, cfg, prog, data)
+				t.Logf("eff-fetch-rate delta %+.2f%% (detailed %.2f, replay %.2f), mispredict-rate delta %+.2fpp (detailed %.2f%%, replay %.2f%%)",
+					100*(rep.EffFetchRate()-det.EffFetchRate())/det.EffFetchRate(), det.EffFetchRate(), rep.EffFetchRate(),
+					100*(rep.CondMispredictRate()-det.CondMispredictRate()),
+					100*det.CondMispredictRate(), 100*rep.CondMispredictRate())
 				vs := check.CompareReplay(replayStatsOf(det, ds.tc), replayStatsOf(rep, rr.TraceCache()),
 					check.DefaultReplayTolerance())
 				for _, v := range vs {

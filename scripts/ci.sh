@@ -4,8 +4,10 @@
 # parallel sweep engine, a fast-forward smoke+accuracy step, a warm
 # result-store smoke, a tcserve sweep-service smoke (restart +
 # store-served resubmission, plus the /metrics and /debug/pprof/ handler
-# set that tcserve shares with tcbench -http), and a benchmark smoke step
-# so the perf harness stays runnable.
+# set that tcserve shares with tcbench -http), a smoke run of the
+# throughput benchmarks (BenchmarkSimulatorThroughput and its -check
+# twin), and vet + tests of the perfbench module, which ./... skips
+# because it is its own module.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -195,7 +197,10 @@ STORE_RECS=$(grep -c '"provenance":"store"' /tmp/tcserve-ci-journal.jsonl)
 cmp /tmp/tcserve-ci-results1.json /tmp/tcserve-ci-results2.json || {
 	echo "FAIL: store-served results differ from simulated results"; exit 1; }
 
-echo "== benchmark smoke =="
+echo "== throughput benchmark smoke (BenchmarkSimulatorThroughput, plain and -check) =="
 go test -run xxx -bench=SimulatorThroughput -benchtime=1x -benchmem .
+
+echo "== perfbench module (its own go.mod: go vet + go test) =="
+(cd perfbench && go vet ./... && go test ./...)
 
 echo "CI OK"
