@@ -7,7 +7,7 @@
 //	tcbench -exp table2     # one experiment
 //	tcbench -exp fig10,fig11
 //	tcbench -j 1            # sequential (same output, more wall-clock)
-//	tcbench -ffwd 10000000 -warmup 400000   # skip a shared functional prefix
+//	tcbench -ffwd 10000000 -warmup 400000   # warm a functional prefix per point
 //	tcbench -list
 //	tcbench -warmup 400000 -insts 1000000 -progress
 //	tcbench -exp fig11 -cpuprofile cpu.pprof -memprofile mem.pprof
@@ -42,7 +42,7 @@ import (
 func main() {
 	var (
 		exp      = flag.String("exp", "all", "comma-separated experiment IDs, or 'all'")
-		ffwd     = flag.Uint64("ffwd", 0, "fast-forward instructions per run (one shared checkpoint per benchmark)")
+		ffwd     = flag.Uint64("ffwd", 0, "instructions to fast-forward functionally per run, warming the machine (as tcsim -ffwd)")
 		warmup   = flag.Uint64("warmup", 400_000, "warmup instructions per run")
 		insts    = flag.Uint64("insts", 600_000, "measured instructions per run")
 		workers  = flag.Int("j", 0, "max concurrent simulations (1 = sequential; default GOMAXPROCS)")
@@ -126,7 +126,7 @@ func main() {
 		r.Log = os.Stderr
 	}
 	if *replay && *ffwd > 0 {
-		fmt.Fprintln(os.Stderr, "tcbench: -replay cannot be combined with -ffwd (fast-forwarded points fork the shared checkpoint)")
+		fmt.Fprintln(os.Stderr, "tcbench: -replay cannot be combined with -ffwd (replay would warm the prefix through the replay loop, not the fast-forward)")
 		os.Exit(1)
 	}
 	if *sample != "" {

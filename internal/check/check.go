@@ -300,16 +300,6 @@ func (c *Checker) FastForward(n uint64, simPC int) {
 	}
 }
 
-// Restore resets the reference model from the same architectural
-// checkpoint the simulator restored.
-func (c *Checker) Restore(restore func(*exec.State) error, pc int) error {
-	if err := restore(c.ref); err != nil {
-		return err
-	}
-	c.refPC = pc
-	return nil
-}
-
 // Commit compares one committed instruction against the reference model.
 // After the first divergence the comparison stops (everything downstream
 // of a divergence would mismatch); the violation records where the two

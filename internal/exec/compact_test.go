@@ -68,27 +68,6 @@ func TestCompactToPartialRelease(t *testing.T) {
 	}
 }
 
-func TestResetUndoKeepsMarksMonotonic(t *testing.T) {
-	p := buildLoop(t)
-	s := NewState(p)
-	s.StepAt(0)
-	s.StepAt(1)
-	s.ResetUndo()
-	if s.UndoLen() != 0 {
-		t.Fatalf("undo length = %d, want 0", s.UndoLen())
-	}
-	// A snapshot taken after the reset must be a valid rollback point.
-	sn := s.Checkpoint()
-	before := s.Regs[1]
-	s.StepAt(0)
-	s.Rollback(sn)
-	if s.Regs[1] != before {
-		t.Error("post-reset snapshot did not roll back correctly")
-	}
-	// A stale pre-reset rollback must not underflow (clamped to empty log).
-	s.Rollback(Snapshot{})
-}
-
 func TestCallStackCopySemantics(t *testing.T) {
 	b := program.NewBuilder("call")
 	b.Here("main")
@@ -110,9 +89,5 @@ func TestCallStackCopySemantics(t *testing.T) {
 	cs[0] = 99 // mutating the copy must not touch the state
 	if got := s.CallStack(); got[0] != 1 {
 		t.Errorf("CallStack aliased internal storage: %v", got)
-	}
-	s.SetCallStack([]int{4, 7})
-	if got := s.CallStack(); len(got) != 2 || got[0] != 4 || got[1] != 7 {
-		t.Errorf("SetCallStack = %v, want [4 7]", got)
 	}
 }

@@ -70,35 +70,3 @@ func (m *Memory) Write(addr uint64, v int64) {
 
 // Pages returns the number of allocated pages (for footprint diagnostics).
 func (m *Memory) Pages() int { return len(m.pages) }
-
-// PageWords is the exported page size, for checkpointing.
-const PageWords = pageWords
-
-// ForEachPage invokes fn for every allocated page with its page number and
-// word contents. Iteration order is unspecified. The words slice aliases
-// live memory; fn must copy what it keeps.
-func (m *Memory) ForEachPage(fn func(page uint64, words []int64)) {
-	//tcvet:ignore determinism per-page callback: the only consumer (checkpoint.Capture) stores pages keyed by page number
-	for pg, p := range m.pages {
-		fn(pg, p[:])
-	}
-}
-
-// SetPage replaces the contents of a page (checkpoint restore). words must
-// hold exactly PageWords values; it is copied.
-func (m *Memory) SetPage(page uint64, words []int64) {
-	p := m.pages[page]
-	if p == nil {
-		p = new([pageWords]int64)
-		m.pages[page] = p
-	}
-	copy(p[:], words)
-}
-
-// Clear drops every allocated page, returning the memory to the unmapped
-// (all-zero) image.
-func (m *Memory) Clear() {
-	m.pages = make(map[uint64]*[pageWords]int64)
-	m.lastPtr = nil
-	m.lastPage = 0
-}

@@ -75,23 +75,9 @@ func (s *State) Steps() uint64 { return s.steps }
 func (s *State) CallDepth() int { return len(s.callStack) }
 
 // CallStack returns a copy of the call stack (return targets, oldest
-// first), for checkpointing and for seeding a return address stack.
+// first), for seeding a return address stack.
 func (s *State) CallStack() []int {
 	return append([]int(nil), s.callStack...)
-}
-
-// SetCallStack replaces the call stack (checkpoint restore). The slice is
-// copied.
-func (s *State) SetCallStack(cs []int) {
-	s.callStack = append(s.callStack[:0], cs...)
-}
-
-// ResetUndo discards the entire undo history while keeping snapshot marks
-// monotonic, so snapshots taken after the reset remain valid. Used by
-// checkpoint restore: a restored state has nothing to roll back to.
-func (s *State) ResetUndo() {
-	s.undoBase += uint64(len(s.undo))
-	s.undo = nil
 }
 
 func (s *State) writeReg(r isa.Reg, v int64) {

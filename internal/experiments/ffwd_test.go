@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"testing"
 
 	"tracecache/internal/config"
@@ -9,8 +10,9 @@ import (
 	"tracecache/internal/workload"
 )
 
-// TestRunnerFastForwardProvenance: runs under a fast-forwarding runner are
-// restored from the shared checkpoint and say so in their metadata.
+// TestRunnerFastForwardProvenance: runs under a fast-forwarding runner
+// are cold starts that executed their own prefix, and say so in their
+// metadata.
 func TestRunnerFastForwardProvenance(t *testing.T) {
 	r := NewRunner(5_000, 20_000)
 	r.FastForward = 50_000
@@ -20,57 +22,48 @@ func TestRunnerFastForwardProvenance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if run.Meta == nil || run.Meta.FastForwardInsts != 50_000 || !run.Meta.CheckpointShared {
-			t.Fatalf("%s: meta = %+v, want checkpoint-shared ffwd 50000", cfg.Name, run.Meta)
+		if run.Meta == nil || run.Meta.Provenance != stats.ProvCold || run.Meta.FastForwardInsts != 50_000 {
+			t.Fatalf("%s: meta = %+v, want cold provenance with ffwd 50000", cfg.Name, run.Meta)
 		}
 	}
 }
 
-// TestRunnerFastForwardMatchesDirectSimulation: the runner's
-// checkpoint-restored result carries the same statistics as restoring
-// the same shared checkpoint into a simulator by hand, so the runner's
-// fork adds nothing of its own. It is not the result of sim.Simulate
-// with FastForwardInsts: a restored checkpoint leaves microarchitectural
-// state cold, while an in-simulator fast-forward warms it.
+// TestRunnerFastForwardMatchesDirectSimulation: a fast-forwarding runner
+// adds nothing of its own. Each point's simulator executes and warms its
+// own prefix, so RunE returns exactly what sim.New + Run returns for the
+// same configuration (what tcsim -ffwd prints).
 func TestRunnerFastForwardMatchesDirectSimulation(t *testing.T) {
 	const ffwd, warm, meas = 50_000, 5_000, 20_000
-	r := NewRunner(warm, meas)
-	r.FastForward = ffwd
-	r.Workers = 1
-	got, err := r.RunE(config.Baseline(), "gcc")
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	prog, err := workload.SharedProgram("gcc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := config.Baseline()
-	cfg.FastForwardInsts, cfg.WarmupInsts, cfg.MaxInsts = ffwd, warm, meas
-	s, err := sim.New(cfg, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp, err := workload.SharedCheckpoint("gcc", ffwd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.ApplyCheckpoint(cp); err != nil {
-		t.Fatal(err)
-	}
-	want := s.Run()
-
-	gc, wc := *got, *want
-	gc.Meta, wc.Meta = nil, nil // wall time and hostname legitimately differ
-	if gc.Retired != wc.Retired || gc.Cycles != wc.Cycles ||
-		gc.CondBranches != wc.CondBranches || gc.CondMispredicts != wc.CondMispredicts {
-		t.Fatalf("runner run differs from direct simulation:\n got %+v\nwant %+v", gc, wc)
+	for _, base := range []sim.Config{config.Baseline(), config.Best()} {
+		t.Run(base.Name, func(t *testing.T) {
+			r := NewRunner(warm, meas)
+			r.FastForward = ffwd
+			r.Workers = 1
+			got, err := r.RunE(base, "gcc")
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := base
+			cfg.FastForwardInsts, cfg.WarmupInsts, cfg.MaxInsts = ffwd, warm, meas
+			s, err := sim.New(cfg, prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gc, wc := *got, *s.Run()
+			gc.Meta, wc.Meta = nil, nil // wall time and hostname legitimately differ
+			if !reflect.DeepEqual(gc, wc) {
+				t.Errorf("RunE differs from direct simulation:\n got %+v\nwant %+v", gc, wc)
+			}
+		})
 	}
 }
 
-// TestRunnerFastForwardParallelDeterminism: checkpoint sharing across a
-// parallel sweep yields bit-identical statistics to sequential execution.
+// TestRunnerFastForwardParallelDeterminism: a fast-forwarding parallel
+// sweep yields bit-identical statistics to sequential execution.
 func TestRunnerFastForwardParallelDeterminism(t *testing.T) {
 	sweep := func(workers int) []*stats.Run {
 		r := NewRunner(5_000, 15_000)

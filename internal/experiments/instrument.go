@@ -36,11 +36,11 @@ func (p RunPhase) String() string {
 // RunEvent is one run-lifecycle notification delivered to Runner.OnRun.
 // Every RunE/RunConfiguredE/RunSampledE resolution produces exactly one
 // RunDone event: the executing request emits it with its result's
-// provenance (stats.ProvCold, ProvCheckpointFork, ProvReplay, ProvSampled
-// or ProvStore), and every memo-sharing request emits one with Memoized
-// set and stats.ProvMemoized — so journal records and progress trackers
-// built on these events tie out against the runner's counters. Key is the
-// point's display label (stats.PointLabel), not its memo identity.
+// provenance (stats.ProvCold, ProvReplay, ProvSampled or ProvStore), and
+// every memo-sharing request emits one with Memoized set and
+// stats.ProvMemoized — so journal records and progress trackers built on
+// these events tie out against the runner's counters. Key is the point's
+// display label (stats.PointLabel), not its memo identity.
 type RunEvent struct {
 	Phase                  RunPhase
 	Key, Config, Benchmark string
@@ -86,7 +86,7 @@ func MultiListener(ls ...func(RunEvent)) func(RunEvent) {
 // one RunnerMetrics serves any number of concurrent sweeps; the identities
 //
 //	MemoMisses == RunsCompleted + RunsFailed (every miss simulates)
-//	RunsCompleted == CheckpointForks + ColdStarts + Replays + SampledRuns + StoreServed
+//	RunsCompleted == ColdStarts + Replays + SampledRuns + StoreServed
 //
 // hold whenever the runner is quiescent.
 type RunnerMetrics struct {
@@ -96,14 +96,12 @@ type RunnerMetrics struct {
 	// MemoHits counts requests resolved by singleflight sharing;
 	// MemoMisses counts requests that had to simulate.
 	MemoHits, MemoMisses *metrics.Counter
-	// CheckpointForks, ColdStarts, Replays, SampledRuns and StoreServed
-	// partition completed runs by provenance: restored from a shared warm
-	// checkpoint, simulated from scratch, resolved by the front-end replay
-	// fast path, estimated by the statistical-sampling path (which counts
-	// as sampled regardless of whether its functional prefix was forked),
-	// or served verbatim from the persistent result store (zero
-	// simulation).
-	CheckpointForks, ColdStarts, Replays, SampledRuns, StoreServed *metrics.Counter
+	// ColdStarts, Replays, SampledRuns and StoreServed partition completed
+	// runs by provenance: simulated from scratch (fast-forward prefix
+	// included), resolved by the front-end replay fast path, estimated by
+	// the statistical-sampling path, or served verbatim from the
+	// persistent result store (zero simulation).
+	ColdStarts, Replays, SampledRuns, StoreServed *metrics.Counter
 	// WorkersBusy is the current worker-pool occupancy; WorkersLimit is
 	// the pool size (set when the pool is created).
 	WorkersBusy, WorkersLimit *metrics.Gauge
@@ -129,8 +127,6 @@ func InstrumentRunner(r *metrics.Registry) *RunnerMetrics {
 			"Run requests resolved by singleflight memo sharing."),
 		MemoMisses: r.Counter("tracecache_runner_memo_misses_total",
 			"Run requests that had to simulate."),
-		CheckpointForks: r.Counter("tracecache_runner_checkpoint_forks_total",
-			"Completed simulations whose prefix was restored from a shared warm checkpoint."),
 		ColdStarts: r.Counter("tracecache_runner_cold_starts_total",
 			"Completed simulations executed from scratch."),
 		Replays: r.Counter("tracecache_runner_replays_total",

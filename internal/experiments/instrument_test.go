@@ -85,9 +85,6 @@ func TestInstrumentedSweep(t *testing.T) {
 	if got := m.ColdStarts.Value(); got != unique {
 		t.Errorf("cold starts = %d, want %d (no fast-forward configured)", got, unique)
 	}
-	if got := m.CheckpointForks.Value(); got != 0 {
-		t.Errorf("checkpoint forks = %d, want 0", got)
-	}
 	if got := m.WorkersBusy.Value(); got != 0 {
 		t.Errorf("workers busy = %d after quiescence, want 0", got)
 	}
@@ -140,39 +137,6 @@ func TestInstrumentedSweep(t *testing.T) {
 	}
 	if memoized != int(total-unique) {
 		t.Errorf("memoized done events = %d, want %d", memoized, total-unique)
-	}
-}
-
-// TestCheckpointForkProvenance checks fast-forwarded runs are counted and
-// reported as checkpoint forks, matching the simulator's Meta.Provenance.
-func TestCheckpointForkProvenance(t *testing.T) {
-	r := NewRunner(1_000, 3_000)
-	r.Workers = 2
-	r.FastForward = 2_000
-	m := InstrumentRunner(metrics.NewRegistry())
-	r.Metrics = m
-	log := &eventLog{}
-	r.OnRun = log.listen
-
-	run, err := r.RunE(config.Baseline(), "compress")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if run.Meta == nil || run.Meta.Provenance != stats.ProvCheckpointFork {
-		t.Errorf("Meta.Provenance = %v, want %q", run.Meta, stats.ProvCheckpointFork)
-	}
-	if got := m.CheckpointForks.Value(); got != 1 {
-		t.Errorf("checkpoint forks = %d, want 1", got)
-	}
-	if got := m.ColdStarts.Value(); got != 0 {
-		t.Errorf("cold starts = %d, want 0", got)
-	}
-	dones := log.byPhase(RunDone)
-	if len(dones) != 1 || dones[0].Provenance != stats.ProvCheckpointFork {
-		t.Errorf("done events = %+v, want one with checkpoint-fork provenance", dones)
-	}
-	if dones[0].Wall <= 0 {
-		t.Errorf("done event wall = %v, want > 0", dones[0].Wall)
 	}
 }
 

@@ -86,12 +86,11 @@ func TestRunnerReplaySweep(t *testing.T) {
 	}
 }
 
-// TestRunnerReplayWithFastForwardForks: Replay does not apply under
-// FastForward, so a replaying runner forks the shared checkpoint like a
-// plain fast-forwarding one and returns the same statistics for the
-// same key. Recording used to skip the fork and warm its own prefix,
-// giving the recording point a different answer under the same key.
-func TestRunnerReplayWithFastForwardForks(t *testing.T) {
+// TestRunnerReplayWithFastForward: Replay does not apply under
+// FastForward, so a replaying runner simulates every point, warming its
+// prefix like a plain fast-forwarding runner, and returns the same
+// statistics for the same key whether or not it would have recorded.
+func TestRunnerReplayWithFastForward(t *testing.T) {
 	const ffwd = 20_000
 	r := replayRunner()
 	r.FastForward = ffwd
@@ -106,8 +105,8 @@ func TestRunnerReplayWithFastForwardForks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p := provenanceOf(t, got); p != stats.ProvCheckpointFork {
-		t.Errorf("provenance = %q, want %q", p, stats.ProvCheckpointFork)
+	if p := provenanceOf(t, got); p != stats.ProvCold {
+		t.Errorf("provenance = %q, want %q", p, stats.ProvCold)
 	}
 	gc, wc := *got, *want
 	gc.Meta, wc.Meta = nil, nil

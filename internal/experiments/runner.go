@@ -14,9 +14,10 @@
 // benchmark, and the mode (detailed or sampled). The executor tries, in
 // order: the persistent result store (Store), replay of the benchmark's
 // recorded retired stream (Replay; detailed mode without FastForward
-// only), a fork from the shared fast-forward checkpoint (FastForward),
-// and finally a detailed or sampled simulation. RunEvent.Key is a
-// display label ("config/bench", see stats.PointLabel), not the identity.
+// only), and finally a detailed or sampled simulation, which executes any
+// FastForward prefix itself exactly as sim.Simulator.Run and sampling.Run
+// do. RunEvent.Key is a display label ("config/bench", see
+// stats.PointLabel), not the identity.
 //
 // # Concurrency
 //
@@ -66,11 +67,10 @@ type Runner struct {
 	Warmup uint64
 	Budget uint64
 	// FastForward, when non-zero, executes that many committed instructions
-	// functionally before the detailed phases — restored from one shared
-	// architectural checkpoint per benchmark (captured once per process, see
-	// workload.SharedCheckpoint), so a sweep of N configurations pays for
-	// the prefix once instead of N times. Microarchitectural structures are
-	// not checkpointed; Warmup should stay large enough to warm them.
+	// functionally before the detailed phases (sim.Config.FastForwardInsts):
+	// each point's simulator steps its own prefix, warming its caches,
+	// predictors, bias table and trace cache on the way, so a point's
+	// result equals tcsim -ffwd on the same configuration.
 	FastForward uint64
 	// Log, when non-nil, receives progress lines. Writes are serialized by
 	// the runner, but their order under Workers > 1 follows completion
@@ -94,12 +94,13 @@ type Runner struct {
 	// statistics, within the fidelity envelope of check.CompareReplay
 	// (see DESIGN.md §9). Points that vary core-side axes, and all runs
 	// when Check is set, bypass replay and simulate detailed. Replay
-	// needs FastForward == 0: with a fast-forward prefix every point
-	// forks the shared checkpoint instead, so a point's result never
-	// depends on whether it happened to record. Under Workers > 1 which
-	// point records is completion-order dependent; every simulated
-	// statistic of each individual point is still deterministic. Set
-	// before the first Run call.
+	// needs FastForward == 0: a replayed point would warm the prefix
+	// through the replay loop rather than through the simulator's
+	// fast-forward, so under a prefix every point simulates detailed and
+	// its result never depends on whether it happened to record. Under
+	// Workers > 1 which point records is completion-order dependent;
+	// every simulated statistic of each individual point is still
+	// deterministic. Set before the first Run call.
 	Replay bool
 	// TraceDir, when non-empty with Replay, persists recordings under
 	// content-addressed names so later processes replay every point,
@@ -355,11 +356,11 @@ type result struct {
 }
 
 // execute resolves one request under a worker slot, trying in order the
-// persistent store, replay of the benchmark's recorded stream, a fork
-// from the shared fast-forward checkpoint, and a detailed or sampled
-// simulation. It converts panics from configuration or simulator
-// internals into errors, so a bad config in a parallel sweep fails that
-// sweep instead of the process, and persists every result it computed.
+// persistent store, replay of the benchmark's recorded stream, and a
+// detailed or sampled simulation. It converts panics from configuration
+// or simulator internals into errors, so a bad config in a parallel sweep
+// fails that sweep instead of the process, and persists every result it
+// computed.
 func (r *Runner) execute(q request, key string) (res result) {
 	cfg := q.cfg
 	// Registered before the recover defer, so it runs after it (LIFO) and
@@ -482,21 +483,6 @@ func (r *Runner) execute(q request, key string) (res result) {
 		recW = w
 		s.AttachRecorder(recW)
 	}
-	forked := false
-	if r.FastForward > 0 {
-		// The capture itself is memoized process-wide; the first arrival
-		// captures (under its worker slot), later arrivals block on the
-		// OnceValues and then restore, which is a cheap copy.
-		cp, err := workload.SharedCheckpoint(q.bench, r.FastForward)
-		if err != nil {
-			return fail(err)
-		}
-		if err := s.ApplyCheckpoint(cp); err != nil {
-			return fail(err)
-		}
-		forked = true
-	}
-
 	if q.mode == modeSampled {
 		r.logf("sampling %s...\n", key)
 		out, err := sampling.Run(s)
@@ -510,21 +496,12 @@ func (r *Runner) execute(q request, key string) (res result) {
 			return fail(fmt.Errorf("sampling audit: %d violation(s), first: %s",
 				len(out.Violations), out.Violations[0].Detail))
 		}
-		if forked && out.Sampled.Meta != nil {
-			// Meta is shared between the aggregate and the pooled run.
-			out.Sampled.Meta.CheckpointShared = true
-		}
 		res.run, res.sampled = out.Run, out.Sampled
-		// A sampled estimate counts as sampled whether or not its
-		// functional prefix was forked.
 		res.provenance = stats.ProvSampled
 		return res
 	}
 
 	res.provenance = stats.ProvCold
-	if forked {
-		res.provenance = stats.ProvCheckpointFork
-	}
 	r.logf("running %s...\n", key)
 	res.run = s.Run()
 	if chk := s.Checker(); chk != nil && chk.Total() > 0 {

@@ -1,12 +1,15 @@
 package experiments
 
 import (
+	"reflect"
 	"testing"
 
 	"tracecache/internal/config"
 	"tracecache/internal/metrics"
+	"tracecache/internal/sampling"
 	"tracecache/internal/sim"
 	"tracecache/internal/stats"
+	"tracecache/internal/workload"
 )
 
 func sampledRunner(workers int) *Runner {
@@ -123,8 +126,7 @@ func TestRunSampledMetricsAndEvents(t *testing.T) {
 	if got := m.SampledRuns.Value(); got != 1 {
 		t.Fatalf("SampledRuns = %d, want 1", got)
 	}
-	if m.RunsCompleted.Value() != m.CheckpointForks.Value()+m.ColdStarts.Value()+
-		m.Replays.Value()+m.SampledRuns.Value() {
+	if m.RunsCompleted.Value() != m.ColdStarts.Value()+m.Replays.Value()+m.SampledRuns.Value() {
 		t.Fatal("provenance counters do not partition RunsCompleted")
 	}
 	if m.MemoHits.Value() != 1 || m.MemoMisses.Value() != 1 {
@@ -155,20 +157,39 @@ func TestRunSampledMetricsAndEvents(t *testing.T) {
 }
 
 // TestRunSampledCheckpointFork: with FastForward set, the sampled run
-// restores the shared checkpoint and says so in its metadata while
-// keeping sampled provenance.
+// forks no checkpoint. It keeps sampled provenance, records the prefix in
+// its metadata, and returns exactly what sampling.Run returns on a fresh
+// simulator that executes and warms the same prefix.
 func TestRunSampledCheckpointFork(t *testing.T) {
+	const ffwd = 30_000
 	r := sampledRunner(1)
-	r.FastForward = 30_000
+	r.FastForward = ffwd
 	sm, err := r.RunSampledE(config.Baseline(), "gcc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sm.Meta == nil || !sm.Meta.CheckpointShared || sm.Meta.FastForwardInsts != 30_000 {
-		t.Fatalf("meta = %+v, want checkpoint-shared ffwd 30000", sm.Meta)
+	if sm.Meta == nil || sm.Meta.Provenance != stats.ProvSampled || sm.Meta.FastForwardInsts != ffwd {
+		t.Fatalf("meta = %+v, want sampled provenance with ffwd %d", sm.Meta, ffwd)
 	}
-	if sm.Meta.Provenance != stats.ProvSampled {
-		t.Fatalf("provenance = %q, want sampled", sm.Meta.Provenance)
+
+	prog, err := workload.SharedProgram("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := config.Baseline()
+	cfg.FastForwardInsts, cfg.MaxInsts, cfg.Sampling = ffwd, r.Budget, r.Sampling
+	s, err := sim.New(cfg, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := sampling.Run(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := *sm, *out.Sampled
+	got.Meta, want.Meta = nil, nil // wall time and hostname legitimately differ
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("RunSampledE differs from sampling.Run:\n got %+v\nwant %+v", got, want)
 	}
 }
 

@@ -55,13 +55,10 @@ var provenances = map[string]struct {
 	counter func(*RunnerMetrics) *metrics.Counter
 	mode    string
 }{
-	stats.ProvCold: {func(m *RunnerMetrics) *metrics.Counter { return m.ColdStarts }, resultstore.ModeDetailed},
-	// A checkpoint fork is a full detailed measurement too: the checkpoint
-	// only changed who executed the functional prefix.
-	stats.ProvCheckpointFork: {func(m *RunnerMetrics) *metrics.Counter { return m.CheckpointForks }, resultstore.ModeDetailed},
-	stats.ProvReplay:         {func(m *RunnerMetrics) *metrics.Counter { return m.Replays }, resultstore.ModeReplay},
-	stats.ProvSampled:        {func(m *RunnerMetrics) *metrics.Counter { return m.SampledRuns }, resultstore.ModeSampled},
-	stats.ProvStore:          {func(m *RunnerMetrics) *metrics.Counter { return m.StoreServed }, ""},
+	stats.ProvCold:    {func(m *RunnerMetrics) *metrics.Counter { return m.ColdStarts }, resultstore.ModeDetailed},
+	stats.ProvReplay:  {func(m *RunnerMetrics) *metrics.Counter { return m.Replays }, resultstore.ModeReplay},
+	stats.ProvSampled: {func(m *RunnerMetrics) *metrics.Counter { return m.SampledRuns }, resultstore.ModeSampled},
+	stats.ProvStore:   {func(m *RunnerMetrics) *metrics.Counter { return m.StoreServed }, ""},
 }
 
 // storePut persists one computed result. It is a no-op without a store,

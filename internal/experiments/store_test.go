@@ -110,8 +110,8 @@ func TestSweepStoreTieOut(t *testing.T) {
 	if got := m2.StoreServed.Value(); got != points {
 		t.Errorf("second sweep store-served = %d, want %d", got, points)
 	}
-	if cold, forks, replays := m2.ColdStarts.Value(), m2.CheckpointForks.Value(), m2.Replays.Value(); cold+forks+replays != 0 {
-		t.Errorf("second sweep simulated: cold=%d forks=%d replays=%d, want all 0", cold, forks, replays)
+	if cold, replays := m2.ColdStarts.Value(), m2.Replays.Value(); cold+replays != 0 {
+		t.Errorf("second sweep simulated: cold=%d replays=%d, want both 0", cold, replays)
 	}
 	if got := store.Metrics.Hits.Value() - hitsBefore; got != points {
 		t.Errorf("second sweep store hits = %d, want %d", got, points)
@@ -135,7 +135,7 @@ func TestSweepStoreTieOut(t *testing.T) {
 	if got := prov[stats.ProvStore]; got != m2.StoreServed.Value() {
 		t.Errorf("journal store records = %d, want %d", got, m2.StoreServed.Value())
 	}
-	if got := prov[stats.ProvCold] + prov[stats.ProvCheckpointFork]; got != 0 {
+	if got := prov[stats.ProvCold]; got != 0 {
 		t.Errorf("journal shows %d simulated records, want 0", got)
 	}
 	if got, want := uint64(len(recs2)), m2.MemoHits.Value()+m2.MemoMisses.Value(); got != want {

@@ -47,9 +47,8 @@ func RASDepth(top *RASNode) int {
 }
 
 // BuildRAS builds a return address stack holding the given return targets,
-// oldest first — the shape of an architectural call stack. Fast-forward and
-// checkpoint restore use it to seed the speculative RAS with the committed
-// call nesting.
+// oldest first — the shape of an architectural call stack. Fast-forward
+// uses it to seed the speculative RAS with the committed call nesting.
 func BuildRAS(targets []int) *RASNode {
 	var top *RASNode
 	for _, t := range targets {

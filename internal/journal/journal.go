@@ -1,8 +1,8 @@
 // Package journal persists one JSONL record per simulation request, so a
 // sweep's full history — which points ran, how they were produced
-// (cold, checkpoint-forked, or shared from the memo), what they measured,
-// and how long they took — survives the process and can be summarized or
-// diffed later without re-simulating anything.
+// (simulated, replayed, sampled, store-served, or shared from the memo),
+// what they measured, and how long they took — survives the process and
+// can be summarized or diffed later without re-simulating anything.
 //
 // The format is append-only JSON Lines: one compact JSON object per line.
 // Each record — JSON plus its trailing newline — is marshaled into one
@@ -36,10 +36,11 @@ type Record struct {
 	Config    string `json:"config"`
 	Benchmark string `json:"benchmark"`
 	// Provenance is the request-level result provenance: stats.ProvCold,
-	// stats.ProvCheckpointFork, stats.ProvReplay, stats.ProvSampled,
-	// stats.ProvMemoized for requests that shared another request's
-	// result, or stats.ProvStore for requests served from the persistent
-	// result store. Empty on failed requests.
+	// stats.ProvReplay, stats.ProvSampled, stats.ProvMemoized for requests
+	// that shared another request's result, or stats.ProvStore for
+	// requests served from the persistent result store. Empty on failed
+	// requests. Journals written before fast-forward ran in every point's
+	// own simulator may also hold "checkpoint-fork"; they still read.
 	Provenance string `json:"provenance,omitempty"`
 	// Error is the failure message of an unsuccessful request; the
 	// headline statistics are zero when it is set.

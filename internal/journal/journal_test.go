@@ -20,17 +20,30 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-func sampleRecords() []Record {
+// forkLine is a record as journals carried it while fast-forwarded
+// points forked a shared architectural checkpoint: provenance
+// "checkpoint-fork" and a meta field, checkpointShared, that the current
+// schema no longer has. Such journals must still read, report and diff.
+const forkLine = `{"time":"2026-08-08T10:00:01Z","config":"baseline","benchmark":"go",` +
+	`"provenance":"checkpoint-fork","cycles":1500,"retired":3000,"ipc":2,` +
+	`"effFetchRate":2.618,"condMispredictPct":8.4,"wallMillis":38.2,"queueWaitMillis":1.25,` +
+	`"meta":{"warmupInsts":1000,"maxInsts":3000,"fastForwardInsts":100000,` +
+	`"checkpointShared":true,"provenance":"checkpoint-fork","wallMillis":38.2}}`
+
+func sampleRecords(t *testing.T) []Record {
+	t.Helper()
+	fork, truncated, err := Read(strings.NewReader(forkLine + "\n"))
+	if err != nil || truncated || len(fork) != 1 || fork[0].Meta == nil ||
+		fork[0].Meta.FastForwardInsts != 100_000 {
+		t.Fatalf("checkpoint-fork record: %+v, truncated=%v, err=%v", fork, truncated, err)
+	}
 	return []Record{
 		{Time: "2026-08-08T10:00:00Z", Config: "baseline", Benchmark: "gcc",
 			Provenance: stats.ProvCold, Cycles: 1200, Retired: 3000, IPC: 2.5,
 			EffFetchRate: 2.914, CondMispredictPct: 6.21, WallMillis: 41.5,
 			Meta: &stats.Meta{Tool: "tcbench", WarmupInsts: 1000, MaxInsts: 3000,
 				Provenance: stats.ProvCold}},
-		{Time: "2026-08-08T10:00:01Z", Config: "baseline", Benchmark: "go",
-			Provenance: stats.ProvCheckpointFork, Cycles: 1500, Retired: 3000,
-			IPC: 2, EffFetchRate: 2.618, CondMispredictPct: 8.4, WallMillis: 38.2,
-			QueueWaitMillis: 1.25},
+		fork[0],
 		{Time: "2026-08-08T10:00:02Z", Config: "packing", Benchmark: "gcc",
 			Provenance: stats.ProvMemoized, Cycles: 1200, Retired: 3000, IPC: 2.5,
 			EffFetchRate: 2.914, CondMispredictPct: 6.21},
@@ -43,7 +56,7 @@ func sampleRecords() []Record {
 func TestRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	want := sampleRecords()
+	want := sampleRecords(t)
 	for _, rec := range want {
 		if err := w.Append(rec); err != nil {
 			t.Fatal(err)
@@ -64,7 +77,7 @@ func TestRoundTrip(t *testing.T) {
 // TestOpenFileAppends checks OpenFile appends across reopenings.
 func TestOpenFileAppends(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "runs.jsonl")
-	recs := sampleRecords()
+	recs := sampleRecords(t)
 	for _, rec := range recs[:2] {
 		w, err := OpenFile(path)
 		if err != nil {
@@ -161,7 +174,7 @@ func TestAppendAfterCloseDiscards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(sampleRecords()[0]); err != nil {
+	if err := w.Append(sampleRecords(t)[0]); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -170,7 +183,7 @@ func TestAppendAfterCloseDiscards(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Errorf("second Close: %v", err)
 	}
-	if err := w.Append(sampleRecords()[1]); err != nil {
+	if err := w.Append(sampleRecords(t)[1]); err != nil {
 		t.Errorf("Append after Close should discard, got %v", err)
 	}
 	recs, _, err := ReadFile(path)
@@ -184,7 +197,7 @@ func TestAppendAfterCloseDiscards(t *testing.T) {
 func TestTruncatedTail(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	for _, rec := range sampleRecords()[:2] {
+	for _, rec := range sampleRecords(t)[:2] {
 		if err := w.Append(rec); err != nil {
 			t.Fatal(err)
 		}
@@ -245,12 +258,12 @@ func checkGolden(t *testing.T, name, got string) {
 
 // TestReportGolden pins the summary rendering.
 func TestReportGolden(t *testing.T) {
-	checkGolden(t, "report.golden", Report(sampleRecords(), false))
+	checkGolden(t, "report.golden", Report(sampleRecords(t), false))
 }
 
 // TestDiffGolden pins the journal-diff rendering.
 func TestDiffGolden(t *testing.T) {
-	a := sampleRecords()
+	a := sampleRecords(t)
 	b := append([]Record(nil), a...)
 	// b: improved gcc, regressed go, dropped the failed point, added one.
 	b[0].EffFetchRate, b[0].IPC = 3.205, 2.75
@@ -259,14 +272,14 @@ func TestDiffGolden(t *testing.T) {
 	b = append(b, Record{Config: "promotion", Benchmark: "gcc",
 		Provenance: stats.ProvCold, IPC: 2.6, EffFetchRate: 3.01,
 		CondMispredictPct: 5.9})
-	checkGolden(t, "diff.golden", Diff(sampleRecords(), b))
+	checkGolden(t, "diff.golden", Diff(sampleRecords(t), b))
 }
 
 // TestSweepTieOut runs a real 10-point sweep (2 configurations × 5
 // benchmarks, with duplicate requests) through an instrumented, journaled
 // runner and checks the journal alone reproduces the runner's counters:
 // every request has exactly one record, and per-provenance record counts
-// equal the memo/cold/fork counters.
+// equal the memo/cold counters.
 func TestSweepTieOut(t *testing.T) {
 	r := experiments.NewRunner(1_000, 3_000)
 	r.Workers = 4
@@ -331,9 +344,6 @@ func TestSweepTieOut(t *testing.T) {
 	}
 	if got := prov[stats.ProvCold]; got != m.ColdStarts.Value() {
 		t.Errorf("cold records = %d, want %d", got, m.ColdStarts.Value())
-	}
-	if got := prov[stats.ProvCheckpointFork]; got != m.CheckpointForks.Value() {
-		t.Errorf("fork records = %d, want %d", got, m.CheckpointForks.Value())
 	}
 
 	// The report reproduces the sweep summary from the journal alone.

@@ -75,8 +75,8 @@ func Report(recs []Record, truncatedTail bool) string {
 		}
 	}
 	fmt.Fprintf(&sb, "journal: %d records (%d ok, %d failed)\n", len(recs), ok, failed)
-	fmt.Fprintf(&sb, "provenance: %d cold, %d checkpoint-fork, %d replay, %d sampled, %d memoized, %d store\n",
-		prov[stats.ProvCold], prov[stats.ProvCheckpointFork], prov[stats.ProvReplay],
+	fmt.Fprintf(&sb, "provenance: %d cold, %d replay, %d sampled, %d memoized, %d store\n",
+		prov[stats.ProvCold], prov[stats.ProvReplay],
 		prov[stats.ProvSampled], prov[stats.ProvMemoized], prov[stats.ProvStore])
 	if wallMs > 0 {
 		fmt.Fprintf(&sb, "simulated: %d measured insts in %.1fs slot wall (%.0f insts/s)\n",

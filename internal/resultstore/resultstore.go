@@ -32,8 +32,10 @@ import (
 
 // FormatVersion is the on-disk entry format version. It is part of the
 // content address, so a format change simply misses every old entry
-// instead of misreading it.
-const FormatVersion = 1
+// instead of misreading it. Version 2: a fast-forward key's result comes
+// from a prefix warmed by the point's own simulator, no longer from a
+// cold shared checkpoint.
+const FormatVersion = 2
 
 // Execution modes a key can record. Results of different modes are
 // different fidelity classes (DESIGN.md §11): a detailed measurement, a

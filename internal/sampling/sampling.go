@@ -103,7 +103,7 @@ type Result struct {
 // FastForwardInsts prefix; Config.Sampling fixes window, period,
 // per-window warmup and seed. Config.WarmupInsts is not used in sampled
 // mode (each window carries its own warmup). The simulator must be
-// fresh (or freshly restored from a checkpoint).
+// fresh.
 func Run(s *sim.Simulator) (*Result, error) {
 	//tcvet:ignore determinism wall-clock provenance only: run start time for stats.Meta, never simulated state
 	start := time.Now()
@@ -121,10 +121,9 @@ func Run(s *sim.Simulator) (*Result, error) {
 			cfg.MaxInsts, p.PeriodInsts)
 	}
 
-	// Functional prefix, exactly as a detailed run would execute it (a
-	// restored checkpoint counts toward it).
-	if ff := cfg.FastForwardInsts; ff > s.FastForwarded() {
-		if _, err := s.SkipFunctional(ff - s.FastForwarded()); err != nil {
+	// Functional prefix, exactly as a detailed run would execute it.
+	if ff := cfg.FastForwardInsts; ff > 0 {
+		if _, err := s.SkipFunctional(ff); err != nil {
 			return nil, err
 		}
 	}

@@ -32,8 +32,9 @@ type SweepSpec struct {
 	// MeasureInsts is the measured budget per point (default 1000000); a
 	// sampled sweep's total committed-stream extent.
 	MeasureInsts uint64 `json:"measureInsts,omitempty"`
-	// FastForwardInsts, when non-zero, is the functional prefix restored
-	// from the shared per-benchmark checkpoint pool.
+	// FastForwardInsts, when non-zero, is the functional prefix each
+	// point's simulator executes and warms on before its detailed phases
+	// (as tcsim -ffwd).
 	FastForwardInsts uint64 `json:"fastForwardInsts,omitempty"`
 	// Sample, when non-empty, runs the sweep through statistical sampling
 	// with this schedule ("window:period:warmup[:seed]", as tcsim/tcbench
@@ -78,7 +79,7 @@ func (s *Server) normalize(spec *SweepSpec) ([]point, sim.SamplingParams, error)
 		spec.WarmupInsts = 0 // windows carry their own warmup
 	}
 	if spec.Replay && spec.FastForwardInsts > 0 {
-		return nil, params, errors.New("replay and fastForwardInsts are mutually exclusive")
+		return nil, params, errors.New("replay and fastForwardInsts are mutually exclusive (replay would warm the prefix through the replay loop)")
 	}
 	known := make(map[string]bool, len(workload.Names()))
 	for _, b := range workload.Names() {

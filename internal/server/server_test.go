@@ -190,8 +190,8 @@ func TestResultsByteIdenticalAcrossRestart(t *testing.T) {
 	if got := s2.runnerMetrics.StoreServed.Value(); got != 4 {
 		t.Errorf("restarted daemon store-served = %d, want 4", got)
 	}
-	if cold, forks := s2.runnerMetrics.ColdStarts.Value(), s2.runnerMetrics.CheckpointForks.Value(); cold+forks != 0 {
-		t.Errorf("restarted daemon simulated: cold=%d forks=%d, want 0", cold, forks)
+	if cold := s2.runnerMetrics.ColdStarts.Value(); cold != 0 {
+		t.Errorf("restarted daemon simulated: cold=%d, want 0", cold)
 	}
 	j2 := await(t, s2, st2.ID)
 	j2.mu.Lock()

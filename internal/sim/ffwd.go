@@ -1,9 +1,6 @@
 package sim
 
 import (
-	"fmt"
-
-	"tracecache/internal/checkpoint"
 	"tracecache/internal/fetch"
 	"tracecache/internal/isa"
 	"tracecache/internal/stats"
@@ -26,42 +23,8 @@ import (
 // fetch width) — TestFastForwardAccuracy logs the measured accuracy
 // deltas.
 
-// ApplyCheckpoint restores a shared architectural checkpoint into this
-// simulator: registers, memory, call stack, PC, committed-instruction
-// count and branch history. It must be called on a fresh simulator, before
-// Run. The restored instructions count toward the configuration's
-// FastForwardInsts, so a config whose FastForwardInsts exceeds the
-// checkpoint's depth fast-forwards (with warming) the remainder; matching
-// depths skip straight to detailed warmup. Microarchitectural state is not
-// in the checkpoint — caches, predictors and the trace cache start cold
-// and are warmed by WarmupInsts.
-func (s *Simulator) ApplyCheckpoint(cp *checkpoint.Checkpoint) error {
-	if s.cycle != 0 || s.ffwdDone != 0 || s.run.Retired != 0 {
-		return fmt.Errorf("sim: ApplyCheckpoint on a running simulator")
-	}
-	if s.trc != nil {
-		// The checkpointed prefix was committed by another simulator; this
-		// one's tap would record a stream with the prefix missing.
-		return fmt.Errorf("sim: cannot record a trace across a checkpoint restore")
-	}
-	if err := cp.Restore(s.state); err != nil {
-		return err
-	}
-	if s.chk != nil {
-		// The lockstep reference model resumes from the same checkpoint.
-		if err := s.chk.Restore(cp.Restore, cp.PC); err != nil {
-			return err
-		}
-	}
-	s.fetchPC = cp.PC
-	s.ffwdDone = cp.Insts
-	s.fromCheckpoint = true
-	s.fe.Restore(cp.Hist, fetch.BuildRAS(cp.CallStack))
-	return nil
-}
-
 // FastForwarded returns the number of committed instructions executed
-// functionally (fast-forward plus any restored checkpoint prefix).
+// functionally (the fast-forward prefix plus any sampling gaps).
 func (s *Simulator) FastForwarded() uint64 { return s.ffwdDone }
 
 // fastForward executes up to n committed-path instructions functionally,

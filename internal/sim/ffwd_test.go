@@ -3,8 +3,8 @@ package sim
 import (
 	"testing"
 
-	"tracecache/internal/checkpoint"
 	"tracecache/internal/program"
+	"tracecache/internal/trace"
 	"tracecache/internal/workload"
 )
 
@@ -17,26 +17,24 @@ func ffwdProg(t *testing.T, name string) *program.Program {
 	return p
 }
 
-// retireStream runs the simulator and returns the retired PC stream.
-func retireStream(t *testing.T, cfg Config, p *program.Program, cp *checkpoint.Checkpoint) []int {
+// retireStream runs the simulator with the recording tap attached and
+// returns the committed stream in commit order: the functional prefix,
+// then every detailed retirement.
+func retireStream(t *testing.T, cfg Config, p *program.Program) []trace.Rec {
 	t.Helper()
-	s := mustSim(t, cfg, p)
-	if cp != nil {
-		if err := s.ApplyCheckpoint(cp); err != nil {
-			t.Fatal(err)
-		}
+	data, _, _ := recordDetailed(t, cfg, p)
+	_, recs, err := trace.ReadAll(data)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var pcs []int
-	s.OnRetire = func(pc int) { pcs = append(pcs, pc) }
-	s.Run()
-	return pcs
+	return recs
 }
 
 // assertFastForwardDeterminism checks the central fast-forward contract:
-// fast-forwarding N instructions and then retiring M in detail produces
-// the same committed stream as a fully detailed run's instructions N..N+M.
+// fast-forwarding N instructions and then retiring M in detail commits
+// the same stream as a fully detailed run's first N+M instructions.
 // (Fast-forward may only relocate the detailed phase, never change what
-// commits.)
+// commits — in the functional prefix or after it.)
 func assertFastForwardDeterminism(t *testing.T, cfg Config, bench string) {
 	t.Helper()
 	const n, m = 30_000, 30_000
@@ -44,26 +42,23 @@ func assertFastForwardDeterminism(t *testing.T, cfg Config, bench string) {
 
 	full := cfg
 	full.WarmupInsts, full.MaxInsts = 0, n+m
-	detailed := retireStream(t, full, p, nil)
+	detailed := retireStream(t, full, p)
 	if uint64(len(detailed)) < n+m {
 		t.Fatalf("detailed run retired %d, want >= %d", len(detailed), n+m)
 	}
 
 	ff := cfg
 	ff.FastForwardInsts, ff.WarmupInsts, ff.MaxInsts = n, 0, m
-	ffStream := retireStream(t, ff, p, nil)
-	if uint64(len(ffStream)) < m {
-		t.Fatalf("ffwd run retired %d, want >= %d", len(ffStream), m)
+	ffStream := retireStream(t, ff, p)
+	if uint64(len(ffStream)) < n+m {
+		t.Fatalf("ffwd run committed %d, want >= %d", len(ffStream), n+m)
 	}
 
-	k := len(ffStream)
-	if rest := len(detailed) - n; rest < k {
-		k = rest
-	}
+	k := min(len(detailed), len(ffStream))
 	for i := 0; i < k; i++ {
-		if detailed[n+i] != ffStream[i] {
-			t.Fatalf("retired stream diverged at instruction %d: detailed pc %d, ffwd pc %d",
-				i, detailed[n+i], ffStream[i])
+		if detailed[i] != ffStream[i] {
+			t.Fatalf("committed stream diverged at instruction %d (prefix %d): detailed %+v, ffwd %+v",
+				i, n, detailed[i], ffStream[i])
 		}
 	}
 }
@@ -74,65 +69,6 @@ func TestFastForwardDeterminismTrace(t *testing.T) {
 
 func TestFastForwardDeterminismICache(t *testing.T) {
 	assertFastForwardDeterminism(t, ICacheConfig(), "compress")
-}
-
-// TestApplyCheckpointMatchesInSimFastForward verifies a run restored from
-// a shared checkpoint commits the same stream as one that fast-forwarded
-// the prefix itself (the checkpoint skips warming, which may change
-// timing, but never the committed path).
-func TestApplyCheckpointMatchesInSimFastForward(t *testing.T) {
-	const n, m = 30_000, 30_000
-	p := ffwdProg(t, "gcc")
-	cfg := DefaultConfig()
-	cfg.FastForwardInsts, cfg.WarmupInsts, cfg.MaxInsts = n, 0, m
-
-	inSim := retireStream(t, cfg, p, nil)
-	cp := checkpoint.Capture(p, n)
-	restored := retireStream(t, cfg, p, cp)
-	if uint64(len(restored)) < m {
-		t.Fatalf("restored run retired %d, want >= %d", len(restored), m)
-	}
-	k := min(len(inSim), len(restored))
-	for i := 0; i < k; i++ {
-		if inSim[i] != restored[i] {
-			t.Fatalf("streams diverged at %d: in-sim pc %d, restored pc %d", i, inSim[i], restored[i])
-		}
-	}
-}
-
-func TestApplyCheckpointSetsProvenance(t *testing.T) {
-	const n = 10_000
-	p := ffwdProg(t, "gcc")
-	cfg := DefaultConfig()
-	cfg.FastForwardInsts, cfg.MaxInsts = n, 20_000
-	s := mustSim(t, cfg, p)
-	if err := s.ApplyCheckpoint(checkpoint.Capture(p, n)); err != nil {
-		t.Fatal(err)
-	}
-	r := s.Run()
-	if r.Meta == nil || r.Meta.FastForwardInsts != n || !r.Meta.CheckpointShared {
-		t.Fatalf("meta = %+v, want FastForwardInsts=%d CheckpointShared=true", r.Meta, n)
-	}
-	if s.FastForwarded() != n {
-		t.Errorf("FastForwarded = %d, want %d", s.FastForwarded(), n)
-	}
-	// A default run must leave both provenance fields zero so serialized
-	// summaries are unchanged (omitempty).
-	plain := mustSim(t, DefaultConfig(), sumLoop(t, 50))
-	pr := plain.Run()
-	if pr.Meta.FastForwardInsts != 0 || pr.Meta.CheckpointShared {
-		t.Fatalf("default-path meta = %+v, want zero ffwd provenance", pr.Meta)
-	}
-}
-
-func TestApplyCheckpointRejectsStartedSimulator(t *testing.T) {
-	p := sumLoop(t, 50)
-	cfg := DefaultConfig()
-	s := mustSim(t, cfg, p)
-	s.Run()
-	if err := s.ApplyCheckpoint(checkpoint.Capture(p, 10)); err == nil {
-		t.Fatal("ApplyCheckpoint accepted a simulator that already ran")
-	}
 }
 
 // TestFastForwardPastHalt: a fast-forward window larger than the program

@@ -44,7 +44,8 @@ const metricsFlushPeriod = 4096
 func (s *Simulator) AttachMetrics(m *Metrics) { s.met = m }
 
 // flushMetrics publishes the batched deltas accumulated since the last
-// flush. Called on the flush period and at the end of Run.
+// flush. Called on the flush period and at the end of Run, RunDetailed
+// and DrainPipeline.
 func (s *Simulator) flushMetrics() {
 	if s.metInsts > 0 {
 		s.met.Insts.Add(s.metInsts)

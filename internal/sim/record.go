@@ -8,10 +8,9 @@ import (
 // AttachRecorder attaches a retired-stream recording tap: every committed
 // instruction — fast-forwarded or detailed, in commit order — is appended
 // to w. Attach before Run on a fresh simulator (recording must start at
-// the program entry, so it cannot be combined with ApplyCheckpoint); a
-// nil writer detaches. The detached path costs one nil comparison per
-// committed instruction, per the hotpath contract, and write errors are
-// latched inside the writer (surface them via w.Close).
+// the program entry); a nil writer detaches. The detached path costs one
+// nil comparison per committed instruction, per the hotpath contract, and
+// write errors are latched inside the writer (surface them via w.Close).
 func (s *Simulator) AttachRecorder(w *trace.Writer) { s.trc = w }
 
 // TraceHeader describes the stream an attached recorder captures under

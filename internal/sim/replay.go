@@ -166,18 +166,7 @@ func (r *Replayer) ReplayRecords(h trace.Header, recs []trace.Rec) (*stats.Run, 
 			pc = b.NextPC
 		}
 		if consumed > 0 {
-			r.run.Fetches++
-			r.run.FetchedCorrect += uint64(consumed)
-			end := b.Reason
-			if mispredBR {
-				end = stats.EndMispredBR
-			}
-			r.run.Hist.Add(consumed, end)
-			p := b.PredsUsed
-			if p > 3 {
-				p = 3
-			}
-			r.run.PredsPerFetch[p]++
+			addFetch(&r.run, consumed, b.Reason, mispredBR, b.PredsUsed)
 		}
 	}
 	//tcvet:ignore determinism wall-clock provenance only: feeds stats.Meta wall time, never simulated state

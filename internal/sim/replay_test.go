@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"tracecache/internal/check"
-	"tracecache/internal/checkpoint"
 	"tracecache/internal/core"
 	"tracecache/internal/program"
 	"tracecache/internal/stats"
@@ -260,26 +259,5 @@ func TestReplayRejectsMismatchedStream(t *testing.T) {
 	}
 	if _, err := r2.Replay(rd2); !errors.Is(err, trace.ErrMismatch) {
 		t.Fatalf("short-stream replay error = %v, want ErrMismatch", err)
-	}
-}
-
-// TestRecorderForbidsCheckpointRestore pins the recording precondition:
-// a stream must start at the program entry, so restoring a checkpoint
-// with a recorder attached is an error.
-func TestRecorderForbidsCheckpointRestore(t *testing.T) {
-	prof, _ := workload.ByName("compress")
-	prog := prof.MustGenerate()
-	cfg := DefaultConfig()
-	cfg.FastForwardInsts = 1_000
-	cfg.MaxInsts = 10_000
-	s := mustSim(t, cfg, prog)
-	var buf bytes.Buffer
-	w, err := trace.NewWriter(&buf, s.TraceHeader("commit-tap"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.AttachRecorder(w)
-	if err := s.ApplyCheckpoint(checkpoint.Capture(prog, 1_000)); err == nil {
-		t.Fatal("ApplyCheckpoint accepted a recording simulator")
 	}
 }

@@ -60,10 +60,10 @@ func (s *Simulator) Quiescent() bool {
 func (s *Simulator) Halted() bool { return s.haltSeen }
 
 // CommittedInsts returns the committed-stream position: instructions
-// executed functionally (fast-forward and checkpoint restore) plus every
-// detailed retirement since construction. Unlike the per-window Retired
-// counter it is never reset, so the sampling driver and the sampling
-// audit use it for phase-boundary accounting.
+// executed functionally (the fast-forward prefix and sampling gaps) plus
+// every detailed retirement since construction. Unlike the per-window
+// Retired counter it is never reset, so the sampling driver and the
+// sampling audit use it for phase-boundary accounting.
 func (s *Simulator) CommittedInsts() uint64 { return s.ffwdDone + s.retireSeq }
 
 // Config returns the simulator's configuration.
@@ -94,15 +94,18 @@ func (s *Simulator) SkipFunctional(n uint64) (uint64, error) {
 // retire into the current window (i.e. past the Retired count at entry),
 // the program halts, or the cycle bound trips. Like Run, it may overshoot
 // the target by up to RetireWidth−1 instructions (retirement is
-// burst-granular).
+// burst-granular). Attached metrics are flushed on return, as at the end
+// of Run.
 //
 //tc:hotpath
 func (s *Simulator) RunDetailed(n uint64) error {
 	target := s.run.Retired + n
 	limit := s.cycle + n*maxCyclesPerInst + stepCycleSlack
+	var err error
 	for !s.haltSeen && s.run.Retired < target {
 		if s.cycle >= limit {
-			return ErrWindowStall
+			err = ErrWindowStall
+			break
 		}
 		s.stepCycle()
 		s.cycle++
@@ -110,28 +113,35 @@ func (s *Simulator) RunDetailed(n uint64) error {
 			s.flushMetrics()
 		}
 	}
-	return nil
+	if s.met != nil {
+		s.flushMetrics()
+	}
+	return err
 }
 
 // DrainPipeline retires or squashes everything in flight without
 // initiating new fetches, leaving the machine quiescent at a committed
 // boundary (or halted). See the file comment for why the resulting fetch
-// state is committed-equivalent.
+// state is committed-equivalent. Attached metrics are flushed on return.
 //
 //tc:hotpath
 func (s *Simulator) DrainPipeline() error {
 	s.noFetch = true
 	limit := s.cycle + maxDrainCycles
+	var err error
 	for !s.haltSeen && !s.Quiescent() {
 		if s.cycle >= limit {
-			s.noFetch = false
-			return ErrDrainStall
+			err = ErrDrainStall
+			break
 		}
 		s.stepCycle()
 		s.cycle++
 	}
 	s.noFetch = false
-	return nil
+	if s.met != nil {
+		s.flushMetrics()
+	}
+	return err
 }
 
 // ResetWindowStats discards the statistics accumulated since the last

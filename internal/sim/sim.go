@@ -165,15 +165,9 @@ type Simulator struct {
 	// default, so the detached path costs one nil comparison per commit.
 	trc *trace.Writer
 
-	// Fast-forward bookkeeping: committed instructions executed
-	// functionally before the cycle loop (stepped by fastForward or
-	// restored via ApplyCheckpoint).
-	ffwdDone       uint64
-	fromCheckpoint bool
-
-	// OnRetire, when set, observes every retiring instruction in commit
-	// order (a test hook: fast-forward determinism is asserted against it).
-	OnRetire func(pc int)
+	// ffwdDone counts the committed instructions executed functionally
+	// (stepped by fastForward) rather than retired by the cycle loop.
+	ffwdDone uint64
 }
 
 // New builds a simulator for the program under the configuration.
@@ -344,21 +338,20 @@ func (s *Simulator) probe() obs.Probe {
 // Run simulates until the instruction budget, cycle bound, or program halt
 // and returns the collected statistics. When the configuration specifies a
 // fast-forward, that many committed instructions are first executed
-// functionally (see fastForward; a restored checkpoint counts toward it).
-// When the configuration specifies a warmup, statistics are reset once the
-// warmup instruction count retires — with caches, predictors, the trace
-// cache and the bias table left warm — so short runs are not dominated by
-// cold-start effects (the paper ran 41M-500M instructions per benchmark).
+// functionally (see fastForward). When the configuration specifies a
+// warmup, statistics are reset once the warmup instruction count retires
+// — with caches, predictors, the trace cache and the bias table left warm
+// — so short runs are not dominated by cold-start effects (the paper ran
+// 41M-500M instructions per benchmark).
 func (s *Simulator) Run() *stats.Run {
 	//tcvet:ignore determinism wall-clock provenance only: run start time for stats.Meta, never simulated state
 	start := time.Now()
-	if ff := s.cfg.FastForwardInsts; ff > s.ffwdDone {
-		delta := ff - s.ffwdDone
-		s.fastForward(delta)
+	if ff := s.cfg.FastForwardInsts; ff > 0 {
+		s.fastForward(ff)
 		if s.chk != nil {
 			// The reference model fast-forwards the same distance and must
 			// land on the PC the detailed machine will fetch from.
-			s.chk.FastForward(delta, s.fetchPC)
+			s.chk.FastForward(ff, s.fetchPC)
 		}
 	}
 	warm := s.cfg.WarmupInsts
@@ -430,17 +423,12 @@ func (s *Simulator) Run() *stats.Run {
 // buildMeta records the run's provenance.
 func (s *Simulator) buildMeta(start time.Time, wall time.Duration) *stats.Meta {
 	host, _ := os.Hostname()
-	prov := stats.ProvCold
-	if s.fromCheckpoint {
-		prov = stats.ProvCheckpointFork
-	}
 	return &stats.Meta{
 		ConfigHash:       s.cfg.Hash(),
 		WarmupInsts:      s.cfg.WarmupInsts,
 		MaxInsts:         s.cfg.MaxInsts,
 		FastForwardInsts: s.ffwdDone,
-		CheckpointShared: s.fromCheckpoint,
-		Provenance:       prov,
+		Provenance:       stats.ProvCold,
 		WallMillis:       float64(wall.Microseconds()) / 1000,
 		GoVersion:        runtime.Version(),
 		Hostname:         host,
@@ -514,9 +502,6 @@ func (s *Simulator) retireInst(d *dyn) {
 	in := d.fi.Inst
 	if s.met != nil {
 		s.metInsts++
-	}
-	if s.OnRetire != nil {
-		s.OnRetire(d.fi.PC)
 	}
 	if s.chk != nil {
 		s.chk.Commit(check.Commit{
@@ -971,18 +956,7 @@ func (s *Simulator) maybeFinalize(id int) {
 	}
 	if rec.retired > 0 {
 		s.run.Cycle[stats.CycleUseful]++
-		s.run.Fetches++
-		s.run.FetchedCorrect += uint64(rec.retired)
-		end := rec.reason
-		if rec.mispredBR {
-			end = stats.EndMispredBR
-		}
-		s.run.Hist.Add(rec.retired, end)
-		p := rec.predsUsed
-		if p > 3 {
-			p = 3
-		}
-		s.run.PredsPerFetch[p]++
+		addFetch(&s.run, rec.retired, rec.reason, rec.mispredBR, rec.predsUsed)
 		return
 	}
 	cls := rec.cause
@@ -990,4 +964,20 @@ func (s *Simulator) maybeFinalize(id int) {
 		cls = stats.CycleBranchMiss
 	}
 	s.run.Cycle[cls]++
+}
+
+// addFetch accounts one fetch that delivered n correct-path instructions:
+// the fetch count, the fetch-size histogram under its end reason (a
+// mispredicted conditional branch overrides it) and the predictions used,
+// clamped to the 3+ bucket. The detailed and replay engines share it.
+//
+//tc:hotpath
+func addFetch(run *stats.Run, n int, end stats.FetchEnd, mispredBR bool, predsUsed int) {
+	run.Fetches++
+	run.FetchedCorrect += uint64(n)
+	if mispredBR {
+		end = stats.EndMispredBR
+	}
+	run.Hist.Add(n, end)
+	run.PredsPerFetch[min(predsUsed, 3)]++
 }

@@ -4,11 +4,9 @@ import "fmt"
 
 // Result provenance values (Meta.Provenance and journal records).
 const (
-	// ProvCold marks a result simulated from scratch.
+	// ProvCold marks a result simulated from scratch, fast-forward prefix
+	// included.
 	ProvCold = "cold"
-	// ProvCheckpointFork marks a result whose functional prefix was
-	// restored from a shared architectural checkpoint.
-	ProvCheckpointFork = "checkpoint-fork"
 	// ProvMemoized marks a result shared from a runner's singleflight
 	// memo: the request it describes simulated nothing.
 	ProvMemoized = "memoized"
@@ -78,17 +76,12 @@ type Meta struct {
 	// FastForwardInsts is the functionally executed prefix (0 when the
 	// whole run was cycle-detailed).
 	FastForwardInsts uint64 `json:"fastForwardInsts,omitempty"`
-	// CheckpointShared marks a run whose fast-forward prefix was restored
-	// from a shared architectural checkpoint (no per-configuration warming
-	// during the prefix) rather than stepped by this simulator.
-	CheckpointShared bool `json:"checkpointShared,omitempty"`
 	// Provenance records how the result was produced: ProvCold (simulated
-	// from scratch by this process), ProvCheckpointFork (fast-forward
-	// prefix restored from a shared architectural checkpoint), or — on
+	// from scratch by this process), ProvReplay, ProvSampled, or — on
 	// journal records whose result was shared from a runner's memo rather
-	// than simulated for that request — ProvMemoized. The simulator only
-	// ever writes the first two; the value is a pure function of the run
-	// mode, so serialized summaries stay deterministic.
+	// than simulated for that request — ProvMemoized. The detailed
+	// simulator only ever writes ProvCold; the value is a pure function of
+	// the run mode, so serialized summaries stay deterministic.
 	Provenance string `json:"provenance,omitempty"`
 	// WallMillis is the simulation wall time in milliseconds.
 	WallMillis float64 `json:"wallMillis"`

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"tracecache/internal/checkpoint"
 	"tracecache/internal/program"
 )
 
@@ -30,31 +29,4 @@ func SharedProgram(name string) (*program.Program, error) {
 	}
 	f, _ := progCache.LoadOrStore(name, sync.OnceValues(prof.Generate))
 	return f.(func() (*program.Program, error))()
-}
-
-// cpCache maps "name/insts" -> func() (*checkpoint.Checkpoint, error).
-// Checkpoints hold only architectural state, which depends on the program
-// and the instruction count alone — never on the machine configuration —
-// so the pair is a sufficient key.
-var cpCache sync.Map
-
-// SharedCheckpoint returns the architectural checkpoint of the named
-// benchmark after insts committed instructions, captured at most once per
-// process and shared by every caller. Checkpoints are immutable after
-// capture and Restore only reads them, so sharing one instance across
-// concurrently starting simulations is safe.
-func SharedCheckpoint(name string, insts uint64) (*checkpoint.Checkpoint, error) {
-	key := fmt.Sprintf("%s/%d", name, insts)
-	if f, ok := cpCache.Load(key); ok {
-		return f.(func() (*checkpoint.Checkpoint, error))()
-	}
-	gen := sync.OnceValues(func() (*checkpoint.Checkpoint, error) {
-		prog, err := SharedProgram(name)
-		if err != nil {
-			return nil, err
-		}
-		return checkpoint.Capture(prog, insts), nil
-	})
-	f, _ := cpCache.LoadOrStore(key, gen)
-	return f.(func() (*checkpoint.Checkpoint, error))()
 }

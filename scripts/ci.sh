@@ -1,7 +1,8 @@
 #!/bin/sh
 # CI for the tracecache repo: tier-1 build+test, vet+gofmt+tcvet static
 # gates, a race pass over the observability layer, the simulator, and the
-# parallel sweep engine, a fast-forward smoke+accuracy step, a warm
+# parallel sweep engine, a fast-forward agreement+accuracy step (tcbench
+# -ffwd and tcsim -ffwd must print the same mean fetch size), a warm
 # result-store smoke, a tcserve sweep-service smoke (restart +
 # store-served resubmission, plus the /metrics and /debug/pprof/ handler
 # set that tcserve shares with tcbench -http), a smoke run of the
@@ -36,11 +37,16 @@ echo "== go test -race (sweep engine: worker pool + singleflight + executor in e
 go test -race -run 'Parallel|Singleflight|RunE|SweepE|RunAll|Shared|FastForward|Sampled|Store|Replay|Memoizes' \
 	./internal/experiments/ ./internal/workload/
 
-echo "== fast-forward smoke (checkpoint-shared sweep) =="
-go run ./cmd/tcbench -exp fig4 -ffwd 100000 -warmup 20000 -insts 40000 -j 1 >/dev/null
+echo "== fast-forward agreement (tcbench -ffwd fig4 mean fetch size == tcsim -ffwd) =="
+FF_BENCH=$(go run ./cmd/tcbench -exp fig4 -ffwd 100000 -warmup 20000 -insts 40000 -j 1 |
+	sed -n 's/^Ave fetch size \([0-9.]*\).*/\1/p')
+FF_SIM=$(go run ./cmd/tcsim -bench gcc -config baseline -ffwd 100000 -warmup 20000 -insts 40000 |
+	sed -n 's/.*Fetch width breakdown (mean \([0-9.]*\)).*/\1/p')
+[ -n "$FF_BENCH" ] && [ "$FF_BENCH" = "$FF_SIM" ] || {
+	echo "FAIL: fig4 mean fetch size under -ffwd: tcbench '$FF_BENCH', tcsim '$FF_SIM'"; exit 1; }
 
 echo "== fast-forward accuracy assert =="
-go test -run 'TestFastForwardAccuracy|TestFastForwardDeterminism|TestApplyCheckpoint' \
+go test -run 'TestFastForwardAccuracy|TestFastForwardDeterminism' \
 	./internal/sim/
 
 echo "== self-check smoke (lockstep + invariants on both headline configs) =="
@@ -96,7 +102,7 @@ for n in 1 2; do
 		echo "FAIL: store run $n stdout differs from bare run"; exit 1; }
 done
 /tmp/tcbench-ci -journal-report /tmp/tcbench-ci-store2.jsonl >/tmp/tcbench-ci-store2.report
-grep -q '^provenance: 0 cold, 0 checkpoint-fork, 0 replay, ' /tmp/tcbench-ci-store2.report || {
+grep -q '^provenance: 0 cold, 0 replay, ' /tmp/tcbench-ci-store2.report || {
 	echo "FAIL: warm-store run simulated:"; head -2 /tmp/tcbench-ci-store2.report; exit 1; }
 
 echo "== replay smoke (record -> replay -> verify within fidelity bounds) =="
@@ -183,12 +189,11 @@ grep -q tracecache_server_jobs_submitted_total /tmp/tcserve-ci-metrics.txt || {
 
 metric() { awk -v m="$1" '$1 == m {print $2}' /tmp/tcserve-ci-metrics.txt; }
 COLD=$(metric tracecache_runner_cold_starts_total)
-FORKS=$(metric tracecache_runner_checkpoint_forks_total)
 REPLAYS=$(metric tracecache_runner_replays_total)
 HITS=$(metric tracecache_store_hits_total)
 SERVED=$(metric tracecache_runner_store_served_total)
-[ "$COLD$FORKS$REPLAYS" = "000" ] || {
-	echo "FAIL: restarted daemon simulated (cold=$COLD forks=$FORKS replays=$REPLAYS)"; exit 1; }
+[ "$COLD$REPLAYS" = "00" ] || {
+	echo "FAIL: restarted daemon simulated (cold=$COLD replays=$REPLAYS)"; exit 1; }
 [ "$HITS" = 6 ] && [ "$SERVED" = 6 ] || {
 	echo "FAIL: restarted daemon store hits=$HITS served=$SERVED, want 6/6"; exit 1; }
 STORE_RECS=$(grep -c '"provenance":"store"' /tmp/tcserve-ci-journal.jsonl)

@@ -27,7 +27,6 @@ package tracecache
 import (
 	"fmt"
 
-	"tracecache/internal/checkpoint"
 	"tracecache/internal/config"
 	"tracecache/internal/core"
 	"tracecache/internal/experiments"
@@ -58,9 +57,6 @@ type (
 	PackPolicy = core.PackPolicy
 	// Simulator runs one program under one configuration.
 	Simulator = sim.Simulator
-	// Checkpoint is a snapshot of architectural state after a functional
-	// prefix, restorable into any configuration's simulator.
-	Checkpoint = checkpoint.Checkpoint
 	// Experiment regenerates one table or figure of the paper.
 	Experiment = experiments.Experiment
 	// Runner executes experiment simulations with memoization.
@@ -196,17 +192,6 @@ func (e errSamplingAudit) Error() string {
 	return fmt.Sprintf("tracecache: sampling audit: %d violation(s), first: %s", e.n, e.first)
 }
 
-// CaptureCheckpoint executes the program functionally for up to insts
-// committed instructions and snapshots the architectural state (registers,
-// memory, call stack, branch history). Restore the checkpoint into a fresh
-// Simulator with Simulator.ApplyCheckpoint to skip re-executing the prefix;
-// because the state is configuration-independent, one checkpoint can seed a
-// whole sweep of machines (set Config.FastForwardInsts to insts so budgets
-// line up, and keep a detailed warmup to warm microarchitectural state).
-func CaptureCheckpoint(prog *Program, insts uint64) *Checkpoint {
-	return checkpoint.Capture(prog, insts)
-}
-
 // Experiments returns every paper table/figure experiment in order.
 func Experiments() []Experiment { return experiments.All() }
 
@@ -224,9 +209,9 @@ func ExperimentIDs() []string { return experiments.IDs() }
 // NewRunner builds an experiment runner with the given warmup and
 // measurement instruction budgets. The runner memoizes simulations and is
 // safe for concurrent use; set Runner.Workers to bound parallel
-// simulations (default GOMAXPROCS). Set Runner.FastForward to skip a
-// functional prefix per run, shared across configurations through one
-// architectural checkpoint per benchmark.
+// simulations (default GOMAXPROCS). Set Runner.FastForward to execute a
+// functional prefix per run, warming each point's machine exactly as
+// Config.FastForwardInsts does under Simulate.
 func NewRunner(warmup, budget uint64) *Runner { return experiments.NewRunner(warmup, budget) }
 
 // RunExperiments executes the experiments against the runner, fanning the
