@@ -10,7 +10,11 @@ import (
 // that do not reuse a preallocated buffer, closures, fmt calls, and
 // implicit interface conversions (boxing). These are the constructs the
 // PR 3 allocation diet removed from the cycle loop; the annotation locks
-// the diet in.
+// the diet in. It also flags the per-call copy a large struct literal
+// costs: a non-empty struct literal over literalCopyLimit bytes that is
+// stored anywhere but a plain variable (*p = T{...}, s[i] = T{...},
+// x.f = T{...}) or passed as an append element is built in a temporary
+// and block-copied into place, where an empty T{} compiles to a clear.
 func HotAlloc() *Analyzer {
 	a := &Analyzer{
 		Name: "hotalloc",
@@ -95,8 +99,18 @@ func checkHotFunc(pass *Pass, fd *ast.FuncDecl) {
 				}
 			}
 		case *ast.CallExpr:
-			if isBuiltin(info, n, "append") && !allowedAppend[n] {
-				pass.Reportf(n.Pos(), "append does not reuse a preallocated buffer in hot path; use x = append(x[:0], ...) on a scratch slice")
+			if isBuiltin(info, n, "append") {
+				if !allowedAppend[n] {
+					pass.Reportf(n.Pos(), "append does not reuse a preallocated buffer in hot path; use x = append(x[:0], ...) on a scratch slice")
+				}
+				if len(n.Args) > 1 && !n.Ellipsis.IsValid() {
+					for _, arg := range n.Args[1:] {
+						if lit, size := copiedStructLit(info, arg); lit != nil {
+							name := types.ExprString(lit.Type)
+							pass.Reportf(lit.Pos(), "append element %s literal (%d bytes) is built in a temporary and block-copied in hot path; append %s{} and fill the slot in place", name, size, name)
+						}
+					}
+				}
 			}
 			if f := calleeFunc(info, n); f != nil && f.Pkg() != nil && f.Pkg().Path() == "fmt" {
 				pass.Reportf(n.Pos(), "fmt.%s allocates (and boxes its operands) in hot path", f.Name())
@@ -113,6 +127,13 @@ func checkHotFunc(pass *Pass, fd *ast.FuncDecl) {
 				}
 				if boxesInterface(info.TypeOf(lhs), info.TypeOf(n.Rhs[i])) {
 					pass.Reportf(n.Rhs[i].Pos(), "assignment boxes %s into an interface in hot path", types.ExprString(n.Rhs[i]))
+				}
+				if _, plain := unparen(lhs).(*ast.Ident); plain {
+					continue
+				}
+				if lit, size := copiedStructLit(info, n.Rhs[i]); lit != nil {
+					name := types.ExprString(lit.Type)
+					pass.Reportf(lit.Pos(), "%s literal (%d bytes) is built in a temporary and block-copied in hot path; clear the destination with %s{} and assign fields in place", name, size, name)
 				}
 			}
 		case *ast.ValueSpec:
@@ -141,6 +162,34 @@ func checkHotFunc(pass *Pass, fd *ast.FuncDecl) {
 		}
 		return true
 	})
+}
+
+// literalCopyLimit is the size in bytes, under the gc/amd64 layout, above
+// which a copied struct literal is reported; fixing the layout keeps the
+// findings independent of the host.
+const literalCopyLimit = 64
+
+var gcAMD64 = types.SizesFor("gc", "amd64")
+
+// copiedStructLit returns e as a non-empty struct composite literal larger
+// than literalCopyLimit, with its size, or nil. Without type information
+// (a degraded package) nothing is reported.
+func copiedStructLit(info *types.Info, e ast.Expr) (*ast.CompositeLit, int64) {
+	lit, ok := unparen(e).(*ast.CompositeLit)
+	if !ok || len(lit.Elts) == 0 || lit.Type == nil {
+		return nil, 0
+	}
+	t := info.TypeOf(lit)
+	if t == nil {
+		return nil, 0
+	}
+	if _, ok := t.Underlying().(*types.Struct); !ok {
+		return nil, 0
+	}
+	if size := gcAMD64.Sizeof(t); size > literalCopyLimit {
+		return lit, size
+	}
+	return nil, 0
 }
 
 // checkCallBoxing flags call arguments implicitly converted to interface

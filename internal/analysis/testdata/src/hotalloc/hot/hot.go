@@ -52,3 +52,45 @@ func (s *State) Good(vs []int) {
 func (s *State) Boundary(vs []int) *State {
 	return &State{out: append([]int(nil), vs...)}
 }
+
+// Big is 88 bytes under gc/amd64, past the 64-byte literal copy limit.
+type Big struct {
+	a, b, c, d, e, f, g, h, i, j, k int64
+}
+
+// Small is exactly at the copy limit.
+type Small struct {
+	a, b, c, d, e, f, g, h int64
+}
+
+// Holder keeps Big values behind a pointer, in a slice and in a field.
+type Holder struct {
+	big  Big
+	bigs []Big
+	ptr  *Big
+}
+
+// BadCopy stores non-empty Big literals through a pointer, an index and a
+// field, and appends one: each is built in a temporary and block-copied.
+//
+//tc:hotpath
+func (h *Holder) BadCopy(v int64) {
+	*h.ptr = Big{a: v}
+	h.bigs[0] = Big{a: v}
+	h.big = Big{a: v}
+	h.bigs = append(h.bigs, Big{a: v})
+}
+
+// GoodCopy clears in place and fills fields, appends a zero value, builds
+// a literal in a plain variable, and stores a literal at the limit.
+//
+//tc:hotpath
+func (h *Holder) GoodCopy(v int64, s *Small) int64 {
+	*h.ptr = Big{}
+	h.ptr.a = v
+	h.bigs = append(h.bigs, Big{})
+	h.bigs[len(h.bigs)-1].a = v
+	local := Big{a: v}
+	*s = Small{a: v}
+	return local.a
+}

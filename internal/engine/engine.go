@@ -159,19 +159,30 @@ type Stats struct {
 	HighWater    int    // peak instruction window occupancy observed
 }
 
+// depsPerSlot is the dependency-list capacity each window slot starts with,
+// carved from one shared backing array so a fresh engine does not allocate
+// a list per slot on its first wakeups. A slot that needs more grows its
+// own list by append.
+const depsPerSlot = 4
+
 // New builds an engine over the given data-cache hierarchy.
 func New(cfg Config, hier *cache.Hierarchy) *Engine {
 	size := 1
 	for size < 2*cfg.Window() {
 		size <<= 1
 	}
-	return &Engine{
+	e := &Engine{
 		cfg:          cfg,
 		hier:         hier,
 		insts:        make([]inst, size),
 		mask:         uint64(size - 1),
 		storesByAddr: make(map[uint64][]ref),
 	}
+	deps := make([]ref, size*depsPerSlot)
+	for i := range e.insts {
+		e.insts[i].deps = deps[i*depsPerSlot : i*depsPerSlot : (i+1)*depsPerSlot]
+	}
+	return e
 }
 
 // Stats returns activity counters.
@@ -240,12 +251,14 @@ func (e *Engine) Dispatch(srcs []uint64, isLoad, isStore bool, addr uint64, late
 	seq := e.tail
 	e.tail++
 	in := e.slot(seq)
-	in.ep++
-	*in = inst{
-		seq: seq, ep: in.ep, live: true,
-		isLoad: isLoad, isStore: isStore, addr: addr, latency: latency,
-		deps: in.deps[:0],
-	}
+	// Clear the slot and fill it field by field, keeping its epoch count and
+	// dependency storage: a non-empty literal would be built in a temporary
+	// and block-copied into the window.
+	ep, deps := in.ep+1, in.deps[:0]
+	*in = inst{}
+	in.seq, in.ep, in.live = seq, ep, true
+	in.isLoad, in.isStore, in.addr, in.latency = isLoad, isStore, addr, latency
+	in.deps = deps
 	e.stats.Dispatched++
 	if occ := e.InFlight(); occ > e.stats.HighWater {
 		e.stats.HighWater = occ

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -345,41 +346,139 @@ func TestReleaseBeforeTrimsUndo(t *testing.T) {
 	}
 }
 
-// Property: a rollback after an arbitrary sequence of stores restores every
-// touched address exactly.
+// modelSnap is the rollback model's full-state copy at one undo-log
+// position.
+type modelSnap struct {
+	sn    Snapshot
+	pos   int // undo records written before the snapshot, net of rollbacks
+	regs  [isa.NumRegs]int64
+	mem   map[uint64]int64
+	calls []int
+}
+
+func (m *modelSnap) clone() *modelSnap {
+	c := *m
+	c.mem = make(map[uint64]int64, len(m.mem))
+	for a, v := range m.mem {
+		c.mem[a] = v
+	}
+	c.calls = append([]int(nil), m.calls...)
+	return &c
+}
+
+// Property: over arbitrary interleavings of register, memory, call and
+// return steps with Checkpoint, ReleaseBefore, CompactTo and Rollback (to
+// live and to released snapshots), the state matches a model that keeps a
+// full-state copy per snapshot. Rolling back below the release mark
+// restores the state at the mark; UndoLen counts the records written since
+// it. Logs grow to hundreds of records, so releases both leave a dead prefix
+// in place and cross the point where it is compacted away.
 func TestRollbackProperty(t *testing.T) {
 	b := program.NewBuilder("m")
+	b.Here("main")
+	b.EmitTo(isa.Inst{Op: isa.OpCall}, "fn") // pc 0: call, pushes 1
 	b.Emit(isa.Inst{Op: isa.OpHalt})
+	b.Here("fn")
+	b.Emit(isa.Inst{Op: isa.OpRet}) // pc 2: return
+	b.Entry("main")
 	p, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := func(addrs []uint16, vals []int64) bool {
+	const callPC, retPC = 0, 2
+	var sawDead, sawCompact bool
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
 		s := NewState(p)
-		// Pre-populate some state.
-		s.writeMem(0x10, 111)
-		before := map[uint64]int64{0x10: 111}
-		sn := s.Checkpoint()
-		n := len(addrs)
-		if len(vals) < n {
-			n = len(vals)
-		}
+		cur := &modelSnap{sn: s.Checkpoint(), mem: map[uint64]int64{}}
+		released := cur.clone()
+		snaps := []*modelSnap{cur.clone()}
 		touched := map[uint64]bool{}
-		for i := 0; i < n; i++ {
-			a := uint64(addrs[i]) &^ 7
-			touched[a] = true
-			s.writeMem(a, vals[i])
-		}
-		s.Rollback(sn)
-		for a := range touched {
-			if s.Mem().Read(a) != before[a] {
+		for op := 0; op < 3000; op++ {
+			what := rng.Intn(16)
+			switch {
+			case what < 4:
+				r := isa.Reg(rng.Intn(isa.NumRegs))
+				v := rng.Int63()
+				s.writeReg(r, v)
+				if r != isa.ZeroReg {
+					cur.regs[r] = v
+					cur.pos++
+				}
+			case what < 7:
+				a := uint64(rng.Intn(64)) * 8
+				v := rng.Int63n(1000)
+				s.writeMem(a, v)
+				cur.mem[a] = v
+				touched[a] = true
+				cur.pos++
+			case what < 8:
+				s.StepAt(callPC)
+				cur.calls = append(cur.calls, callPC+1)
+				cur.pos++
+			case what < 9:
+				s.StepAt(retPC)
+				if n := len(cur.calls); n > 0 {
+					cur.calls = cur.calls[:n-1]
+					cur.pos++
+				}
+			case what < 11:
+				cur.sn = s.Checkpoint()
+				snaps = append(snaps, cur.clone())
+			case what < 14:
+				// Release mostly recent snapshots, as retirement does.
+				i := len(snaps) - 1 - rng.Intn(min(len(snaps), 8))
+				base := s.undoBase
+				if rng.Intn(4) == 0 {
+					s.CompactTo(snaps[i].sn)
+				} else {
+					s.ReleaseBefore(snaps[i].sn)
+				}
+				if snaps[i].pos > released.pos {
+					released = snaps[i].clone()
+				}
+				sawDead = sawDead || s.undoDead > 0
+				// The base moving while live records remain is a compaction.
+				sawCompact = sawCompact || (s.undoBase > base && len(s.undo) > 0)
+			case what < 15:
+				target := snaps[rng.Intn(len(snaps))]
+				s.Rollback(target.sn)
+				if target.pos < released.pos {
+					target = released
+				}
+				cur = target.clone()
+				keep := snaps[:0]
+				for _, sn := range snaps {
+					if sn.pos <= cur.pos {
+						keep = append(keep, sn)
+					}
+				}
+				snaps = keep
+			default:
+				cur.sn = s.Checkpoint()
+				s.CompactTo(cur.sn)
+				released = cur.clone()
+				snaps = append(snaps, cur.clone())
+			}
+			if s.Regs != cur.regs || s.CallDepth() != len(cur.calls) || s.UndoLen() != cur.pos-released.pos {
+				t.Logf("seed %d op %d: regs equal %v, call depth %d want %d, undo %d want %d", seed, op,
+					s.Regs == cur.regs, s.CallDepth(), len(cur.calls), s.UndoLen(), cur.pos-released.pos)
 				return false
+			}
+			for a := range touched {
+				if got := s.Mem().Read(a); got != cur.mem[a] {
+					t.Logf("seed %d op %d: mem[%#x] = %d, want %d", seed, op, a, got, cur.mem[a])
+					return false
+				}
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+	if !sawDead || !sawCompact {
+		t.Errorf("released prefix kept %v, compacted %v; want both exercised", sawDead, sawCompact)
 	}
 }
 

@@ -47,7 +47,11 @@ type State struct {
 	callStack []int
 	undo      []undoRec
 	undoBase  uint64 // absolute index of undo[0]
-	steps     uint64
+	// undoDead counts the released records at the front of undo. They are
+	// dropped lazily (see ReleaseBefore), so retirement does not re-copy the
+	// live log every time.
+	undoDead int
+	steps    uint64
 }
 
 // NewState builds machine state for the program, loading its initial data
@@ -197,8 +201,8 @@ func (s *State) Checkpoint() Snapshot {
 // than the last ReleaseBefore mark.
 func (s *State) Rollback(sn Snapshot) {
 	keep := int(sn.undoMark - s.undoBase)
-	if keep < 0 {
-		keep = 0
+	if keep < s.undoDead {
+		keep = s.undoDead
 	}
 	for i := len(s.undo) - 1; i >= keep; i-- {
 		u := s.undo[i]
@@ -219,17 +223,26 @@ func (s *State) Rollback(sn Snapshot) {
 // ReleaseBefore discards undo history older than the snapshot, bounding
 // memory use. Call it when a snapshot can no longer be rolled back to (the
 // instruction that took it has retired).
+//
+// Released records stay in place as a dead prefix of the log; the live part
+// is copied down only once the prefix is at least as long as it. Each copy
+// is paid for by at least as many released records, so a retirement costs
+// amortized O(1) rather than a copy of the whole live log.
 func (s *State) ReleaseBefore(sn Snapshot) {
 	drop := int(sn.undoMark - s.undoBase)
-	if drop <= 0 {
-		return
+	switch {
+	case drop >= len(s.undo):
+		s.undoBase += uint64(len(s.undo))
+		s.undo = s.undo[:0]
+		s.undoDead = 0
+	case drop > s.undoDead && drop >= len(s.undo)-drop:
+		n := copy(s.undo, s.undo[drop:])
+		s.undo = s.undo[:n]
+		s.undoBase += uint64(drop)
+		s.undoDead = 0
+	case drop > s.undoDead:
+		s.undoDead = drop
 	}
-	if drop > len(s.undo) {
-		drop = len(s.undo)
-	}
-	n := copy(s.undo, s.undo[drop:])
-	s.undo = s.undo[:n]
-	s.undoBase += uint64(drop)
 }
 
 // undoRetainCap is the undo capacity kept across CompactTo calls: large
@@ -252,7 +265,7 @@ func (s *State) CompactTo(sn Snapshot) {
 }
 
 // UndoLen returns the number of live undo records (for tests).
-func (s *State) UndoLen() int { return len(s.undo) }
+func (s *State) UndoLen() int { return len(s.undo) - s.undoDead }
 
 // Run executes sequentially from the entry point until halt or until limit
 // instructions have executed, returning the count and whether the program
@@ -267,6 +280,7 @@ func (s *State) Run(limit uint64) (steps uint64, halted bool) {
 		// keep marks monotonic.
 		s.undoBase += uint64(len(s.undo))
 		s.undo = s.undo[:0]
+		s.undoDead = 0
 		if info.Halted {
 			return steps, true
 		}

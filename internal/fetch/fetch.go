@@ -93,6 +93,16 @@ type Bundle struct {
 	EndsInSerial bool
 }
 
+// next appends a zeroed instruction slot and returns it. Callers fill the
+// slot in place: appending a non-empty literal would build it in a
+// temporary and block-copy it into the bundle.
+//
+//tc:hotpath
+func (b *Bundle) next() *FetchedInst {
+	b.Insts = append(b.Insts, FetchedInst{})
+	return &b.Insts[len(b.Insts)-1]
+}
+
 // ActiveLen returns the number of non-inactive instructions.
 func (b *Bundle) ActiveLen() int {
 	n := 0

@@ -10,9 +10,9 @@ import (
 )
 
 // condPredictor supplies the prediction for the conditional branch that
-// terminates an instruction-cache fetch block, and a function that records
-// the predictor's update context on the fetched instruction.
-type condPredictor func(brPC int) (taken bool, annotate func(*FetchedInst))
+// terminates an instruction-cache fetch block and records the predictor's
+// update context on the fetched instruction fi.
+type condPredictor func(brPC int, fi *FetchedInst) (taken bool)
 
 // icacheFetcher collects one fetch block per cycle from an instruction
 // cache, with split-line fetching: a fetch may continue into the next
@@ -37,6 +37,8 @@ func newICacheFetcher(prog *program.Program, hier *cache.Hierarchy, maxWidth int
 // fetchBlock fills b with one fetch block starting at pc. fs is the
 // speculative fetch state, predictBr the conditional-branch predictor, ind
 // the indirect-jump predictor.
+//
+//tc:hotpath
 func (f *icacheFetcher) fetchBlock(b *Bundle, pc int, fs *frontState, predictBr condPredictor, ind *bpred.IndirectPredictor) {
 	code := f.prog.Code
 	b.Latency = f.hier.FetchInst(isa.Addr(pc))
@@ -56,20 +58,16 @@ func (f *icacheFetcher) fetchBlock(b *Bundle, pc int, fs *frontState, predictBr 
 		in := code[pc]
 		// Construct in place: the bundle slice is the instruction's only
 		// home, so the hot loop never copies a FetchedInst by value.
-		b.Insts = append(b.Insts, FetchedInst{
-			PC: pc, Inst: in,
-			BlockStart: len(b.Insts) == 0,
-			HistBefore: fs.hist.Reg,
-			RASBefore:  fs.ras,
-			PredTarget: pc + 1,
-		})
-		fi := &b.Insts[len(b.Insts)-1]
+		fi := b.next()
+		fi.PC, fi.Inst = pc, in
+		fi.BlockStart = len(b.Insts) == 1
+		fi.HistBefore, fi.RASBefore = fs.hist.Reg, fs.ras
+		fi.PredTarget = pc + 1
 		stop := false
 		switch {
 		case in.IsCondBranch():
-			taken, annotate := predictBr(pc)
+			taken := predictBr(pc, fi)
 			fi.Predicted = taken
-			annotate(fi)
 			fs.hist.Push(taken)
 			if taken {
 				fi.PredTarget = in.Target
@@ -148,16 +146,20 @@ func NewICacheEngine(cfg ICacheConfig) *ICacheEngine {
 }
 
 // Fetch implements Engine.
+//
+//tc:hotpath
 func (e *ICacheEngine) Fetch(pc int) *Bundle {
 	b := &e.bundle
-	*b = Bundle{Insts: b.Insts[:0]}
+	insts := b.Insts[:0]
+	*b = Bundle{}
+	b.Insts = insts
 	pc = clampPC(pc, len(e.icf.prog.Code))
-	e.icf.fetchBlock(b, pc, &e.frontState, func(brPC int) (bool, func(*FetchedInst)) {
+	// go build -gcflags=-m: the literal does not escape (stack allocated).
+	//tcvet:ignore hotalloc predictor literal is stack-allocated per escape analysis
+	e.icf.fetchBlock(b, pc, &e.frontState, func(brPC int, fi *FetchedInst) bool {
 		taken, ctx := e.hybrid.Predict(brPC, e.hist.Reg)
-		return taken, func(fi *FetchedInst) {
-			fi.UsedHybrid = true
-			fi.HCtx = ctx
-		}
+		fi.UsedHybrid, fi.HCtx = true, ctx
+		return taken
 	}, e.ind)
 	if e.obs.Enabled(obs.KindICacheFetch) {
 		e.obs.Emit(obs.Event{

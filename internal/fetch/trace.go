@@ -61,7 +61,9 @@ func NewTraceEngine(cfg TraceConfig) *TraceEngine {
 //tc:hotpath
 func (e *TraceEngine) Fetch(pc int) *Bundle {
 	b := &e.bundle
-	*b = Bundle{Insts: b.Insts[:0]}
+	insts := b.Insts[:0]
+	*b = Bundle{}
+	b.Insts = insts
 	pc = clampPC(pc, len(e.cfg.Prog.Code))
 	var seg *core.Segment
 	if e.cfg.PathAssoc {
@@ -75,17 +77,13 @@ func (e *TraceEngine) Fetch(pc int) *Bundle {
 			e.obs.Emit(obs.Event{Kind: obs.KindTCMiss, PC: pc})
 		}
 		// The predictor callback runs only on the trace-cache-miss path.
-		// go build -gcflags=-m: the outer literal does not escape (stack
-		// allocated); only the inner per-branch closure escapes, once per
-		// predicted branch of a miss fill — amortized, and carrying ctx
-		// state that has no fixed-size home.
-		//tcvet:ignore hotalloc miss-path closure; outer literal is stack-allocated per escape analysis
-		e.icf.fetchBlock(b, pc, &e.frontState, func(brPC int) (bool, func(*FetchedInst)) {
+		// go build -gcflags=-m: the literal does not escape (stack
+		// allocated).
+		//tcvet:ignore hotalloc predictor literal is stack-allocated per escape analysis
+		e.icf.fetchBlock(b, pc, &e.frontState, func(brPC int, fi *FetchedInst) bool {
 			taken, ctx := e.cfg.MBP.Predict(pc, brPC, e.hist.Reg, 0, 0)
-			return taken, func(fi *FetchedInst) {
-				fi.UsedSlot = true
-				fi.Ctx = ctx
-			}
+			fi.UsedSlot, fi.Ctx = true, ctx
+			return taken
 		}, e.cfg.Indirect)
 		return b
 	}
@@ -146,15 +144,11 @@ func (e *TraceEngine) walkSegment(b *Bundle, seg *core.Segment) {
 		}
 		// Construct in place: the bundle slice is the instruction's only
 		// home, so the hot loop never copies a FetchedInst by value.
-		b.Insts = append(b.Insts, FetchedInst{
-			PC: si.PC, Inst: si.Inst,
-			BlockStart: blockStart,
-			Inactive:   diverged,
-			HistBefore: e.hist.Reg,
-			RASBefore:  e.ras,
-			PredTarget: si.PC + 1,
-		})
-		fi := &b.Insts[len(b.Insts)-1]
+		fi := b.next()
+		fi.PC, fi.Inst = si.PC, si.Inst
+		fi.BlockStart, fi.Inactive = blockStart, diverged
+		fi.HistBefore, fi.RASBefore = e.hist.Reg, e.ras
+		fi.PredTarget = si.PC + 1
 		blockStart = false
 		switch {
 		case si.Inst.IsCondBranch() && !si.Promoted:

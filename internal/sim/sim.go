@@ -105,8 +105,11 @@ type Simulator struct {
 	pendingBrIdx  int    // position of the diverging branch, -1 if none
 	pendingSuffix []fetch.FetchedInst
 
-	// Injected inactive instructions awaiting window space.
+	// Injected inactive instructions awaiting window space. Dispatch
+	// consumes the queue from its head, so it is refilled from injectBuf,
+	// a backing array that keeps its capacity across recoveries.
 	injectQueue []fetch.FetchedInst
+	injectBuf   []fetch.FetchedInst
 	injectRec   int
 
 	// records is a power-of-two ring of fetch records indexed by
@@ -114,7 +117,8 @@ type Simulator struct {
 	// or discardPending classifies it; a record can only be referenced by
 	// in-flight window entries, the pending bundle, or the inject queue, so
 	// the number of live records is bounded by the window size plus the
-	// pending bundle — well under the ring capacity.
+	// pending bundle. New sizes the ring from that bound; fetch grows it
+	// (growRecords) rather than trusting it.
 	records   []fetchRec
 	recMask   int
 	nextRecID int
@@ -197,7 +201,7 @@ func New(cfg Config, prog *program.Program) (*Simulator, error) {
 	// ring with one slot per window entry (plus slack for the pending
 	// bundle) suffices; see the records field comment.
 	recs := 1
-	for recs < size+2 {
+	for recs < cfg.Engine.Window()+2 {
 		recs <<= 1
 	}
 	s.records = make([]fetchRec, recs)
@@ -594,7 +598,8 @@ func (s *Simulator) recoverBranch(d *dyn) {
 		// past the predictor's bandwidth instead used the embedded outcome
 		// as its prediction, so its mispredict means the embedded path
 		// (and the suffix) is wrong: plain recovery, no injection.
-		s.injectQueue = append(s.injectQueue[:0], suffix...)
+		s.injectBuf = append(s.injectBuf[:0], suffix...)
+		s.injectQueue = s.injectBuf
 		s.injectRec = d.fetchID
 		s.fetchPC = s.applyAndResume(suffix)
 	}
@@ -710,7 +715,7 @@ func (s *Simulator) dispatch() bool {
 	// Injected inactive instructions re-enter without consuming fetch or
 	// issue bandwidth: their original fetch already issued them.
 	for len(s.injectQueue) > 0 && s.eng.SpaceFor(1) {
-		fi := s.injectQueue[0]
+		fi := &s.injectQueue[0]
 		s.injectQueue = s.injectQueue[1:]
 		s.dispatchInst(fi, s.injectRec)
 	}
@@ -728,7 +733,7 @@ func (s *Simulator) dispatch() bool {
 		if s.pendingPos >= len(s.pending) {
 			break
 		}
-		fi := s.pending[s.pendingPos]
+		fi := &s.pending[s.pendingPos]
 		if fi.Inactive {
 			s.pendingPos++
 			continue
@@ -757,7 +762,7 @@ func (s *Simulator) dispatch() bool {
 }
 
 //tc:hotpath
-func (s *Simulator) dispatchInst(fi fetch.FetchedInst, recID int) {
+func (s *Simulator) dispatchInst(fi *fetch.FetchedInst, recID int) {
 	info := s.state.StepAt(fi.PC)
 	snap := s.state.Checkpoint()
 	// Rename: collect producing sequence numbers.
@@ -771,19 +776,19 @@ func (s *Simulator) dispatchInst(fi fetch.FetchedInst, recID int) {
 	seq := s.eng.Dispatch(s.seqBuf, fi.Inst.IsLoad(), fi.Inst.IsStore(), info.MemAddr, fi.Inst.Latency())
 	d := &s.window[seq&s.mask]
 	rec := s.rec(recID)
-	align := rec.tcMiss && rec.dispatched == 0
-	*d = dyn{
-		seq:        seq,
-		fi:         fi,
-		fetchID:    recID,
-		fetchCycle: rec.cycle,
-		taken:      info.Taken,
-		nextPC:     info.NextPC,
-		memAddr:    info.MemAddr,
-		halted:     info.Halted,
-		snapshot:   snap,
-		alignFill:  align,
-	}
+	// Clear the slot and fill it field by field: a non-empty literal would
+	// be built in a temporary and block-copied into the window.
+	*d = dyn{}
+	d.seq = seq
+	d.fi = *fi
+	d.fetchID = recID
+	d.fetchCycle = rec.cycle
+	d.taken = info.Taken
+	d.nextPC = info.NextPC
+	d.memAddr = info.MemAddr
+	d.halted = info.Halted
+	d.snapshot = snap
+	d.alignFill = rec.tcMiss && rec.dispatched == 0
 	if rd, ok := fi.Inst.WritesReg(); ok {
 		d.hasDest, d.destReg = true, rd
 		d.prevProducer = s.renameMap[rd]
@@ -858,16 +863,15 @@ func (s *Simulator) fetch(deliveredThisCycle bool) {
 		s.growRecords()
 		rec = s.rec(recID)
 	}
-	*rec = fetchRec{
-		id:        recID,
-		cycle:     s.cycle + uint64(b.Latency),
-		pc:        s.fetchPC,
-		reason:    b.Reason,
-		fromTC:    b.FromTC,
-		tcMiss:    b.TCMiss,
-		predsUsed: b.PredsUsed,
-		live:      true,
-	}
+	*rec = fetchRec{}
+	rec.id = recID
+	rec.cycle = s.cycle + uint64(b.Latency)
+	rec.pc = s.fetchPC
+	rec.reason = b.Reason
+	rec.fromTC = b.FromTC
+	rec.tcMiss = b.TCMiss
+	rec.predsUsed = b.PredsUsed
+	rec.live = true
 	if b.TCMiss {
 		s.run.TCMissCycles++
 	}
