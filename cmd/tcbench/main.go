@@ -15,7 +15,7 @@
 //	tcbench -journal runs.jsonl         # persist one record per simulation
 //	tcbench -journal-report runs.jsonl  # summarize a journal, no simulation
 //	tcbench -journal-report old.jsonl,new.jsonl   # diff two journals
-//	tcbench -replay -tracedir traces/   # front-end replay fast path (see DESIGN.md §9)
+//	tcbench -replay                     # front-end replay fast path (see DESIGN.md §9)
 //
 // Monitoring and journaling are opt-in, write only to stderr, files and
 // HTTP, and never change the experiment output on stdout.
@@ -55,8 +55,7 @@ func main() {
 		httpAddr = flag.String("http", "", "serve live monitoring on this address (/metrics, /progress, /debug/pprof), e.g. 127.0.0.1:8080")
 		jPath    = flag.String("journal", "", "append one JSONL record per simulation to this file")
 		jReport  = flag.String("journal-report", "", "summarize a journal file and exit (two comma-separated files: diff them)")
-		replay   = flag.Bool("replay", false, "record each benchmark's retired stream once and replay it for every front-end-equivalent point (cycle-domain statistics undefined on replayed points; see DESIGN.md §9)")
-		traceDir = flag.String("tracedir", "", "with -replay, persist and reuse recorded streams in this directory")
+		replay   = flag.Bool("replay", false, "record each benchmark's committed stream functionally once and replay it for every front-end-equivalent point (cycle-domain statistics undefined on replayed points; see DESIGN.md §9)")
 		sample   = flag.String("sample", "", "run the sampled headline comparison with schedule window:period:warmup[:seed]; -insts becomes the total committed-stream budget per benchmark and -exp is ignored (see DESIGN.md §10)")
 		storeDir = flag.String("store", "", "consult and populate this persistent result-store directory (shared with tcserve and other tcbench runs; see DESIGN.md §11)")
 	)
@@ -113,7 +112,6 @@ func main() {
 	r.Workers = *workers
 	r.Check = *check
 	r.Replay = *replay
-	r.TraceDir = *traceDir
 	if *storeDir != "" {
 		store, err := resultstore.Open(*storeDir)
 		if err != nil {
@@ -124,10 +122,6 @@ func main() {
 	}
 	if *progress {
 		r.Log = os.Stderr
-	}
-	if *replay && *ffwd > 0 {
-		fmt.Fprintln(os.Stderr, "tcbench: -replay cannot be combined with -ffwd (replay would warm the prefix through the replay loop, not the fast-forward)")
-		os.Exit(1)
 	}
 	if *sample != "" {
 		if *replay {

@@ -9,7 +9,7 @@
 // Usage:
 //
 //	tcserve -http 127.0.0.1:8080 -store /var/lib/tracecache/store
-//	tcserve -http :8080 -store store -tracedir traces -journal runs.jsonl -j 4
+//	tcserve -http :8080 -store store -journal runs.jsonl -j 4
 //
 // Submit a sweep:
 //
@@ -34,7 +34,6 @@ func main() {
 	var (
 		httpAddr = flag.String("http", "127.0.0.1:8080", "listen address")
 		storeDir = flag.String("store", "", "persistent result store directory (required)")
-		traceDir = flag.String("tracedir", "", "directory for shared retired-stream recordings (enables replay reuse across jobs)")
 		jPath    = flag.String("journal", "", "append one JSONL record per resolved run to this file")
 		workers  = flag.Int("j", 0, "concurrent simulations per job (default GOMAXPROCS)")
 		maxJobs  = flag.Int("max-jobs", 2, "sweep jobs simulating concurrently; later jobs queue")
@@ -55,7 +54,6 @@ func main() {
 	logger := log.New(os.Stderr, "tcserve: ", log.LstdFlags)
 	srv, err := server.New(server.Options{
 		StoreDir:          *storeDir,
-		TraceDir:          *traceDir,
 		JournalPath:       *jPath,
 		Workers:           *workers,
 		MaxConcurrentJobs: *maxJobs,

@@ -51,7 +51,7 @@ func TestWriteFileOverwrites(t *testing.T) {
 
 // TestRenameEXDEVFallback injects EXDEV on the first (cross-directory)
 // rename and verifies the copy+sync+rename fallback installs the content
-// and removes the source — the -tracedir-on-a-mounted-volume scenario.
+// and removes the source — a store directory on a mounted volume.
 func TestRenameEXDEVFallback(t *testing.T) {
 	srcDir, dstDir := t.TempDir(), t.TempDir()
 	src := filepath.Join(srcDir, "payload.tmp")

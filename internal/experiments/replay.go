@@ -1,11 +1,9 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
-	"os"
-	"path/filepath"
 
-	"tracecache/internal/atomicfile"
 	"tracecache/internal/program"
 	"tracecache/internal/sim"
 	"tracecache/internal/stats"
@@ -13,21 +11,17 @@ import (
 )
 
 // traceEntry is one per-benchmark recording slot, singleflight like
-// runEntry: the first request for a benchmark resolves it (loading a
-// persisted stream or recording during its own detailed run); done closes
-// once data/coreHash/err are final, and they are immutable afterwards.
+// runEntry: the first replaying request for a benchmark records the
+// stream; done closes once hdr/recs/err are final, and they are immutable
+// afterwards.
 type traceEntry struct {
 	done chan struct{}
-	// hdr/recs are the decoded retired stream (recs nil when resolution
+	// hdr/recs are the decoded committed stream (recs nil when recording
 	// failed). The stream is decoded exactly once per benchmark; every
-	// replay-eligible sweep point indexes the shared slice directly.
+	// replaying sweep point indexes the shared slice directly.
 	hdr  trace.Header
 	recs []trace.Rec
-	// coreHash is the recording configuration's CoreHash; a request may
-	// replay only when its own CoreHash matches (sim.FrontEndEquivalent),
-	// so points that vary core-side axes fall back to detailed simulation.
-	coreHash string
-	err      error
+	err  error
 }
 
 // traceEntryFor returns the benchmark's recording slot, creating it if
@@ -47,58 +41,70 @@ func (r *Runner) traceEntryFor(bench string) (*traceEntry, bool) {
 	return e, true
 }
 
-// traceWant is the stream content a run under cfg requires; its FileName
-// is where TraceDir would persist it (content-addressed, so the name is
-// a pure function of the program identity and the total budget).
-func traceWant(cfg sim.Config, prog *program.Program) trace.Header {
-	return trace.Header{
-		ProgHash:         prog.Hash(),
-		CodeLen:          len(prog.Code),
-		Entry:            prog.Entry,
-		FastForwardInsts: cfg.FastForwardInsts,
-		WarmupInsts:      cfg.WarmupInsts,
-		MeasureInsts:     cfg.MaxInsts,
-		Name:             prog.Name,
+// replays reports whether a request replays the benchmark's committed
+// stream: a detailed request under Replay without Check whose
+// configuration differs from the baseline machine at the request's
+// budgets only in front-end axes (DESIGN.md §9). The answer depends on the
+// request alone, never on what another point recorded.
+func (r *Runner) replays(mode runMode, cfg sim.Config) bool {
+	if mode != modeDetailed || !r.Replay || r.Check {
+		return false
 	}
+	ref := sim.DefaultConfig()
+	ref.FastForwardInsts, ref.WarmupInsts, ref.MaxInsts = cfg.FastForwardInsts, cfg.WarmupInsts, cfg.MaxInsts
+	return sim.FrontEndEquivalent(cfg, ref)
 }
 
-// loadTrace attempts to resolve a persisted recording from TraceDir,
-// decoding it fully (which also verifies the record count and CRC). Any
-// failure — no directory, missing file, undecodable or mismatched stream
-// — reports false, and the caller records afresh (overwriting the stale
-// file under the same content-addressed name).
-func (r *Runner) loadTrace(cfg sim.Config, prog *program.Program) (trace.Header, []trace.Rec, bool) {
-	if r.TraceDir == "" {
-		return trace.Header{}, nil, false
+// stream returns the benchmark's committed stream, recording it with
+// recordStream if this request is the benchmark's first replaying one.
+// A recording failure (or panic) is shared by every request that waits
+// on the slot.
+func (r *Runner) stream(cfg sim.Config, prog *program.Program, bench string) *traceEntry {
+	te, creator := r.traceEntryFor(bench)
+	if !creator {
+		<-te.done
+		return te
 	}
-	want := traceWant(cfg, prog)
-	data, err := os.ReadFile(filepath.Join(r.TraceDir, want.FileName()))
-	if err != nil {
-		return trace.Header{}, nil, false
-	}
-	h, recs, err := trace.ReadAll(data)
-	if err != nil {
-		return trace.Header{}, nil, false
-	}
-	if err := h.Matches(want); err != nil {
-		return trace.Header{}, nil, false
-	}
-	return h, recs, true
+	defer func() {
+		if p := recover(); p != nil {
+			te.err = fmt.Errorf("panic: %v", p)
+		}
+		close(te.done)
+	}()
+	te.hdr, te.recs, te.err = recordStream(cfg, prog)
+	return te
 }
 
-// saveTrace persists a completed recording under its content-addressed
-// name, atomically (temp + rename with an EXDEV copy fallback, so a
-// -tracedir on a mounted volume works; see internal/atomicfile).
-// Persistence is best-effort: a failure is logged, never fails the
-// simulation that produced the recording.
-func (r *Runner) saveTrace(key string, data []byte, h trace.Header) {
-	if r.TraceDir == "" {
-		return
+// recordStream records the committed stream a replay under cfg consumes
+// by executing it functionally through the fast-forward recording tap
+// (TestRecordTapFastForwardEquivalence pins that tap record for record
+// to a detailed recording). The stream covers the fast-forward, warm-up
+// and measured budgets plus a tail of two fetch bundles: the replay loop
+// checks the end of warm-up and the end of measurement before each fetch,
+// so each boundary can overshoot by less than one bundle, and the tail
+// lets every replay measure its full MaxInsts. SkipFunctional stops
+// before a halt, so a program that halts inside the budget yields a
+// stream without its halt record; none of the suite's benchmarks halts
+// within 20M committed instructions. The only error that can occur here
+// comes from sim.New, which would fail a detailed run of cfg too.
+func recordStream(cfg sim.Config, prog *program.Program) (trace.Header, []trace.Rec, error) {
+	s, err := sim.New(cfg, prog)
+	if err != nil {
+		return trace.Header{}, nil, err
 	}
-	path := filepath.Join(r.TraceDir, h.FileName())
-	if err := atomicfile.WriteFile(path, data, 0o644); err != nil {
-		r.logf("warning: %s: persist trace: %v\n", key, err)
+	var buf bytes.Buffer
+	w, err := trace.NewWriter(&buf, s.TraceHeader("functional"))
+	if err != nil {
+		return trace.Header{}, nil, err
 	}
+	s.AttachRecorder(w)
+	if _, err := s.SkipFunctional(cfg.FastForwardInsts + cfg.WarmupInsts + cfg.MaxInsts + 2*stats.MaxFetchWidth); err != nil {
+		return trace.Header{}, nil, err
+	}
+	if err := w.Close(); err != nil {
+		return trace.Header{}, nil, err
+	}
+	return trace.ReadAll(buf.Bytes())
 }
 
 // replayTrace replays a decoded stream under cfg and returns the
@@ -111,11 +117,4 @@ func replayTrace(cfg sim.Config, prog *program.Program, h trace.Header, recs []t
 		return nil, err
 	}
 	return rp.ReplayRecords(h, recs)
-}
-
-// errRecordingIncomplete marks a trace entry whose recording run exited
-// without finishing the stream (failed simulation, panic); waiters fall
-// back to detailed simulation.
-func errRecordingIncomplete(key string) error {
-	return fmt.Errorf("experiments: %s: recording run did not complete", key)
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"tracecache/internal/config"
@@ -11,8 +12,7 @@ import (
 	"tracecache/internal/stats"
 )
 
-// replayRunner builds a sequential runner with the replay fast path on:
-// Workers == 1 makes which point records deterministic (the first).
+// replayRunner builds a sequential runner with the replay fast path on.
 func replayRunner() *Runner {
 	r := NewRunner(5_000, 15_000)
 	r.Workers = 1
@@ -33,10 +33,17 @@ func provenanceOf(t *testing.T, run *stats.Run) string {
 	return run.Meta.Provenance
 }
 
+// withoutMeta returns a copy of the run without its provenance metadata
+// (wall time, hostname and provenance legitimately differ between runs).
+func withoutMeta(run *stats.Run) stats.Run {
+	c := *run
+	c.Meta = nil
+	return c
+}
+
 // TestRunnerReplaySweep drives a front-end sweep through a replaying
-// runner: the first point records during its detailed run, every later
-// point replays, and replayed statistics stay within the fidelity
-// envelope of a detailed twin.
+// runner: every point replays, the first one included, and replayed
+// statistics stay within the fidelity envelope of a detailed twin.
 func TestRunnerReplaySweep(t *testing.T) {
 	r := replayRunner()
 	reg := metrics.NewRegistry()
@@ -51,30 +58,27 @@ func TestRunnerReplaySweep(t *testing.T) {
 		}
 		runs[cfg.Name] = run
 	}
-	if p := provenanceOf(t, runs["baseline"]); p != stats.ProvCold {
-		t.Errorf("recording point provenance = %q, want %q", p, stats.ProvCold)
-	}
-	for _, name := range []string{"promo-t64", "packing", "promo-pack-costreg"} {
-		run := runs[name]
+	for _, cfg := range frontEndSweep() {
+		run := runs[cfg.Name]
 		if p := provenanceOf(t, run); p != stats.ProvReplay {
-			t.Errorf("%s provenance = %q, want %q", name, p, stats.ProvReplay)
+			t.Errorf("%s provenance = %q, want %q", cfg.Name, p, stats.ProvReplay)
 		}
 		if run.Cycles != 0 || run.IPC() != 0 {
-			t.Errorf("%s: cycle-domain stats defined under replay: cycles=%d", name, run.Cycles)
+			t.Errorf("%s: cycle-domain stats defined under replay: cycles=%d", cfg.Name, run.Cycles)
 		}
-		if run.Retired == 0 || run.Fetches == 0 {
-			t.Errorf("%s: empty replay stats: %+v", name, run)
+		if run.Retired < r.Budget || run.Fetches == 0 {
+			t.Errorf("%s: replay measured %d insts in %d fetches, want >= %d", cfg.Name, run.Retired, run.Fetches, r.Budget)
 		}
 	}
-	if got := r.Metrics.Replays.Value(); got != 3 {
-		t.Errorf("Replays counter = %d, want 3", got)
+	if got := r.Metrics.Replays.Value(); got != 4 {
+		t.Errorf("Replays counter = %d, want 4", got)
 	}
 
 	// Fidelity: a detailed runner with the same budgets must agree on the
 	// effective fetch rate within the documented envelope.
 	det := NewRunner(r.Warmup, r.Budget)
 	det.Workers = 1
-	for _, cfg := range frontEndSweep()[1:] {
+	for _, cfg := range frontEndSweep() {
 		dRun, err := det.RunE(cfg, bench)
 		if err != nil {
 			t.Fatal(err)
@@ -86,68 +90,128 @@ func TestRunnerReplaySweep(t *testing.T) {
 	}
 }
 
-// TestRunnerReplayWithFastForward: Replay does not apply under
-// FastForward, so a replaying runner simulates every point, warming its
-// prefix like a plain fast-forwarding runner, and returns the same
-// statistics for the same key whether or not it would have recorded.
-func TestRunnerReplayWithFastForward(t *testing.T) {
-	const ffwd = 20_000
+// TestRunnerReplayDeterminism pins replay as a pure function of the
+// request: two sequential runners requesting the same points in opposite
+// orders and a four-worker runner requesting them concurrently return
+// identical statistics for every point. Every front-end-equivalent point
+// replays — whichever is requested first — and measures its full budget;
+// the oracle point varies a core-side axis and simulates detailed.
+func TestRunnerReplayDeterminism(t *testing.T) {
+	type point struct {
+		cfg   sim.Config
+		bench string
+	}
+	var pts []point
+	for _, bench := range []string{"compress", "m88ksim"} {
+		for _, cfg := range append(frontEndSweep(), config.Oracle(config.Best())) {
+			pts = append(pts, point{cfg, bench})
+		}
+	}
+	label := func(p point) string { return p.cfg.Name + "/" + p.bench }
+
+	sequential := func(order []point) map[string]*stats.Run {
+		r := replayRunner()
+		out := make(map[string]*stats.Run)
+		for _, p := range order {
+			run, err := r.RunE(p.cfg, p.bench)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[label(p)] = run
+		}
+		return out
+	}
+	forward := sequential(pts)
+	reversed := make([]point, len(pts))
+	for i, p := range pts {
+		reversed[len(pts)-1-i] = p
+	}
+	backward := sequential(reversed)
+
 	r := replayRunner()
-	r.FastForward = ffwd
-	got, err := r.RunE(config.Baseline(), "gcc")
-	if err != nil {
-		t.Fatal(err)
+	r.Workers = 4
+	parallel := make(map[string]*stats.Run)
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for _, p := range pts {
+		wg.Add(1)
+		go func(p point) {
+			defer wg.Done()
+			run, err := r.RunE(p.cfg, p.bench)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			mu.Lock()
+			parallel[label(p)] = run
+			mu.Unlock()
+		}(p)
 	}
-	plain := NewRunner(r.Warmup, r.Budget)
-	plain.Workers = 1
-	plain.FastForward = ffwd
-	want, err := plain.RunE(config.Baseline(), "gcc")
-	if err != nil {
-		t.Fatal(err)
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
 	}
-	if p := provenanceOf(t, got); p != stats.ProvCold {
-		t.Errorf("provenance = %q, want %q", p, stats.ProvCold)
-	}
-	gc, wc := *got, *want
-	gc.Meta, wc.Meta = nil, nil
-	if !reflect.DeepEqual(gc, wc) {
-		t.Errorf("Replay+FastForward differs from FastForward alone:\n got %+v\nwant %+v", gc, wc)
+
+	for _, p := range pts {
+		key := label(p)
+		want := stats.ProvReplay
+		if p.cfg.Engine.MemOracle {
+			want = stats.ProvCold
+		}
+		for name, runs := range map[string]map[string]*stats.Run{"forward": forward, "backward": backward, "parallel": parallel} {
+			run := runs[key]
+			if got := provenanceOf(t, run); got != want {
+				t.Errorf("%s %s: provenance %q, want %q", name, key, got, want)
+			}
+			if run.Retired < r.Budget {
+				t.Errorf("%s %s: retired %d, want >= %d", name, key, run.Retired, r.Budget)
+			}
+		}
+		f := withoutMeta(forward[key])
+		if b := withoutMeta(backward[key]); !reflect.DeepEqual(f, b) {
+			t.Errorf("%s: forward and backward orders differ:\n fwd %+v\n bwd %+v", key, f, b)
+		}
+		if par := withoutMeta(parallel[key]); !reflect.DeepEqual(f, par) {
+			t.Errorf("%s: sequential and parallel runners differ:\n seq %+v\n par %+v", key, f, par)
+		}
 	}
 }
 
-// TestRunnerReplayTraceDir persists the recording and requires a second
-// runner (a fresh process in miniature) to replay every point, including
-// the one that recorded.
-func TestRunnerReplayTraceDir(t *testing.T) {
-	dir := t.TempDir()
-	a := replayRunner()
-	a.TraceDir = dir
-	if _, err := a.RunE(config.Baseline(), "compress"); err != nil {
-		t.Fatal(err)
+// TestRunnerReplayWithFastForward: Replay composes with FastForward. The
+// replay loop treats the prefix as warm-up, so every eligible point
+// replays, measures its full budget, and returns the same statistics
+// whatever order the points are requested in.
+func TestRunnerReplayWithFastForward(t *testing.T) {
+	const ffwd = 20_000
+	sweep := func(cfgs []sim.Config) map[string]*stats.Run {
+		r := replayRunner()
+		r.FastForward = ffwd
+		out := make(map[string]*stats.Run)
+		for _, cfg := range cfgs {
+			run, err := r.RunE(cfg, "gcc")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p := provenanceOf(t, run); p != stats.ProvReplay {
+				t.Errorf("%s provenance = %q, want %q", cfg.Name, p, stats.ProvReplay)
+			}
+			if run.Meta.FastForwardInsts != ffwd {
+				t.Errorf("%s: meta fast-forward = %d, want %d", cfg.Name, run.Meta.FastForwardInsts, ffwd)
+			}
+			if run.Retired < r.Budget {
+				t.Errorf("%s: retired %d, want >= %d", cfg.Name, run.Retired, r.Budget)
+			}
+			out[cfg.Name] = run
+		}
+		return out
 	}
-
-	b := replayRunner()
-	b.TraceDir = dir
-	run, err := b.RunE(config.Baseline(), "compress")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := provenanceOf(t, run); p != stats.ProvReplay {
-		t.Errorf("persisted-trace provenance = %q, want %q", p, stats.ProvReplay)
-	}
-
-	// A runner with different budgets must not accept the persisted
-	// stream (content-addressed name depends on the total budget).
-	c := NewRunner(5_000, 50_000)
-	c.Workers = 1
-	c.Replay = true
-	c.TraceDir = dir
-	run, err = c.RunE(config.Baseline(), "compress")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := provenanceOf(t, run); p != stats.ProvCold {
-		t.Errorf("budget-mismatch provenance = %q, want %q", p, stats.ProvCold)
+	cfgs := []sim.Config{config.Baseline(), config.Promotion(64)}
+	a := sweep(cfgs)
+	b := sweep([]sim.Config{cfgs[1], cfgs[0]})
+	for _, cfg := range cfgs {
+		if x, y := withoutMeta(a[cfg.Name]), withoutMeta(b[cfg.Name]); !reflect.DeepEqual(x, y) {
+			t.Errorf("%s: result depends on request order:\n first  %+v\n second %+v", cfg.Name, x, y)
+		}
 	}
 }
 

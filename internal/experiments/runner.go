@@ -13,11 +13,12 @@
 // runner's budgets applied (Warmup, Budget, FastForward, Sampling), the
 // benchmark, and the mode (detailed or sampled). The executor tries, in
 // order: the persistent result store (Store), replay of the benchmark's
-// recorded retired stream (Replay; detailed mode without FastForward
-// only), and finally a detailed or sampled simulation, which executes any
+// committed stream (Replay; front-end-equivalent detailed requests only),
+// and finally a detailed or sampled simulation, which executes any
 // FastForward prefix itself exactly as sim.Simulator.Run and sampling.Run
-// do. RunEvent.Key is a display label ("config/bench", see
-// stats.PointLabel), not the identity.
+// do. Whether a request replays, and so which store mode it reads and
+// writes, depends on the request alone. RunEvent.Key is a display label
+// ("config/bench", see stats.PointLabel), not the identity.
 //
 // # Concurrency
 //
@@ -38,7 +39,6 @@
 package experiments
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -53,7 +53,6 @@ import (
 	"tracecache/internal/sampling"
 	"tracecache/internal/sim"
 	"tracecache/internal/stats"
-	"tracecache/internal/trace"
 	"tracecache/internal/workload"
 )
 
@@ -85,41 +84,31 @@ type Runner struct {
 	// statistic; a run that reports violations fails with an error
 	// carrying the violation report. Set before the first Run call.
 	Check bool
-	// Replay enables the front-end replay fast path: the first simulation
-	// of each benchmark runs detailed with the retired-stream recorder
-	// attached, and every later point whose configuration differs from
-	// the recording only in front-end axes (sim.FrontEndEquivalent) is
-	// replayed from the stream instead of simulated — producing front-end
-	// statistics with stats.ProvReplay provenance and zero cycle-domain
-	// statistics, within the fidelity envelope of check.CompareReplay
-	// (see DESIGN.md §9). Points that vary core-side axes, and all runs
-	// when Check is set, bypass replay and simulate detailed. Replay
-	// needs FastForward == 0: a replayed point would warm the prefix
-	// through the replay loop rather than through the simulator's
-	// fast-forward, so under a prefix every point simulates detailed and
-	// its result never depends on whether it happened to record. Under
-	// Workers > 1 which point records is completion-order dependent;
-	// every simulated statistic of each individual point is still
-	// deterministic. Set before the first Run call.
+	// Replay enables the front-end replay fast path: every detailed
+	// request whose configuration differs from the baseline machine at
+	// the runner's budgets only in front-end axes (sim.FrontEndEquivalent)
+	// is replayed from the benchmark's committed stream instead of
+	// simulated — producing front-end statistics with stats.ProvReplay
+	// provenance and zero cycle-domain statistics, within the fidelity
+	// envelope of check.CompareReplay (see DESIGN.md §9). The stream is
+	// recorded functionally, once per benchmark, so a replayed point's
+	// result does not depend on which point got there first. Points that
+	// vary core-side axes, and all runs when Check is set, simulate
+	// detailed. Set before the first Run call.
 	Replay bool
-	// TraceDir, when non-empty with Replay, persists recordings under
-	// content-addressed names so later processes replay every point,
-	// recording each benchmark exactly once across process lifetimes.
-	// Set before the first Run call.
-	TraceDir string
 	// Store, when non-nil, is the persistent content-addressed result
 	// store consulted before every simulation (after the in-process memo,
 	// before replay and the worker's detailed run): a valid entry whose
 	// key — full configuration hash, benchmark, execution mode — matches
 	// the request is served verbatim with stats.ProvStore provenance and
 	// zero simulation; a completed simulation is persisted back, so later
-	// processes and users pay nothing for the same point. Mode matching is
-	// fidelity-preserving (DESIGN.md §11): detailed requests are served
-	// only from detailed entries, Replay-mode requests may also accept
-	// replay entries, sampled requests only sampled ones. Check runs
-	// bypass the store entirely in both directions — a checked run must
-	// actually simulate, and its purpose is to distrust stored numbers.
-	// Set before the first Run call.
+	// processes and users pay nothing for the same point. Each request
+	// reads and writes exactly one mode (DESIGN.md §11): sampled requests
+	// the sampled entries, replaying requests the replay entries, every
+	// other request the detailed ones. Check runs bypass the store
+	// entirely in both directions — a checked run must actually simulate,
+	// and its purpose is to distrust stored numbers. Set before the first
+	// Run call.
 	Store *resultstore.Store
 	// Sampling, when enabled, is the schedule RunSampledE and SweepSampledE
 	// drive (see internal/sampling): Budget becomes the total committed-
@@ -151,7 +140,7 @@ type Runner struct {
 	mu     sync.Mutex
 	sem    chan struct{} // sized from Workers on first use
 	runs   map[memoKey]*runEntry
-	traces map[string]*traceEntry // per-benchmark recordings (Replay)
+	traces map[string]*traceEntry // per-benchmark committed streams (Replay)
 }
 
 // runEntry is one singleflight memoization slot: done closes once the
@@ -409,54 +398,35 @@ func (r *Runner) execute(q request, key string) (res result) {
 	if q.prep != nil {
 		q.prep(&cfg, prog)
 	}
+	replay := r.replays(q.mode, cfg)
 
 	// Persistent-store fast path: a prior process (or job) that computed
 	// this exact point — same full configuration hash, benchmark, and
 	// fidelity mode — left its result on disk; serve it verbatim. Checked
 	// runs must actually simulate, so Check bypasses the store.
 	if r.Store != nil && !r.Check {
-		if e := r.storeGet(cfg, q.bench, r.storeModes(q.mode)); e != nil {
+		if e := r.storeGet(cfg, q.bench, storeMode(q.mode, replay)); e != nil {
 			res.run, res.sampled = e.Run, e.Sampled
 			res.provenance = stats.ProvStore
 			return res
 		}
 	}
 
-	// Replay fast path: the benchmark's first request resolves the shared
-	// recording (from TraceDir or by recording during its own detailed
-	// run); every front-end-equivalent point after that replays it.
-	var rec *traceEntry
-	if q.mode == modeDetailed && r.Replay && r.FastForward == 0 && !r.Check {
-		te, creator := r.traceEntryFor(q.bench)
-		if creator {
-			if h, recs, ok := r.loadTrace(cfg, prog); ok {
-				te.hdr, te.recs, te.coreHash = h, recs, h.CoreHash
-				close(te.done)
-			} else {
-				rec = te
-				defer func() {
-					// Backstop for error and panic exits: resolve the entry
-					// so waiters fall back to detailed simulation.
-					if rec != nil {
-						rec.err = errRecordingIncomplete(key)
-						close(rec.done)
-						rec = nil
-					}
-				}()
-			}
-		} else {
-			<-te.done
+	// Replay fast path: every eligible point, the benchmark's first
+	// included, replays the one committed stream recorded for it.
+	if replay {
+		te := r.stream(cfg, prog, q.bench)
+		if te.err != nil {
+			return fail(fmt.Errorf("recording: %w", te.err))
 		}
-		if rec == nil && te.err == nil && len(te.recs) > 0 && te.coreHash == cfg.CoreHash() {
-			r.logf("replaying %s...\n", key)
-			run, err := replayTrace(cfg, prog, te.hdr, te.recs)
-			if err != nil {
-				return fail(err)
-			}
-			res.run = run
-			res.provenance = stats.ProvReplay
-			return res
+		r.logf("replaying %s...\n", key)
+		run, err := replayTrace(cfg, prog, te.hdr, te.recs)
+		if err != nil {
+			return fail(err)
 		}
+		res.run = run
+		res.provenance = stats.ProvReplay
+		return res
 	}
 
 	s, err := sim.New(cfg, prog)
@@ -470,18 +440,6 @@ func (r *Runner) execute(q request, key string) (res result) {
 		if bus := r.NewObserver(); bus != nil {
 			s.AttachObserver(bus)
 		}
-	}
-	var recBuf bytes.Buffer
-	var recW *trace.Writer
-	var recHdr trace.Header
-	if rec != nil {
-		recHdr = s.TraceHeader("commit-tap")
-		w, err := trace.NewWriter(&recBuf, recHdr)
-		if err != nil {
-			return fail(err)
-		}
-		recW = w
-		s.AttachRecorder(recW)
 	}
 	if q.mode == modeSampled {
 		r.logf("sampling %s...\n", key)
@@ -506,19 +464,6 @@ func (r *Runner) execute(q request, key string) (res result) {
 	res.run = s.Run()
 	if chk := s.Checker(); chk != nil && chk.Total() > 0 {
 		return fail(fmt.Errorf("%s", chk.Report()))
-	}
-	if recW != nil {
-		if err := recW.Close(); err != nil {
-			rec.err = fmt.Errorf("experiments: %s: recording: %w", key, err)
-		} else if h, recs, err := trace.ReadAll(recBuf.Bytes()); err != nil {
-			rec.err = fmt.Errorf("experiments: %s: recording: %w", key, err)
-		} else {
-			rec.hdr, rec.recs = h, recs
-			rec.coreHash = cfg.CoreHash()
-			r.saveTrace(key, recBuf.Bytes(), recHdr)
-		}
-		close(rec.done)
-		rec = nil
 	}
 	return res
 }

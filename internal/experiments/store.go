@@ -15,37 +15,33 @@ func storeKey(cfg sim.Config, bench, mode string) resultstore.Key {
 	return resultstore.Key{ConfigHash: cfg.Hash(), Benchmark: bench, Mode: mode}
 }
 
-// storeModes lists the store modes that may serve a request of the
-// mode, in preference order. Mode matching is fidelity-preserving
-// (DESIGN.md §11): a detailed request accepts only detailed entries, and
-// under Replay also a replayed point (either fidelity class it could
-// itself have produced: a replayed point or the detailed run that
-// recorded the stream); a sampled request accepts only sampled entries.
-func (r *Runner) storeModes(mode runMode) []string {
+// storeMode is the one store mode a request reads and writes (DESIGN.md
+// §11): sampled for a sampled request, replay for a request that replays
+// (Runner.replays), detailed otherwise — the fidelity class of the result
+// the request itself would compute.
+func storeMode(mode runMode, replay bool) string {
 	switch {
 	case mode == modeSampled:
-		return []string{resultstore.ModeSampled}
-	case r.Replay && r.FastForward == 0:
-		return []string{resultstore.ModeReplay, resultstore.ModeDetailed}
+		return resultstore.ModeSampled
+	case replay:
+		return resultstore.ModeReplay
 	}
-	return []string{resultstore.ModeDetailed}
+	return resultstore.ModeDetailed
 }
 
-// storeGet looks the point up under each acceptable mode in preference
-// order and returns the first usable entry, or nil on miss. Store
-// corruption is logged and treated as a miss — the point re-simulates.
-func (r *Runner) storeGet(cfg sim.Config, bench string, modes []string) *resultstore.Entry {
-	for _, mode := range modes {
-		e, err := r.Store.Get(storeKey(cfg, bench, mode))
-		if err != nil {
-			r.logf("result store: %v\n", err)
-			continue
-		}
-		if e != nil && e.Run != nil && (mode != resultstore.ModeSampled || e.Sampled != nil) {
-			return e
-		}
+// storeGet looks the point up under the mode and returns the entry, or
+// nil on miss. Store corruption is logged and treated as a miss — the
+// point re-simulates.
+func (r *Runner) storeGet(cfg sim.Config, bench, mode string) *resultstore.Entry {
+	e, err := r.Store.Get(storeKey(cfg, bench, mode))
+	if err != nil {
+		r.logf("result store: %v\n", err)
+		return nil
 	}
-	return nil
+	if e == nil || e.Run == nil || (mode == resultstore.ModeSampled && e.Sampled == nil) {
+		return nil
+	}
+	return e
 }
 
 // provenances maps every provenance an executed request can end with to

@@ -237,3 +237,58 @@ func TestStoreSampledFidelity(t *testing.T) {
 		t.Errorf("sampled aggregate differs:\nfirst  %+v\nsecond %+v", sm, sm2)
 	}
 }
+
+// TestStoreReplayModeSeparation checks that a replaying request reads and
+// writes only replay entries: a store seeded by a detailed runner must not
+// serve it, so its result equals a store-less replaying runner's, and a
+// second replaying runner is then served that replayed result verbatim.
+func TestStoreReplayModeSeparation(t *testing.T) {
+	store, err := resultstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bench = "compress"
+	runner := func(replay bool, store *resultstore.Store) *experiments.Runner {
+		r := experiments.NewRunner(1_000, 3_000)
+		r.Workers = 1
+		r.Replay = replay
+		r.Store = store
+		return r
+	}
+	if _, err := runner(false, store).RunE(config.Baseline(), bench); err != nil {
+		t.Fatal(err)
+	}
+
+	got, err := runner(true, store).RunE(config.Baseline(), bench)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Meta == nil || got.Meta.Provenance != stats.ProvReplay {
+		t.Fatalf("replaying run provenance = %+v, want freshly replayed", got.Meta)
+	}
+	want, err := runner(true, nil).RunE(config.Baseline(), bench)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, w := *got, *want
+	g.Meta, w.Meta = nil, nil
+	if !reflect.DeepEqual(g, w) {
+		t.Errorf("replaying run with a detailed store differs from a store-less one:\n got %+v\nwant %+v", g, w)
+	}
+	if n, _ := store.Len(); n != 2 {
+		t.Errorf("store holds %d entries, want detailed + replay", n)
+	}
+
+	r := runner(true, store)
+	r.Metrics = experiments.InstrumentRunner(metrics.NewRegistry())
+	served, err := r.RunE(config.Baseline(), bench)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := r.Metrics.StoreServed.Value(); n != 1 {
+		t.Errorf("replay resubmission store-served = %d, want 1", n)
+	}
+	if !reflect.DeepEqual(served, got) {
+		t.Errorf("served replay entry differs:\n got %+v\nwant %+v", served, got)
+	}
+}

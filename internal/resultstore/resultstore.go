@@ -34,8 +34,9 @@ import (
 // content address, so a format change simply misses every old entry
 // instead of misreading it. Version 2: a fast-forward key's result comes
 // from a prefix warmed by the point's own simulator, no longer from a
-// cold shared checkpoint.
-const FormatVersion = 2
+// cold shared checkpoint. Version 3: a replay key's result is a
+// full-budget replay of a functionally recorded stream.
+const FormatVersion = 3
 
 // Execution modes a key can record. Results of different modes are
 // different fidelity classes (DESIGN.md §11): a detailed measurement, a

@@ -204,7 +204,7 @@ func TestKeyMismatchQuarantined(t *testing.T) {
 // deliberate (bump FormatVersion).
 func TestKeyStability(t *testing.T) {
 	k := resultstore.Key{ConfigHash: "cafebabe00112233", Benchmark: "gcc", Mode: resultstore.ModeDetailed}
-	const want = "gcc-detailed-55cd7773ddc970e3.tcresult"
+	const want = "gcc-detailed-aa1bd417651b81e8.tcresult"
 	if got := k.FileName(); got != want {
 		t.Errorf("FileName() = %q, want pinned %q (a deliberate format change must bump FormatVersion)", got, want)
 	}

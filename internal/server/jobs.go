@@ -40,8 +40,8 @@ type SweepSpec struct {
 	// with this schedule ("window:period:warmup[:seed]", as tcsim/tcbench
 	// -sample).
 	Sample string `json:"sample,omitempty"`
-	// Replay enables the front-end replay fast path for the sweep; it
-	// cannot be combined with Sample or FastForwardInsts.
+	// Replay enables the front-end replay fast path for the sweep
+	// (Runner.Replay); it cannot be combined with Sample.
 	Replay bool `json:"replay,omitempty"`
 }
 
@@ -77,9 +77,6 @@ func (s *Server) normalize(spec *SweepSpec) ([]point, sim.SamplingParams, error)
 			return nil, params, errors.New("sample and replay are mutually exclusive")
 		}
 		spec.WarmupInsts = 0 // windows carry their own warmup
-	}
-	if spec.Replay && spec.FastForwardInsts > 0 {
-		return nil, params, errors.New("replay and fastForwardInsts are mutually exclusive (replay would warm the prefix through the replay loop)")
 	}
 	known := make(map[string]bool, len(workload.Names()))
 	for _, b := range workload.Names() {
@@ -284,7 +281,6 @@ func (s *Server) runJob(j *Job, pts []point, params sim.SamplingParams) {
 	r.Workers = s.opts.Workers
 	r.FastForward = j.Spec.FastForwardInsts
 	r.Store = s.store
-	r.TraceDir = s.opts.TraceDir
 	r.Replay = j.Spec.Replay
 	r.Sampling = params
 	r.Metrics = s.runnerMetrics

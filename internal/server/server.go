@@ -34,9 +34,6 @@ import (
 type Options struct {
 	// StoreDir roots the persistent result store (required).
 	StoreDir string
-	// TraceDir, when non-empty, persists and reuses retired-stream
-	// recordings for replay-mode jobs across jobs and processes.
-	TraceDir string
 	// JournalPath, when non-empty, appends one JSONL record per resolved
 	// run request (shared safely with concurrent CLI appenders).
 	JournalPath string

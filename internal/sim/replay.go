@@ -82,11 +82,19 @@ func (r *Replayer) Replay(rd *trace.Reader) (*stats.Run, error) {
 // ReplayRecords consumes a fully decoded recorded stream (h must be its
 // header) and returns front-end statistics. The configuration's
 // FastForwardInsts+WarmupInsts prefix warms the front end with
-// statistics discarded; MaxInsts are then measured (the stream must
-// cover the combined budget — shorter only if the program halts). A
-// Replayer is single-use: replaying resumes warm state, so build a fresh
-// one per stream. Decoding once and replaying the records many times is
-// the fast path for sweeps (experiments.Runner does this internally).
+// statistics discarded; MaxInsts are then measured, or fewer if the
+// stream ends first. The loop checks both boundaries before each fetch,
+// so each can overshoot by less than one fetch bundle, and a stream
+// that stops at the combined budget can run out before MaxInsts are
+// measured: a detailed recording made at the same budgets (tcsim
+// -record, perfbench) can end up to ~30 records before the loop's last
+// fetch, and such a replay measures a few instructions under MaxInsts,
+// within check.CompareReplay's near-exact slack of 64. experiments.Runner
+// records a tail of two fetch bundles past the budget so its replays
+// measure the full MaxInsts. A Replayer is single-use: replaying resumes
+// warm state, so build a fresh one per stream. Decoding once and
+// replaying the records many times is the fast path for sweeps
+// (experiments.Runner does this internally).
 func (r *Replayer) ReplayRecords(h trace.Header, recs []trace.Rec) (*stats.Run, error) {
 	//tcvet:ignore determinism wall-clock provenance only: run start time for stats.Meta, never simulated state
 	start := time.Now()

@@ -3,7 +3,9 @@
 # gates, a race pass over the observability layer, the simulator, and the
 # parallel sweep engine, a fast-forward agreement+accuracy step (tcbench
 # -ffwd and tcsim -ffwd must print the same mean fetch size), a warm
-# result-store smoke, a tcserve sweep-service smoke (restart +
+# result-store smoke, a replay-determinism smoke (tcbench -replay stdout
+# must not depend on -j, on which experiments run with it, or on what a
+# detailed run left in the store), a tcserve sweep-service smoke (restart +
 # store-served resubmission, plus the /metrics and /debug/pprof/ handler
 # set that tcserve shares with tcbench -http), a smoke run of the
 # throughput benchmarks (BenchmarkSimulatorThroughput and its -check
@@ -104,6 +106,29 @@ done
 /tmp/tcbench-ci -journal-report /tmp/tcbench-ci-store2.jsonl >/tmp/tcbench-ci-store2.report
 grep -q '^provenance: 0 cold, 0 replay, ' /tmp/tcbench-ci-store2.report || {
 	echo "FAIL: warm-store run simulated:"; head -2 /tmp/tcbench-ci-store2.report; exit 1; }
+
+echo "== replay determinism smoke (-replay output is a pure function of the request) =="
+/tmp/tcbench-ci -exp all -warmup 2000 -insts 8000 -j 1 -replay >/tmp/tcbench-ci-replay1.out 2>/dev/null
+/tmp/tcbench-ci -exp all -warmup 2000 -insts 8000 -j 4 -replay >/tmp/tcbench-ci-replay4.out 2>/dev/null
+cmp /tmp/tcbench-ci-replay1.out /tmp/tcbench-ci-replay4.out || {
+	echo "FAIL: -replay stdout differs between -j 1 and -j 4"; exit 1; }
+/tmp/tcbench-ci -exp fig16 -warmup 2000 -insts 8000 -j 1 -replay >/tmp/tcbench-ci-replay-fig16.out 2>/dev/null
+# The fig16 block of the full sweep: its separator line through the line
+# before the next separator.
+awk -v id=fig16 '
+/^=+$/ { if (inblk) exit; sep = $0; hdr = 1; next }
+hdr { hdr = 0; if (index($0, id ": ") == 1) { inblk = 1; print sep } }
+inblk { print }' /tmp/tcbench-ci-replay1.out >/tmp/tcbench-ci-replay-all-fig16.out
+cmp /tmp/tcbench-ci-replay-fig16.out /tmp/tcbench-ci-replay-all-fig16.out || {
+	echo "FAIL: -exp fig16 -replay differs from its block of -exp all -replay"; exit 1; }
+rm -rf /tmp/tcbench-ci-replay-store
+/tmp/tcbench-ci -exp table2 -warmup 2000 -insts 8000 -j 1 \
+	-store /tmp/tcbench-ci-replay-store >/dev/null 2>&1
+/tmp/tcbench-ci -exp table2 -warmup 2000 -insts 8000 -j 1 -replay \
+	-store /tmp/tcbench-ci-replay-store >/tmp/tcbench-ci-replay-stored.out 2>/dev/null
+/tmp/tcbench-ci -exp table2 -warmup 2000 -insts 8000 -j 1 -replay >/tmp/tcbench-ci-replay-table2.out 2>/dev/null
+cmp /tmp/tcbench-ci-replay-stored.out /tmp/tcbench-ci-replay-table2.out || {
+	echo "FAIL: -replay -store output differs from a store-less -replay run"; exit 1; }
 
 echo "== replay smoke (record -> replay -> verify within fidelity bounds) =="
 rm -rf /tmp/tcsim-ci-traces && mkdir -p /tmp/tcsim-ci-traces

@@ -142,11 +142,11 @@ func NewSimulator(cfg Config, prog *Program) (*Simulator, error) {
 }
 
 // NewReplayer builds a front-end-only replay engine for the program under
-// the configuration. Attach a recording to a detailed run first
-// (Simulator.AttachRecorder, or tcsim -record / Runner.Replay), then feed
-// the stream to Replayer.Replay; one recording serves every configuration
-// that varies only front-end axes. See DESIGN.md §9 for the fidelity
-// contract.
+// the configuration. Record a stream first (Simulator.AttachRecorder, or
+// tcsim -record), then feed it to Replayer.Replay; one recording serves
+// every configuration that varies only front-end axes. Runner.Replay does
+// both for a sweep, recording each benchmark's stream functionally once.
+// See DESIGN.md §9 for the fidelity contract.
 func NewReplayer(cfg Config, prog *Program) (*Replayer, error) {
 	return sim.NewReplayer(cfg, prog)
 }
