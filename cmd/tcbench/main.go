@@ -173,7 +173,7 @@ func main() {
 			listeners = append(listeners, prog.Listener())
 			sink := metrics.NewBusSink(reg)
 			r.NewObserver = func() *obs.Bus {
-				b := obs.NewBus(0)
+				b := obs.NewBus()
 				b.Attach(sink)
 				return b
 			}

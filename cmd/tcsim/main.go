@@ -8,6 +8,8 @@
 //	tcsim -bench gcc -config best -ffwd 10000000 -warmup 400000 -insts 1000000
 //	tcsim -bench gcc -config promote -interval 10000 -timeseries ts.json -trace tr.json
 //	tcsim -bench gcc -http 127.0.0.1:8080 -journal runs.jsonl
+//	tcsim -bench gcc -config promo-t64 -replay -json
+//	tcsim -bench gcc -config baseline -replay-verify
 //	tcsim -list
 package main
 
@@ -51,9 +53,8 @@ func main() {
 		check    = flag.Bool("check", false, "run with the self-verification layer (lockstep reference model + invariants); violations exit non-zero")
 		httpAddr = flag.String("http", "", "serve live monitoring on this address (/metrics, /progress, /debug/pprof), e.g. 127.0.0.1:8080")
 		jPath    = flag.String("journal", "", "append one JSONL record for this run to this file")
-		recPath  = flag.String("record", "", "record the retired stream to this file (an existing directory gets the content-addressed name)")
-		repPath  = flag.String("replay", "", "replay a recorded stream through the front end only (cycle-domain stats undefined; see DESIGN.md §9)")
-		repVer   = flag.Bool("replay-verify", false, "record in-memory, replay, and verify replayed statistics against the detailed run; violations exit non-zero")
+		replay   = flag.Bool("replay", false, "record the committed stream functionally and replay it through the front end only, as tcbench -replay does (cycle-domain stats undefined; see DESIGN.md §9)")
+		repVer   = flag.Bool("replay-verify", false, "run detailed, replay as -replay does, and verify the replayed statistics against the detailed run; violations exit non-zero")
 		sample   = flag.String("sample", "", "statistical sampling schedule window:period:warmup[:seed]; -insts becomes the total committed-stream budget and -warmup is unused (see DESIGN.md §10)")
 	)
 	flag.Parse()
@@ -90,15 +91,15 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *repPath != "" || *repVer {
-		if *check || *recPath != "" || *httpAddr != "" || *tsOut != "" || *trOut != "" || *sample != "" {
-			fmt.Fprintln(os.Stderr, "tcsim: -replay/-replay-verify cannot be combined with -check, -record, -http, -timeseries, -trace or -sample")
+	if *replay || *repVer {
+		if *check || *httpAddr != "" || *tsOut != "" || *trOut != "" || *sample != "" {
+			fmt.Fprintln(os.Stderr, "tcsim: -replay/-replay-verify cannot be combined with -check, -http, -timeseries, -trace or -sample")
 			os.Exit(1)
 		}
 	}
 	if *sample != "" {
-		if *recPath != "" || *httpAddr != "" || *tsOut != "" || *trOut != "" {
-			fmt.Fprintln(os.Stderr, "tcsim: -sample cannot be combined with -record, -http, -timeseries or -trace (windowed telemetry and recordings need a contiguous detailed run)")
+		if *httpAddr != "" || *tsOut != "" || *trOut != "" {
+			fmt.Fprintln(os.Stderr, "tcsim: -sample cannot be combined with -http, -timeseries or -trace (windowed telemetry needs a contiguous detailed run)")
 			os.Exit(1)
 		}
 		p, err := sim.ParseSamplingSpec(*sample)
@@ -115,8 +116,8 @@ func main() {
 		runReplayVerify(cfg, prog)
 		return
 	}
-	if *repPath != "" {
-		runReplay(cfg, prog, *repPath, *asJSON, *jPath)
+	if *replay {
+		runReplay(cfg, prog, *bench, *progFile, *asJSON, *jPath)
 		return
 	}
 
@@ -124,15 +125,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tcsim: %v\n", err)
 		os.Exit(1)
-	}
-
-	var finishRecording func() error
-	if *recPath != "" {
-		finishRecording, err = attachRecorder(s, *recPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tcsim: %v\n", err)
-			os.Exit(1)
-		}
 	}
 
 	var coll *obs.Collector
@@ -145,7 +137,7 @@ func main() {
 	var bus *obs.Bus
 	ensureBus := func() *obs.Bus {
 		if bus == nil {
-			bus = obs.NewBus(0)
+			bus = obs.NewBus()
 			s.AttachObserver(bus)
 		}
 		return bus
@@ -196,20 +188,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tcsim: %v\n", err)
 		os.Exit(1)
 	}
-	if finishRecording != nil {
-		if err := finishRecording(); err != nil {
-			fmt.Fprintf(os.Stderr, "tcsim: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if run.Meta != nil {
-		run.Meta.Tool = "tcsim " + buildinfo.Version()
-		if *progFile == "" {
-			if p, ok := tracecache.BenchmarkProfile(*bench); ok {
-				run.Meta.Seed = p.Seed
-			}
-		}
-	}
+	stampMeta(run.Meta, *bench, *progFile)
 
 	if *jPath != "" {
 		if err := appendJournal(*jPath, run, time.Since(started)); err != nil {
@@ -249,6 +228,21 @@ func main() {
 		return
 	}
 	report(s, run)
+}
+
+// stampMeta records the tool and, for a named benchmark, the workload
+// seed in a run's provenance; detailed, sampled and replayed runs all
+// stamp here.
+func stampMeta(m *stats.Meta, bench, progFile string) {
+	if m == nil {
+		return
+	}
+	m.Tool = "tcsim " + buildinfo.Version()
+	if progFile == "" {
+		if p, ok := tracecache.BenchmarkProfile(bench); ok {
+			m.Seed = p.Seed
+		}
+	}
 }
 
 // appendJournal appends this run's record to the journal file.

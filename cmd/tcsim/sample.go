@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"tracecache"
-	"tracecache/internal/buildinfo"
 	"tracecache/internal/sampling"
 	"tracecache/internal/stats"
 	"tracecache/internal/textplot"
@@ -42,14 +41,7 @@ func runSampled(cfg tracecache.Config, prog *tracecache.Program, bench, progFile
 		}
 		fmt.Fprintf(os.Stderr, "tcsim: self-check passed (%d committed instructions verified, 0 violations)\n", chk.Commits())
 	}
-	if m := res.Sampled.Meta; m != nil {
-		m.Tool = "tcsim " + buildinfo.Version()
-		if progFile == "" {
-			if p, ok := tracecache.BenchmarkProfile(bench); ok {
-				m.Seed = p.Seed
-			}
-		}
-	}
+	stampMeta(res.Sampled.Meta, bench, progFile)
 
 	if jPath != "" {
 		if err := appendJournal(jPath, res.Run, time.Since(started)); err != nil {

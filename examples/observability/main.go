@@ -31,7 +31,7 @@ func main() {
 	// they happen. The ChromeTrace sink rides the same bus.
 	var promotions, demotions uint64
 	chrome := tracecache.NewChromeTrace(0)
-	bus := tracecache.NewEventBus(4096)
+	bus := tracecache.NewEventBus()
 	bus.Attach(chrome)
 	bus.Attach(obs.FuncSink(func(ev tracecache.Event) {
 		switch ev.Kind {

@@ -171,7 +171,7 @@ func TestRunnerObserverBridge(t *testing.T) {
 	reg := metrics.NewRegistry()
 	sink := metrics.NewBusSink(reg)
 	r.NewObserver = func() *obs.Bus {
-		b := obs.NewBus(0)
+		b := obs.NewBus()
 		b.Attach(sink)
 		return b
 	}
@@ -212,7 +212,7 @@ func TestInstrumentationPreservesOutput(t *testing.T) {
 			r.Metrics = InstrumentRunner(reg)
 			sink := metrics.NewBusSink(reg)
 			r.NewObserver = func() *obs.Bus {
-				b := obs.NewBus(0)
+				b := obs.NewBus()
 				b.Attach(sink)
 				return b
 			}

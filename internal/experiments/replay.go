@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 
 	"tracecache/internal/program"
@@ -56,7 +55,7 @@ func (r *Runner) replays(mode runMode, cfg sim.Config) bool {
 }
 
 // stream returns the benchmark's committed stream, recording it with
-// recordStream if this request is the benchmark's first replaying one.
+// sim.RecordStream if this request is the benchmark's first replaying one.
 // A recording failure (or panic) is shared by every request that waits
 // on the slot.
 func (r *Runner) stream(cfg sim.Config, prog *program.Program, bench string) *traceEntry {
@@ -71,40 +70,8 @@ func (r *Runner) stream(cfg sim.Config, prog *program.Program, bench string) *tr
 		}
 		close(te.done)
 	}()
-	te.hdr, te.recs, te.err = recordStream(cfg, prog)
+	te.hdr, te.recs, te.err = sim.RecordStream(cfg, prog)
 	return te
-}
-
-// recordStream records the committed stream a replay under cfg consumes
-// by executing it functionally through the fast-forward recording tap
-// (TestRecordTapFastForwardEquivalence pins that tap record for record
-// to a detailed recording). The stream covers the fast-forward, warm-up
-// and measured budgets plus a tail of two fetch bundles: the replay loop
-// checks the end of warm-up and the end of measurement before each fetch,
-// so each boundary can overshoot by less than one bundle, and the tail
-// lets every replay measure its full MaxInsts. SkipFunctional stops
-// before a halt, so a program that halts inside the budget yields a
-// stream without its halt record; none of the suite's benchmarks halts
-// within 20M committed instructions. The only error that can occur here
-// comes from sim.New, which would fail a detailed run of cfg too.
-func recordStream(cfg sim.Config, prog *program.Program) (trace.Header, []trace.Rec, error) {
-	s, err := sim.New(cfg, prog)
-	if err != nil {
-		return trace.Header{}, nil, err
-	}
-	var buf bytes.Buffer
-	w, err := trace.NewWriter(&buf, s.TraceHeader("functional"))
-	if err != nil {
-		return trace.Header{}, nil, err
-	}
-	s.AttachRecorder(w)
-	if _, err := s.SkipFunctional(cfg.FastForwardInsts + cfg.WarmupInsts + cfg.MaxInsts + 2*stats.MaxFetchWidth); err != nil {
-		return trace.Header{}, nil, err
-	}
-	if err := w.Close(); err != nil {
-		return trace.Header{}, nil, err
-	}
-	return trace.ReadAll(buf.Bytes())
 }
 
 // replayTrace replays a decoded stream under cfg and returns the

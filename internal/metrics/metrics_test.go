@@ -164,7 +164,7 @@ func TestKindMismatchPanics(t *testing.T) {
 func TestBusSink(t *testing.T) {
 	r := NewRegistry()
 	sink := NewBusSink(r)
-	bus := obs.NewBus(16)
+	bus := obs.NewBus()
 	bus.Attach(sink)
 	bus.Emit(obs.Event{Kind: obs.KindTCHit})
 	bus.Emit(obs.Event{Kind: obs.KindTCHit})

@@ -95,7 +95,7 @@ const (
 )
 
 // Event is one structured observation. Events are small fixed-size values
-// so the ring buffer and sinks never allocate per event.
+// so sinks never allocate per event.
 type Event struct {
 	Kind  Kind
 	Flags uint8
@@ -121,38 +121,22 @@ type Sink interface {
 	Emit(Event)
 }
 
-// defaultRing is the ring capacity when NewBus is given a non-positive
-// size.
-const defaultRing = 4096
-
-// Bus is the event hub: it records every event into a fixed ring buffer
-// (for post-mortem diagnostics) and forwards it to the attached sinks.
-// A nil *Bus is a valid, permanently-disabled bus: every method is safe
-// on a nil receiver, and tcvet's nilsafe analyzer enforces that each one
-// guards the receiver before touching fields and that a *Bus is never
-// boxed into an interface (which would defeat callers' nil checks).
+// Bus is the event hub: it counts every event and forwards it to the
+// attached sinks. A nil *Bus is a valid, permanently-disabled bus: every
+// method is safe on a nil receiver, and tcvet's nilsafe analyzer enforces
+// that each one guards the receiver before touching fields and that a
+// *Bus is never boxed into an interface (which would defeat callers' nil
+// checks).
 //
 //tc:nilsafe
 type Bus struct {
-	ring  []Event
-	mask  uint64
 	n     uint64 // total events emitted
 	sinks []Sink
 	clock func() uint64
 }
 
-// NewBus builds a bus whose ring holds ringSize events (rounded up to a
-// power of two; non-positive selects a default).
-func NewBus(ringSize int) *Bus {
-	if ringSize <= 0 {
-		ringSize = defaultRing
-	}
-	size := 1
-	for size < ringSize {
-		size <<= 1
-	}
-	return &Bus{ring: make([]Event, size), mask: uint64(size - 1)}
-}
+// NewBus builds a bus with no sinks attached.
+func NewBus() *Bus { return &Bus{} }
 
 // Attach adds a sink. On a nil (disabled) bus it is a no-op: the sink
 // will simply never see events.
@@ -181,7 +165,7 @@ func (b *Bus) SetClock(fn func() uint64) {
 // and cost one pointer comparison when observability is off.
 func (b *Bus) Enabled(Kind) bool { return b != nil }
 
-// Emit records the event and forwards it to interested sinks. Safe on a
+// Emit counts the event and forwards it to interested sinks. Safe on a
 // nil bus (a no-op).
 func (b *Bus) Emit(ev Event) {
 	if b == nil {
@@ -190,7 +174,6 @@ func (b *Bus) Emit(ev Event) {
 	if ev.Cycle == 0 && b.clock != nil {
 		ev.Cycle = b.clock()
 	}
-	b.ring[b.n&b.mask] = ev
 	b.n++
 	bit := ev.Kind.Bit()
 	for _, s := range b.sinks {
@@ -206,23 +189,6 @@ func (b *Bus) Count() uint64 {
 		return 0
 	}
 	return b.n
-}
-
-// Recent returns the events still held by the ring, oldest first.
-func (b *Bus) Recent() []Event {
-	if b == nil || b.n == 0 {
-		return nil
-	}
-	size := uint64(len(b.ring))
-	start, count := uint64(0), b.n
-	if b.n > size {
-		start, count = b.n-size, size
-	}
-	out := make([]Event, 0, count)
-	for i := start; i < b.n; i++ {
-		out = append(out, b.ring[i&b.mask])
-	}
-	return out
 }
 
 // FuncSink adapts a function to the Sink interface, observing every kind.

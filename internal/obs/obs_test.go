@@ -13,30 +13,6 @@ func TestNilBus(t *testing.T) {
 	if b.Count() != 0 {
 		t.Fatalf("nil bus Count = %d", b.Count())
 	}
-	if got := b.Recent(); got != nil {
-		t.Fatalf("nil bus Recent = %v", got)
-	}
-}
-
-// TestRingWraparound checks that Recent returns the newest ring-capacity
-// events, oldest first, once the ring has wrapped.
-func TestRingWraparound(t *testing.T) {
-	b := NewBus(4)
-	for i := 0; i < 10; i++ {
-		b.Emit(Event{Kind: KindTCMiss, PC: i})
-	}
-	if b.Count() != 10 {
-		t.Fatalf("Count = %d, want 10", b.Count())
-	}
-	got := b.Recent()
-	if len(got) != 4 {
-		t.Fatalf("Recent len = %d, want 4", len(got))
-	}
-	for i, ev := range got {
-		if want := 6 + i; ev.PC != want {
-			t.Errorf("Recent[%d].PC = %d, want %d", i, ev.PC, want)
-		}
-	}
 }
 
 // maskSink records events and advertises a fixed interest mask.
@@ -49,9 +25,9 @@ func (s *maskSink) Kinds() uint64 { return s.mask }
 func (s *maskSink) Emit(ev Event) { s.got = append(s.got, ev) }
 
 // TestSinkFiltering checks that the bus delivers only the kinds a sink
-// asked for.
+// asked for and counts every event it emits.
 func TestSinkFiltering(t *testing.T) {
-	b := NewBus(8)
+	b := NewBus()
 	hits := &maskSink{mask: KindTCHit.Bit()}
 	all := &maskSink{mask: AllKinds}
 	b.Attach(hits)
@@ -65,12 +41,15 @@ func TestSinkFiltering(t *testing.T) {
 	if len(all.got) != 3 {
 		t.Fatalf("AllKinds sink got %d events, want 3", len(all.got))
 	}
+	if b.Count() != 3 {
+		t.Fatalf("Count = %d, want 3", b.Count())
+	}
 }
 
 // TestClockStamping checks that zero-cycle events are stamped from the
 // attached clock and explicit cycles are preserved.
 func TestClockStamping(t *testing.T) {
-	b := NewBus(8)
+	b := NewBus()
 	now := uint64(42)
 	b.SetClock(func() uint64 { return now })
 	var got []Event

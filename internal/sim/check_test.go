@@ -149,7 +149,7 @@ func TestCheckerEmitsViolationEvents(t *testing.T) {
 	cfg.MaxInsts = 2_000
 	cfg.Check = true
 	s := mustSim(t, cfg, prog)
-	bus := obs.NewBus(64)
+	bus := obs.NewBus()
 	var events int
 	bus.Attach(obs.FuncSink(func(e obs.Event) {
 		if e.Kind == obs.KindCheckViolation {

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"time"
@@ -62,23 +61,6 @@ func NewReplayer(cfg Config, prog *program.Program) (*Replayer, error) {
 // Stats returns the statistics collected so far.
 func (r *Replayer) Stats() *stats.Run { return &r.run }
 
-// Replay decodes the recorded stream and replays it (see ReplayRecords).
-func (r *Replayer) Replay(rd *trace.Reader) (*stats.Run, error) {
-	recs := make([]trace.Rec, 0, rd.Count())
-	var rec trace.Rec
-	for {
-		err := rd.Next(&rec)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("sim: replay %q/%q: %w", r.cfg.Name, r.prog.Name, err)
-		}
-		recs = append(recs, rec)
-	}
-	return r.ReplayRecords(rd.Header(), recs)
-}
-
 // ReplayRecords consumes a fully decoded recorded stream (h must be its
 // header) and returns front-end statistics. The configuration's
 // FastForwardInsts+WarmupInsts prefix warms the front end with
@@ -86,15 +68,15 @@ func (r *Replayer) Replay(rd *trace.Reader) (*stats.Run, error) {
 // stream ends first. The loop checks both boundaries before each fetch,
 // so each can overshoot by less than one fetch bundle, and a stream
 // that stops at the combined budget can run out before MaxInsts are
-// measured: a detailed recording made at the same budgets (tcsim
-// -record, perfbench) can end up to ~30 records before the loop's last
-// fetch, and such a replay measures a few instructions under MaxInsts,
-// within check.CompareReplay's near-exact slack of 64. experiments.Runner
-// records a tail of two fetch bundles past the budget so its replays
-// measure the full MaxInsts. A Replayer is single-use: replaying resumes
-// warm state, so build a fresh one per stream. Decoding once and
-// replaying the records many times is the fast path for sweeps
-// (experiments.Runner does this internally).
+// measured: a detailed recording made at the same budgets (perfbench,
+// the golden replay fixture) can end up to ~30 records before the loop's
+// last fetch, and such a replay measures a few instructions under
+// MaxInsts, within check.CompareReplay's near-exact slack of 64.
+// RecordStream records a tail of two fetch bundles past the budget so
+// its replays measure the full MaxInsts. A Replayer is single-use:
+// replaying resumes warm state, so build a fresh one per stream.
+// Decoding once and replaying the records many times is the fast path
+// for sweeps (experiments.Runner does this internally).
 func (r *Replayer) ReplayRecords(h trace.Header, recs []trace.Rec) (*stats.Run, error) {
 	//tcvet:ignore determinism wall-clock provenance only: run start time for stats.Meta, never simulated state
 	start := time.Now()

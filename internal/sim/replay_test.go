@@ -39,7 +39,7 @@ func recordDetailed(t testing.TB, cfg Config, p *program.Program) ([]byte, *stat
 // replayStream replays an encoded stream under cfg.
 func replayStream(t testing.TB, cfg Config, p *program.Program, data []byte) (*stats.Run, *Replayer) {
 	t.Helper()
-	rd, err := trace.NewReaderBytes(data)
+	h, recs, err := trace.ReadAll(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func replayStream(t testing.TB, cfg Config, p *program.Program, data []byte) (*s
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := r.Replay(rd)
+	run, err := r.ReplayRecords(h, recs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,8 +172,10 @@ func TestReplayDeterminism(t *testing.T) {
 
 // TestRecordTapFastForwardEquivalence requires the functional
 // fast-forward tap and the detailed commit tap to record the same
-// committed path: the decoded records of a run with a fast-forward
-// prefix must prefix-match an all-detailed run of the same program.
+// committed path: RecordStream's records under a fast-forward prefix
+// must prefix-match an all-detailed recording of the same program, and
+// the stream must carry exactly the budget plus the two-bundle tail that
+// lets every replay measure its full MaxInsts.
 func TestRecordTapFastForwardEquivalence(t *testing.T) {
 	prof, _ := workload.ByName("compress")
 	prog := prof.MustGenerate()
@@ -186,14 +188,16 @@ func TestRecordTapFastForwardEquivalence(t *testing.T) {
 	ff.MaxInsts = 20_000 // same 50k committed total
 
 	dData, _, _ := recordDetailed(t, det, prog)
-	fData, _, _ := recordDetailed(t, ff, prog)
 	_, dRecs, err := trace.ReadAll(dData)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, fRecs, err := trace.ReadAll(fData)
+	_, fRecs, err := RecordStream(ff, prog)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got, want := uint64(len(fRecs)), ff.FastForwardInsts+ff.WarmupInsts+ff.MaxInsts+2*stats.MaxFetchWidth; got != want {
+		t.Fatalf("functional stream has %d records, want %d", got, want)
 	}
 	n := len(dRecs)
 	if len(fRecs) < n {
@@ -239,11 +243,11 @@ func TestReplayRejectsMismatchedStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rd, err := trace.NewReaderBytes(data)
+	h, recs, err := trace.ReadAll(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Replay(rd); !errors.Is(err, trace.ErrMismatch) {
+	if _, err := r.ReplayRecords(h, recs); !errors.Is(err, trace.ErrMismatch) {
 		t.Fatalf("wrong-program replay error = %v, want ErrMismatch", err)
 	}
 
@@ -253,11 +257,7 @@ func TestReplayRejectsMismatchedStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rd2, err := trace.NewReaderBytes(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r2.Replay(rd2); !errors.Is(err, trace.ErrMismatch) {
+	if _, err := r2.ReplayRecords(h, recs); !errors.Is(err, trace.ErrMismatch) {
 		t.Fatalf("short-stream replay error = %v, want ErrMismatch", err)
 	}
 }

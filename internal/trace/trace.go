@@ -36,7 +36,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"strings"
 
 	"tracecache/internal/isa"
 )
@@ -124,8 +123,8 @@ type Rec struct {
 }
 
 // Header identifies what a stream is a recording of. ProgHash, CodeLen,
-// Entry and the budgets define the stream content (see Key); CoreHash,
-// Name and Provenance are advisory metadata.
+// Entry and the budgets define the stream content (see Matches);
+// CoreHash, Name and Provenance are advisory metadata.
 type Header struct {
 	// ProgHash is the program content hash (program.Program.Hash).
 	ProgHash uint64
@@ -140,10 +139,9 @@ type Header struct {
 	MeasureInsts     uint64
 
 	// CoreHash is the recording configuration's hash with every
-	// front-end axis cleared (sim.CoreHash). The stream itself is
-	// configuration-independent; replay eligibility checks use this to
-	// assert the sweep point differs from the recording only in
-	// front-end axes.
+	// front-end axis cleared (sim.Config.CoreHash). The stream itself is
+	// configuration-independent, and replay eligibility never reads
+	// this (DESIGN.md §9); it records provenance only.
 	CoreHash string
 
 	Name       string // benchmark name
@@ -156,48 +154,10 @@ func (h Header) TotalInsts() uint64 {
 	return h.FastForwardInsts + h.WarmupInsts + h.MeasureInsts
 }
 
-// Key is the content address of the stream: a digest of exactly the
-// fields that determine the recorded bytes (program identity and total
-// budget). Two recordings with equal keys hold identical streams, which
-// is why a benchmark records exactly once per budget.
-func (h Header) Key() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	k := uint64(offset64)
-	for _, v := range [...]uint64{h.ProgHash, uint64(h.CodeLen), uint64(h.Entry), h.TotalInsts()} {
-		for i := 0; i < 8; i++ {
-			k ^= v & 0xff
-			k *= prime64
-			v >>= 8
-		}
-	}
-	return k
-}
-
-// FileName is the content-addressed file name for the stream.
-func (h Header) FileName() string {
-	name := strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= '0' && r <= '9', r == '-':
-			return r
-		case r >= 'A' && r <= 'Z':
-			return r + ('a' - 'A')
-		}
-		return '-'
-	}, h.Name)
-	if name == "" {
-		name = "trace"
-	}
-	return fmt.Sprintf("%s-%016x.tctrace", name, h.Key())
-}
-
-// Matches reports whether a stored stream can stand in for a recording
+// Matches reports whether a recorded stream can stand in for a recording
 // with the wanted content: same program and at least the wanted budget.
-// A mismatch wraps ErrMismatch — the caller found a file under this
-// content address that holds something else (hash collision or stale
-// store) and must re-record.
+// A mismatch wraps ErrMismatch: the stream records another program or
+// too short a run, and replaying it would measure the wrong path.
 func (h Header) Matches(want Header) error {
 	switch {
 	case h.ProgHash != want.ProgHash:
@@ -310,9 +270,6 @@ func (w *Writer) flush() {
 	w.n = 0
 }
 
-// Count returns the number of records appended so far.
-func (w *Writer) Count() uint64 { return w.count }
-
 // Close writes the end marker and integrity trailer and returns the
 // first latched error. It does not close the underlying writer.
 func (w *Writer) Close() error {
@@ -338,11 +295,11 @@ func (w *Writer) Close() error {
 	return w.err
 }
 
-// Reader decodes a stream. The whole stream is held in memory (a 1M-
-// instruction recording is a few megabytes); Next streams records out of
+// reader decodes a stream. The whole stream is held in memory (a 1M-
+// instruction recording is a few megabytes); next streams records out of
 // it without allocating, verifying the trailer when the end marker is
 // reached.
-type Reader struct {
+type reader struct {
 	h            Header
 	data         []byte
 	pos          int
@@ -353,18 +310,9 @@ type Reader struct {
 	done         bool
 }
 
-// NewReader reads the remaining input and decodes the stream header.
-func NewReader(src io.Reader) (*Reader, error) {
-	data, err := io.ReadAll(src)
-	if err != nil {
-		return nil, fmt.Errorf("trace: read stream: %w", err)
-	}
-	return NewReaderBytes(data)
-}
-
-// NewReaderBytes decodes the stream header of an in-memory stream.
-func NewReaderBytes(data []byte) (*Reader, error) {
-	r := &Reader{data: data}
+// newReader decodes the stream header of an in-memory stream.
+func newReader(data []byte) (*reader, error) {
+	r := &reader{data: data}
 	if len(data) < len(magic)+2 {
 		return nil, fmt.Errorf("%w: short header", ErrTruncated)
 	}
@@ -407,14 +355,8 @@ func NewReaderBytes(data []byte) (*Reader, error) {
 	return r, nil
 }
 
-// Header returns the decoded stream header.
-func (r *Reader) Header() Header { return r.h }
-
-// Count returns the number of records decoded so far.
-func (r *Reader) Count() uint64 { return r.count }
-
 // uvarint decodes one unsigned varint at the cursor.
-func (r *Reader) uvarint() (uint64, error) {
+func (r *reader) uvarint() (uint64, error) {
 	v, n := binary.Uvarint(r.data[r.pos:])
 	if n <= 0 {
 		if n == 0 {
@@ -426,12 +368,12 @@ func (r *Reader) uvarint() (uint64, error) {
 	return v, nil
 }
 
-// Next decodes the next record into rec. It returns io.EOF after the end
+// next decodes the next record into rec. It returns io.EOF after the end
 // marker and a verified trailer; any structural or integrity failure
 // returns an error wrapping ErrTruncated or ErrCorrupt.
 //
 //tc:hotpath
-func (r *Reader) Next(rec *Rec) error {
+func (r *reader) next(rec *Rec) error {
 	if r.done {
 		return io.EOF
 	}
@@ -489,7 +431,7 @@ func (r *Reader) Next(rec *Rec) error {
 }
 
 // finish verifies the trailer at the end marker.
-func (r *Reader) finish() error {
+func (r *reader) finish() error {
 	markerEnd := r.pos + 1
 	r.pos = markerEnd
 	count, err := r.uvarint()
@@ -516,12 +458,12 @@ func (r *Reader) finish() error {
 
 // failTruncated wraps ErrTruncated with context (out of line so the
 // hotpath decode body stays free of fmt calls).
-func (r *Reader) failTruncated(what string) error {
+func (r *reader) failTruncated(what string) error {
 	return fmt.Errorf("%w: %s at offset %d", ErrTruncated, what, r.pos)
 }
 
 // failCorrupt wraps ErrCorrupt with context.
-func (r *Reader) failCorrupt(what string) error {
+func (r *reader) failCorrupt(what string) error {
 	return fmt.Errorf("%w: %s at offset %d", ErrCorrupt, what, r.pos)
 }
 
@@ -530,14 +472,14 @@ func (r *Reader) failCorrupt(what string) error {
 // is pre-sized from the encoding's ~2 bytes/record density so a large
 // stream does not pay repeated growth copies.
 func ReadAll(data []byte) (Header, []Rec, error) {
-	r, err := NewReaderBytes(data)
+	r, err := newReader(data)
 	if err != nil {
 		return Header{}, nil, err
 	}
 	recs := make([]Rec, 0, len(data)/2)
 	var rec Rec
 	for {
-		err := r.Next(&rec)
+		err := r.next(&rec)
 		if err == io.EOF {
 			return r.h, recs, nil
 		}

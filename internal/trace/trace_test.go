@@ -3,8 +3,6 @@ package trace
 import (
 	"bytes"
 	"errors"
-	"io"
-	"strings"
 	"testing"
 
 	"tracecache/internal/isa"
@@ -56,8 +54,8 @@ func encode(t *testing.T, h Header, recs []Rec) []byte {
 	for _, r := range recs {
 		w.Append(r)
 	}
-	if got, want := w.Count(), uint64(len(recs)); got != want {
-		t.Fatalf("Count = %d, want %d", got, want)
+	if got, want := w.count, uint64(len(recs)); got != want {
+		t.Fatalf("count = %d, want %d", got, want)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -133,33 +131,6 @@ func TestRoundTripLong(t *testing.T) {
 	}
 }
 
-func TestNewReaderStreams(t *testing.T) {
-	data := encode(t, testHeader(), boundaryRecs(testHeader().CodeLen))
-	r, err := NewReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("NewReader: %v", err)
-	}
-	var rec Rec
-	n := 0
-	for {
-		err := r.Next(&rec)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatalf("Next: %v", err)
-		}
-		n++
-	}
-	if n != len(boundaryRecs(testHeader().CodeLen)) {
-		t.Errorf("streamed %d records", n)
-	}
-	// Next after EOF stays EOF.
-	if err := r.Next(&rec); err != io.EOF {
-		t.Errorf("Next after EOF = %v", err)
-	}
-}
-
 func TestTruncated(t *testing.T) {
 	h := testHeader()
 	data := encode(t, h, boundaryRecs(h.CodeLen))
@@ -198,7 +169,7 @@ func TestCorrupt(t *testing.T) {
 	// Bad magic.
 	mut := append([]byte(nil), data...)
 	mut[0] = 'X'
-	if _, err := NewReaderBytes(mut); !errors.Is(err, ErrCorrupt) {
+	if _, err := newReader(mut); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("bad magic: %v", err)
 	}
 }
@@ -206,7 +177,7 @@ func TestCorrupt(t *testing.T) {
 func TestVersionMismatch(t *testing.T) {
 	data := encode(t, testHeader(), nil)
 	data[4] = 0x7f // version field (LE u16 after the 4-byte magic)
-	_, err := NewReaderBytes(data)
+	_, err := newReader(data)
 	if !errors.Is(err, ErrVersion) {
 		t.Fatalf("version mismatch: %v", err)
 	}
@@ -230,50 +201,9 @@ func TestCountMismatch(t *testing.T) {
 	}
 }
 
-func TestContentAddress(t *testing.T) {
-	h := testHeader()
-	same := h
-	same.Name = "other-name" // advisory fields do not move the address
-	same.CoreHash = "different"
-	same.Provenance = "functional"
-	if h.Key() != same.Key() {
-		t.Errorf("advisory header fields changed the content address")
-	}
-	// Budget split does not matter, total does.
-	split := h
-	split.FastForwardInsts, split.WarmupInsts, split.MeasureInsts = 0, 60_000, 100_000
-	if h.TotalInsts() != split.TotalInsts() {
-		t.Fatalf("test setup: totals differ")
-	}
-	if h.Key() != split.Key() {
-		t.Errorf("budget split changed the content address despite equal totals")
-	}
-	for _, mut := range []func(*Header){
-		func(h *Header) { h.ProgHash++ },
-		func(h *Header) { h.CodeLen++ },
-		func(h *Header) { h.Entry++ },
-		func(h *Header) { h.MeasureInsts++ },
-	} {
-		m := h
-		mut(&m)
-		if m.Key() == h.Key() {
-			t.Errorf("content-determining field change kept the address: %+v", m)
-		}
-	}
-	name := h.FileName()
-	if !strings.HasPrefix(name, "gcc-") || !strings.HasSuffix(name, ".tctrace") {
-		t.Errorf("FileName = %q", name)
-	}
-	weird := h
-	weird.Name = "My Bench/v2"
-	if got := weird.FileName(); strings.ContainsAny(got, " /") {
-		t.Errorf("FileName not sanitized: %q", got)
-	}
-}
-
-// TestCollision is the content-address collision contract: a file whose
-// name matches but whose header describes different content must be
-// rejected with ErrMismatch, not replayed.
+// TestCollision is the stream-identity contract: a stream whose header
+// describes different content must be rejected with ErrMismatch, not
+// replayed.
 func TestCollision(t *testing.T) {
 	h := testHeader()
 	if err := h.Matches(h); err != nil {

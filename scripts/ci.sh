@@ -5,7 +5,9 @@
 # -ffwd and tcsim -ffwd must print the same mean fetch size), a warm
 # result-store smoke, a replay-determinism smoke (tcbench -replay stdout
 # must not depend on -j, on which experiments run with it, or on what a
-# detailed run left in the store), a tcserve sweep-service smoke (restart +
+# detailed run left in the store), a replay smoke (tcsim -replay must
+# print tcbench -replay's numbers for a point, and -replay-verify must
+# hold the fidelity envelope), a tcserve sweep-service smoke (restart +
 # store-served resubmission, plus the /metrics and /debug/pprof/ handler
 # set that tcserve shares with tcbench -http), a smoke run of the
 # throughput benchmarks (BenchmarkSimulatorThroughput and its -check
@@ -63,6 +65,10 @@ go test -run 'FuzzDifferential' ./internal/check/
 echo "== monitoring smoke (live /metrics + /progress during a -j N sweep, stdout purity) =="
 go build -o /tmp/tcbench-ci ./cmd/tcbench
 rm -f /tmp/tcbench-ci-journal.jsonl
+# Empty the announce file first: the loop below can read it before the
+# launch's redirection truncates it, and must not find an earlier run's
+# address there.
+: >/tmp/tcbench-ci.err
 /tmp/tcbench-ci -exp all -warmup 2000 -insts 8000 -j 4 \
 	-http 127.0.0.1:0 -journal /tmp/tcbench-ci-journal.jsonl \
 	>/tmp/tcbench-ci-monitored.out 2>/tmp/tcbench-ci.err &
@@ -130,17 +136,27 @@ rm -rf /tmp/tcbench-ci-replay-store
 cmp /tmp/tcbench-ci-replay-stored.out /tmp/tcbench-ci-replay-table2.out || {
 	echo "FAIL: -replay -store output differs from a store-less -replay run"; exit 1; }
 
-echo "== replay smoke (record -> replay -> verify within fidelity bounds) =="
-rm -rf /tmp/tcsim-ci-traces && mkdir -p /tmp/tcsim-ci-traces
+echo "== replay smoke (tcsim -replay == tcbench -replay per point; verify within fidelity bounds) =="
 go build -o /tmp/tcsim-ci ./cmd/tcsim
-/tmp/tcsim-ci -bench gcc -config baseline -warmup 20000 -insts 60000 \
-	-record /tmp/tcsim-ci-traces >/dev/null
-TRACE=$(ls /tmp/tcsim-ci-traces/*.tctrace | head -1)
-[ -n "$TRACE" ] || { echo "FAIL: -record produced no trace"; exit 1; }
-/tmp/tcsim-ci -bench gcc -config baseline -warmup 20000 -insts 60000 \
-	-replay "$TRACE" -json >/dev/null
-# -replay-verify records in memory, replays, and exits non-zero on any
-# fidelity violation (internal/check.CompareReplay, documented tolerances).
+# One replay answer per point: tcsim -replay must print the retired count
+# and effective fetch rate tcbench -replay journals for the same point
+# (fig6 is promo-t64 on gcc).
+rm -f /tmp/tcbench-ci-fig6.jsonl
+/tmp/tcbench-ci -exp fig6 -warmup 20000 -insts 60000 -j 1 -replay \
+	-journal /tmp/tcbench-ci-fig6.jsonl >/dev/null 2>&1
+/tmp/tcsim-ci -bench gcc -config promo-t64 -warmup 20000 -insts 60000 \
+	-replay -json >/tmp/tcsim-ci-replay.json
+grep '"config":"promo-t64","benchmark":"gcc"' /tmp/tcbench-ci-fig6.jsonl |
+	head -1 >/tmp/tcbench-ci-fig6-point.json
+for key in retired effFetchRate; do
+	FROM_BENCH=$(sed -n "s/.*\"$key\":\([^,}]*\).*/\1/p" /tmp/tcbench-ci-fig6-point.json)
+	FROM_SIM=$(sed -n "s/^  \"$key\": \([^,}]*\),*$/\1/p" /tmp/tcsim-ci-replay.json)
+	[ -n "$FROM_BENCH" ] && [ "$FROM_BENCH" = "$FROM_SIM" ] || {
+		echo "FAIL: promo-t64/gcc $key under -replay: tcbench '$FROM_BENCH', tcsim '$FROM_SIM'"; exit 1; }
+done
+# -replay-verify runs detailed, replays as -replay does, and exits
+# non-zero on any fidelity violation (internal/check.CompareReplay,
+# documented tolerances).
 /tmp/tcsim-ci -bench gcc -config baseline -warmup 20000 -insts 60000 \
 	-replay-verify
 /tmp/tcsim-ci -bench gcc -config promo-pack-costreg -warmup 20000 -insts 60000 \

@@ -142,11 +142,12 @@ func NewSimulator(cfg Config, prog *Program) (*Simulator, error) {
 }
 
 // NewReplayer builds a front-end-only replay engine for the program under
-// the configuration. Record a stream first (Simulator.AttachRecorder, or
-// tcsim -record), then feed it to Replayer.Replay; one recording serves
-// every configuration that varies only front-end axes. Runner.Replay does
-// both for a sweep, recording each benchmark's stream functionally once.
-// See DESIGN.md §9 for the fidelity contract.
+// the configuration. Record a stream first (Simulator.AttachRecorder),
+// decode it with trace.ReadAll and feed the records to
+// Replayer.ReplayRecords; one recording serves every configuration that
+// varies only front-end axes. Runner.Replay and tcsim -replay do both,
+// recording each benchmark's stream functionally (sim.RecordStream). See
+// DESIGN.md §9 for the fidelity contract.
 func NewReplayer(cfg Config, prog *Program) (*Replayer, error) {
 	return sim.NewReplayer(cfg, prog)
 }
@@ -247,9 +248,8 @@ type (
 	Meta = stats.Meta
 )
 
-// NewEventBus builds an event bus with the given ring-buffer capacity
-// (non-positive selects the default).
-func NewEventBus(ringSize int) *EventBus { return obs.NewBus(ringSize) }
+// NewEventBus builds an event bus with no sinks attached.
+func NewEventBus() *EventBus { return obs.NewBus() }
 
 // NewIntervalCollector builds a time-series collector snapshotting every
 // everyCycles cycles (zero selects 10000).
