@@ -57,7 +57,7 @@ func main() {
 		jReport  = flag.String("journal-report", "", "summarize a journal file and exit (two comma-separated files: diff them)")
 		replay   = flag.Bool("replay", false, "record each benchmark's committed stream functionally once and replay it for every front-end-equivalent point (cycle-domain statistics undefined on replayed points; see DESIGN.md §9)")
 		sample   = flag.String("sample", "", "run the sampled headline comparison with schedule window:period:warmup[:seed]; -insts becomes the total committed-stream budget per benchmark and -exp is ignored (see DESIGN.md §10)")
-		storeDir = flag.String("store", "", "consult and populate this persistent result-store directory (shared with tcserve and other tcbench runs; see DESIGN.md §11)")
+		storeDir = flag.String("store", "", "consult and populate this persistent result-store directory (shared with other tcbench runs; see DESIGN.md §11)")
 	)
 	flag.Parse()
 

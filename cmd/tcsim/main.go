@@ -97,6 +97,10 @@ func main() {
 			os.Exit(1)
 		}
 	}
+	if *repVer && (*asJSON || *jPath != "") {
+		fmt.Fprintln(os.Stderr, "tcsim: -replay-verify cannot be combined with -json or -journal (it compares two runs and has no single summary)")
+		os.Exit(1)
+	}
 	if *sample != "" {
 		if *httpAddr != "" || *tsOut != "" || *trOut != "" {
 			fmt.Fprintln(os.Stderr, "tcsim: -sample cannot be combined with -http, -timeseries or -trace (windowed telemetry needs a contiguous detailed run)")
@@ -109,65 +113,21 @@ func main() {
 		}
 		cfg.Sampling = p
 		cfg.WarmupInsts = 0 // each window carries its own warmup
-		runSampled(cfg, prog, *bench, *progFile, *asJSON, *jPath)
-		return
-	}
-	if *repVer {
-		runReplayVerify(cfg, prog)
-		return
-	}
-	if *replay {
-		runReplay(cfg, prog, *bench, *progFile, *asJSON, *jPath)
-		return
 	}
 
-	s, err := tracecache.NewSimulator(cfg, prog)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tcsim: %v\n", err)
-		os.Exit(1)
-	}
-
+	// The telemetry sinks only a detailed run feeds: the refusals above
+	// leave them nil in every other mode.
 	var coll *obs.Collector
 	if *tsOut != "" {
 		coll = obs.NewCollector(*interval)
-		s.SetIntervalCollector(coll)
-	}
-	// All event sinks — the Chrome trace and the monitoring bridge —
-	// share one lazily created bus.
-	var bus *obs.Bus
-	ensureBus := func() *obs.Bus {
-		if bus == nil {
-			bus = obs.NewBus()
-			s.AttachObserver(bus)
-		}
-		return bus
 	}
 	var chrome *obs.ChromeTrace
 	if *trOut != "" {
 		chrome = obs.NewChromeTrace(0)
-		ensureBus().Attach(chrome)
 	}
-
 	pointKey := *cfgStr + "/" + *bench
 	if *progFile != "" {
 		pointKey = *cfgStr + "/" + *progFile
-	}
-	var live *monitor.Progress
-	var monSrv *monitor.Server
-	if *httpAddr != "" {
-		reg := metrics.NewRegistry()
-		simMet := sim.NewMetrics(reg)
-		s.AttachMetrics(simMet)
-		ensureBus().Attach(metrics.NewBusSink(reg))
-		live = monitor.NewProgress(1, simMet.Insts.Value)
-		live.PointQueued(pointKey)
-		monSrv = &monitor.Server{Registry: reg, Progress: live}
-		addr, err := monSrv.Start(*httpAddr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tcsim: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "tcsim: monitoring on http://%s (/metrics /progress /debug/pprof)\n", addr)
 	}
 
 	stopProf, err := profiler.Start(*cpuProf, *memProf)
@@ -175,23 +135,36 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tcsim: %v\n", err)
 		os.Exit(1)
 	}
-	if live != nil {
-		live.PointStarted(pointKey)
-	}
 	started := time.Now()
-	run := s.Run()
-	if live != nil {
-		live.PointDone(pointKey, nil, time.Since(started))
-		live.Finish()
+	var out *outcome
+	switch {
+	case *repVer:
+		err = runReplayVerify(cfg, prog)
+	case *sample != "":
+		out, err = runSampled(cfg, prog)
+	case *replay:
+		out, err = runReplay(cfg, prog)
+	default:
+		out, err = runDetailed(cfg, prog, coll, chrome, *httpAddr, pointKey)
 	}
-	if err := stopProf(); err != nil {
+	wall := time.Since(started)
+
+	// The shared tail: every mode stops the profiler here, and every mode
+	// with one summary stamps, journals and prints it here.
+	if perr := stopProf(); err == nil {
+		err = perr
+	}
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "tcsim: %v\n", err)
 		os.Exit(1)
 	}
-	stampMeta(run.Meta, *bench, *progFile)
+	if out == nil {
+		return // -replay-verify printed its comparison
+	}
+	stampMeta(out.run.Meta, *bench, *progFile)
 
 	if *jPath != "" {
-		if err := appendJournal(*jPath, run, time.Since(started)); err != nil {
+		if err := appendJournal(*jPath, out.run, wall); err != nil {
 			fmt.Fprintf(os.Stderr, "tcsim: %v\n", err)
 			os.Exit(1)
 		}
@@ -204,30 +177,103 @@ func main() {
 		}
 	}
 	if chrome != nil {
-		if err := writeTrace(chrome, run.Meta, *trOut); err != nil {
+		if err := writeTrace(chrome, out.run.Meta, *trOut); err != nil {
 			fmt.Fprintf(os.Stderr, "tcsim: %v\n", err)
 			os.Exit(1)
 		}
 	}
 
-	if chk := s.Checker(); chk != nil {
-		if chk.Total() > 0 {
-			fmt.Fprintf(os.Stderr, "tcsim: self-check FAILED\n%s\n", chk.Report())
-			os.Exit(1)
+	if out.sim != nil {
+		if chk := out.sim.Checker(); chk != nil {
+			if chk.Total() > 0 {
+				fmt.Fprintf(os.Stderr, "tcsim: self-check FAILED\n%s\n", chk.Report())
+				os.Exit(1)
+			}
+			fmt.Fprintf(os.Stderr, "tcsim: self-check passed (%d committed instructions verified, 0 violations)\n", chk.Commits())
 		}
-		fmt.Fprintf(os.Stderr, "tcsim: self-check passed (%d committed instructions verified, 0 violations)\n", chk.Commits())
 	}
 
 	if *asJSON {
-		out, err := run.Summary().JSON()
+		var js []byte
+		if out.sampled != nil {
+			js, err = out.sampled.JSON()
+		} else {
+			js, err = out.run.Summary().JSON()
+		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "tcsim: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Println(string(out))
+		fmt.Println(string(js))
 		return
 	}
-	report(s, run)
+	out.report()
+}
+
+// outcome is what one mode hands main's shared tail.
+type outcome struct {
+	// run is stamped and journaled; -json summarizes it.
+	run *tracecache.Run
+	// sim is the simulator of a detailed or sampled run, whose
+	// self-check the tail reports. Nil for a replay.
+	sim *tracecache.Simulator
+	// sampled, in sampled mode, is the estimate -json prints instead of
+	// run's summary.
+	sampled *stats.Sampled
+	// report prints the text report.
+	report func()
+}
+
+// runDetailed runs the configuration fully detailed, feeding the
+// telemetry sinks that are non-nil and, with httpAddr set, serving live
+// monitoring of the one point.
+func runDetailed(cfg tracecache.Config, prog *tracecache.Program, coll *obs.Collector, chrome *obs.ChromeTrace, httpAddr, pointKey string) (*outcome, error) {
+	s, err := tracecache.NewSimulator(cfg, prog)
+	if err != nil {
+		return nil, err
+	}
+	if coll != nil {
+		s.SetIntervalCollector(coll)
+	}
+	// All event sinks — the Chrome trace and the monitoring bridge —
+	// share one lazily created bus.
+	var bus *obs.Bus
+	ensureBus := func() *obs.Bus {
+		if bus == nil {
+			bus = obs.NewBus()
+			s.AttachObserver(bus)
+		}
+		return bus
+	}
+	if chrome != nil {
+		ensureBus().Attach(chrome)
+	}
+	var live *monitor.Progress
+	if httpAddr != "" {
+		reg := metrics.NewRegistry()
+		simMet := sim.NewMetrics(reg)
+		s.AttachMetrics(simMet)
+		ensureBus().Attach(metrics.NewBusSink(reg))
+		live = monitor.NewProgress(1, simMet.Insts.Value)
+		live.PointQueued(pointKey)
+		monSrv := &monitor.Server{Registry: reg, Progress: live}
+		addr, err := monSrv.Start(httpAddr)
+		if err != nil {
+			return nil, err
+		}
+		fmt.Fprintf(os.Stderr, "tcsim: monitoring on http://%s (/metrics /progress /debug/pprof)\n", addr)
+		live.PointStarted(pointKey)
+	}
+
+	started := time.Now()
+	run := s.Run()
+	if live != nil {
+		live.PointDone(pointKey, nil, time.Since(started))
+		live.Finish()
+	}
+	return &outcome{run: run, sim: s, report: func() {
+		reportParts(run, s.TraceCache(), s.FillUnit())
+	}}, nil
 }
 
 // stampMeta records the tool and, for a named benchmark, the workload
@@ -294,10 +340,6 @@ func writeTrace(c *obs.ChromeTrace, meta *stats.Meta, path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-func report(s *tracecache.Simulator, run *tracecache.Run) {
-	reportParts(run, s.TraceCache(), s.FillUnit())
 }
 
 // reportParts renders the report from its pieces, so the detailed path

@@ -1,9 +1,9 @@
 package main
 
 import (
+	"errors"
 	"fmt"
-	"os"
-	"time"
+	"strings"
 
 	"tracecache"
 	"tracecache/internal/check"
@@ -31,54 +31,34 @@ func recordAndReplay(cfg tracecache.Config, prog *tracecache.Program) (*tracecac
 	return run, rp, len(recs), nil
 }
 
-// runReplay replays the committed stream through the front end only and
-// reports the front-end statistics (cycle-domain metrics are undefined
-// and rendered as zero; see DESIGN.md §9).
-func runReplay(cfg tracecache.Config, prog *tracecache.Program, bench, progFile string, asJSON bool, jPath string) {
-	started := time.Now()
+// runReplay replays the committed stream through the front end only.
+// Its outcome reports the front-end statistics (cycle-domain metrics are
+// undefined and rendered as zero; see DESIGN.md §9).
+func runReplay(cfg tracecache.Config, prog *tracecache.Program) (*outcome, error) {
 	run, rp, n, err := recordAndReplay(cfg, prog)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "tcsim: %v\n", err)
-		os.Exit(1)
+		return nil, err
 	}
-	stampMeta(run.Meta, bench, progFile)
-	if jPath != "" {
-		if err := appendJournal(jPath, run, time.Since(started)); err != nil {
-			fmt.Fprintf(os.Stderr, "tcsim: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if asJSON {
-		out, err := run.Summary().JSON()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tcsim: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(string(out))
-		return
-	}
-	fmt.Printf("replay of %d recorded instructions\n\n", n)
-	reportParts(run, rp.TraceCache(), rp.FillUnit())
+	return &outcome{run: run, report: func() {
+		fmt.Printf("replay of %d recorded instructions\n\n", n)
+		reportParts(run, rp.TraceCache(), rp.FillUnit())
+	}}, nil
 }
 
 // runReplayVerify runs the configuration detailed, replays it exactly as
-// -replay does, and verifies the replayed statistics against the
-// detailed ones under the committed fidelity envelope
-// (check.CompareReplay). Violations exit non-zero; this is the CI smoke
-// for the record/replay backend.
-func runReplayVerify(cfg tracecache.Config, prog *tracecache.Program) {
-	fail := func(err error) {
-		fmt.Fprintf(os.Stderr, "tcsim: %v\n", err)
-		os.Exit(1)
-	}
+// -replay does, prints both runs' headline statistics, and verifies the
+// replayed ones against the detailed ones under the committed fidelity
+// envelope (check.CompareReplay). It returns an error listing any
+// violation; this is the CI smoke for the record/replay backend.
+func runReplayVerify(cfg tracecache.Config, prog *tracecache.Program) error {
 	s, err := tracecache.NewSimulator(cfg, prog)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	det := s.Run()
 	rep, rp, n, err := recordAndReplay(cfg, prog)
 	if err != nil {
-		fail(err)
+		return err
 	}
 
 	dStats := check.ReplayStats{Run: det}
@@ -98,11 +78,13 @@ func runReplayVerify(cfg tracecache.Config, prog *tracecache.Program) {
 		100*det.CondMispredictRate(), 100*rep.CondMispredictRate())
 	vs := check.CompareReplay(dStats, rStats, check.DefaultReplayTolerance())
 	if len(vs) > 0 {
-		fmt.Fprintf(os.Stderr, "tcsim: replay-verify FAILED (%d violations)\n", len(vs))
+		var b strings.Builder
+		fmt.Fprintf(&b, "replay-verify FAILED (%d violations)", len(vs))
 		for _, v := range vs {
-			fmt.Fprintf(os.Stderr, "  %s\n", v)
+			fmt.Fprintf(&b, "\n  %s", v)
 		}
-		os.Exit(1)
+		return errors.New(b.String())
 	}
 	fmt.Println("replay-verify passed: replayed statistics within the documented envelope")
+	return nil
 }

@@ -1,9 +1,9 @@
 package main
 
 import (
+	"errors"
 	"fmt"
-	"os"
-	"time"
+	"strings"
 
 	"tracecache"
 	"tracecache/internal/sampling"
@@ -11,55 +11,27 @@ import (
 	"tracecache/internal/textplot"
 )
 
-// runSampled executes the sampled mode end to end: schedule, audit,
-// report (or JSON summary), optional journal record. The journal gets the
-// pooled window counters with sampled provenance and the schedule in its
-// metadata.
-func runSampled(cfg tracecache.Config, prog *tracecache.Program, bench, progFile string, asJSON bool, jPath string) {
+// runSampled executes the sampled mode: schedule and audit. Its outcome
+// journals the pooled window counters (sampled provenance, the schedule
+// in the metadata) and prints the interval estimates.
+func runSampled(cfg tracecache.Config, prog *tracecache.Program) (*outcome, error) {
 	s, err := tracecache.NewSimulator(cfg, prog)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "tcsim: %v\n", err)
-		os.Exit(1)
+		return nil, err
 	}
-	started := time.Now()
 	res, err := sampling.Run(s)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "tcsim: %v\n", err)
-		os.Exit(1)
+		return nil, err
 	}
 	if len(res.Violations) > 0 {
-		fmt.Fprintf(os.Stderr, "tcsim: sampling audit FAILED (%d violations)\n", len(res.Violations))
+		var b strings.Builder
+		fmt.Fprintf(&b, "sampling audit FAILED (%d violations)", len(res.Violations))
 		for _, v := range res.Violations {
-			fmt.Fprintf(os.Stderr, "  [%s] %s: %s\n", v.Layer, v.Rule, v.Detail)
+			fmt.Fprintf(&b, "\n  [%s] %s: %s", v.Layer, v.Rule, v.Detail)
 		}
-		os.Exit(1)
+		return nil, errors.New(b.String())
 	}
-	if chk := s.Checker(); chk != nil {
-		if chk.Total() > 0 {
-			fmt.Fprintf(os.Stderr, "tcsim: self-check FAILED\n%s\n", chk.Report())
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "tcsim: self-check passed (%d committed instructions verified, 0 violations)\n", chk.Commits())
-	}
-	stampMeta(res.Sampled.Meta, bench, progFile)
-
-	if jPath != "" {
-		if err := appendJournal(jPath, res.Run, time.Since(started)); err != nil {
-			fmt.Fprintf(os.Stderr, "tcsim: %v\n", err)
-			os.Exit(1)
-		}
-	}
-
-	if asJSON {
-		out, err := res.Sampled.JSON()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tcsim: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(string(out))
-		return
-	}
-	sampleReport(res)
+	return &outcome{run: res.Run, sim: s, sampled: res.Sampled, report: func() { sampleReport(res) }}, nil
 }
 
 // sampleReport renders the sampled aggregate: the schedule, the interval

@@ -14,7 +14,7 @@ import (
 var noPanicPkgs = map[string]bool{
 	"config": true, "cache": true, "core": true,
 	"experiments": true, "journal": true, "metrics": true, "trace": true,
-	"sampling": true, "resultstore": true, "server": true,
+	"sampling": true, "resultstore": true,
 }
 
 // NoPanic flags panic calls reachable from exported entry points of the

@@ -9,9 +9,9 @@
 // buffer and issued as a single Write, under a mutex against goroutines
 // of the same Writer and on an O_APPEND descriptor against other
 // processes (POSIX makes each O_APPEND write one atomic append), so any
-// number of appenders sharing a journal file — a tcserve daemon and a
-// CLI run, say — interleave at whole-record granularity, never inside a
-// line. A process killed mid-write leaves at most one truncated final
+// number of appenders sharing a journal file — concurrent tcbench and
+// tcsim runs, say — interleave at whole-record granularity, never inside
+// a line. A process killed mid-write leaves at most one truncated final
 // line, which readers skip (with a warning flag) rather than rejecting
 // the whole journal; corruption anywhere else is an error.
 package journal

@@ -100,9 +100,9 @@ func TestOpenFileAppends(t *testing.T) {
 }
 
 // TestMultiWriterInterleaving is the regression test for concurrent
-// appenders sharing one journal file, as a tcserve daemon and a CLI run
-// do: several Writers on independently opened O_APPEND descriptors (the
-// multi-process shape, minus fork), each appending from several
+// appenders sharing one journal file, as concurrent tcbench and tcsim
+// runs do: several Writers on independently opened O_APPEND descriptors
+// (the multi-process shape, minus fork), each appending from several
 // goroutines. Every record must come back intact — records interleave,
 // lines never do.
 func TestMultiWriterInterleaving(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -49,6 +50,28 @@ func TestProgressLifecycle(t *testing.T) {
 	for _, ps := range s.Points {
 		if ps.Key == "a/y" && ps.Error == "" {
 			t.Error("failed point lost its error")
+		}
+	}
+}
+
+// TestDefaultWorkersInProgress: a tracker built from an unset worker
+// count (tcbench's default -j 0) reports the pool the runner actually
+// runs, GOMAXPROCS, and sizes its ETA by it.
+func TestDefaultWorkersInProgress(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	for _, workers := range []int{0, -1} {
+		p := NewProgress(workers, nil)
+		p.PointQueued("a/x")
+		p.PointQueued("a/y")
+		p.PointQueued("a/z")
+		p.PointDone("a/x", nil, 300*time.Millisecond)
+		s := p.Snapshot()
+		if s.Workers != 3 {
+			t.Errorf("NewProgress(%d): workers = %d, want 3 (GOMAXPROCS)", workers, s.Workers)
+		}
+		// Two points remain at 0.3 s each over three workers.
+		if math.Abs(s.ETASeconds-0.2) > 1e-9 {
+			t.Errorf("NewProgress(%d): ETA = %v s, want 0.2", workers, s.ETASeconds)
 		}
 	}
 }
@@ -159,11 +182,11 @@ func TestProgressSSE(t *testing.T) {
 }
 
 // sseHandlerGoroutines counts live goroutines currently inside the
-// ProgressHandler SSE loop.
+// /progress SSE loop.
 func sseHandlerGoroutines() int {
 	buf := make([]byte, 1<<20)
 	n := runtime.Stack(buf, true)
-	return strings.Count(string(buf[:n]), "ProgressHandler.func")
+	return strings.Count(string(buf[:n]), "(*Server).progress(")
 }
 
 // TestCloseTerminatesSSE is the regression test for Server.Close leaving

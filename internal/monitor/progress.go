@@ -1,11 +1,9 @@
 // Package monitor is the opt-in live observability surface of a sweep: a
-// Progress tracker fed by runner events, the one HTTP handler set every
-// surface shares (Handle: /metrics and /debug/pprof/; Serve: listen and
-// serve), and a Server that adds /progress to that set for tcbench -http
-// and tcsim -http. tcserve mounts the same set next to its job routes.
-// Nothing here runs unless a binary asks for it; all monitoring output is
-// out-of-band (HTTP and stderr), never stdout, so enabling it cannot
-// change a sweep's committed results.
+// Progress tracker fed by runner events, and a Server that serves
+// /metrics, /progress and /debug/pprof/ for tcbench -http and tcsim
+// -http. Nothing here runs unless a binary asks for it; all monitoring
+// output is out-of-band (HTTP and stderr), never stdout, so enabling it
+// cannot change a sweep's committed results.
 package monitor
 
 import (

@@ -1,5 +1,5 @@
 // Package resultstore is the persistent, content-addressed result cache
-// behind the sweep service: one file per simulated point, keyed by the
+// behind tcbench -store: one file per simulated point, keyed by the
 // full configuration hash (stats.Meta.ConfigHash — budgets and sampling
 // schedule included), the benchmark name, the execution mode, and the
 // store format version. A point simulated by any process is thereafter
@@ -13,6 +13,12 @@
 // quarantines the file (renamed aside with a ".quarantined" suffix for
 // post-mortem) and reports a miss, so the point is simply re-simulated
 // and re-stored.
+//
+// A process killed mid-install can leave a "<entry>.tcresult.tmp*"
+// temporary behind. Nothing reads one: Get opens exact entry names and
+// Len counts only the ".tcresult" suffix. Open does not sweep them,
+// because a concurrent process sharing the directory may own one; delete
+// them only when no process is using the store.
 package resultstore
 
 import (
@@ -164,9 +170,6 @@ func Open(dir string) (*Store, error) {
 	}
 	return &Store{dir: dir}, nil
 }
-
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
 
 // encode renders an entry file: a one-line header carrying the magic,
 // the format version and the payload CRC, then the JSON payload. It

@@ -104,6 +104,38 @@ func TestMissingKeyIsPlainMiss(t *testing.T) {
 	}
 }
 
+// TestStaleTempFileIgnored pins the stale-temporary decision: the
+// temporary a killed install leaves behind is neither read, counted nor
+// swept (a concurrent process may own it), and the key still installs
+// and serves normally beside it.
+func TestStaleTempFileIgnored(t *testing.T) {
+	dir := t.TempDir()
+	want := sampleEntry()
+	stale := filepath.Join(dir, want.Key.FileName()+".tmp123")
+	if err := os.WriteFile(stale, []byte("tcresult 3 0000"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := openStore(t, dir)
+	if e, err := s.Get(want.Key); e != nil || err != nil {
+		t.Fatalf("Get beside a stale temporary = (%v, %v), want a plain miss", e, err)
+	}
+	if err := s.Put(want); err != nil {
+		t.Fatal(err)
+	}
+	if e, err := s.Get(want.Key); e == nil || err != nil {
+		t.Fatalf("Get after Put = (%v, %v)", e, err)
+	}
+	if n, _ := s.Len(); n != 1 {
+		t.Errorf("store holds %d entries, want 1 (temporaries are not entries)", n)
+	}
+	if _, err := os.Stat(stale); err != nil {
+		t.Errorf("stale temporary removed: %v", err)
+	}
+	if s.Metrics.Quarantined.Value() != 0 {
+		t.Errorf("quarantined = %d, want 0", s.Metrics.Quarantined.Value())
+	}
+}
+
 // TestTruncatedEntryQuarantined covers the crash-mid-install shape: a cut
 // file must be set aside (not fatal, not served) and the key must read as
 // a miss afterwards.

@@ -190,7 +190,7 @@ func TestRunWithChecker(t *testing.T) {
 // TestRunFlushesSimMetrics: every detailed retirement of a sampled run —
 // window warmups, measurement windows and drain tails — reaches attached
 // simulator metrics by the time Run returns, so fleet counters (and the
-// insts/s tcserve's /progress derives from them) see the whole run.
+// insts/s tcbench -http's /progress derives from them) see the whole run.
 func TestRunFlushesSimMetrics(t *testing.T) {
 	prog, err := workload.SharedProgram("gcc")
 	if err != nil {

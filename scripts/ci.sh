@@ -2,14 +2,16 @@
 # CI for the tracecache repo: tier-1 build+test, vet+gofmt+tcvet static
 # gates, a race pass over the observability layer, the simulator, and the
 # parallel sweep engine, a fast-forward agreement+accuracy step (tcbench
-# -ffwd and tcsim -ffwd must print the same mean fetch size), a warm
-# result-store smoke, a replay-determinism smoke (tcbench -replay stdout
-# must not depend on -j, on which experiments run with it, or on what a
-# detailed run left in the store), a replay smoke (tcsim -replay must
-# print tcbench -replay's numbers for a point, and -replay-verify must
-# hold the fidelity envelope), a tcserve sweep-service smoke (restart +
-# store-served resubmission, plus the /metrics and /debug/pprof/ handler
-# set that tcserve shares with tcbench -http), a smoke run of the
+# -ffwd and tcsim -ffwd must print the same mean fetch size), a
+# monitoring smoke (/metrics, /progress and /debug/pprof/ of a live
+# tcbench -http -store sweep), a warm result-store smoke, an interrupt
+# smoke (a tcbench -store -journal sweep killed by SIGTERM or SIGKILL
+# leaves only whole entries and a readable journal, and its rerun
+# simulates only the missing points), a replay-determinism smoke (tcbench
+# -replay stdout must not depend on -j, on which experiments run with it,
+# or on what a detailed run left in the store), a replay smoke (tcsim
+# -replay must print tcbench -replay's numbers for a point, and
+# -replay-verify must hold the fidelity envelope), a smoke run of the
 # throughput benchmarks (BenchmarkSimulatorThroughput and its -check
 # twin), and vet + tests of the perfbench module, which ./... skips
 # because it is its own module.
@@ -32,10 +34,10 @@ go run ./cmd/tcvet ./...
 echo "== go test =="
 go test ./...
 
-echo "== go test -race (obs, sim, metrics, monitor, journal, resultstore, server) =="
+echo "== go test -race (obs, sim, metrics, monitor, journal, resultstore, atomicfile) =="
 go test -race ./internal/obs/... ./internal/sim/... \
 	./internal/metrics/... ./internal/monitor/... ./internal/journal/... \
-	./internal/resultstore/... ./internal/server/... ./internal/atomicfile/...
+	./internal/resultstore/... ./internal/atomicfile/...
 
 echo "== go test -race (sweep engine: worker pool + singleflight + executor in every mode + program cache) =="
 go test -race -run 'Parallel|Singleflight|RunE|SweepE|RunAll|Shared|FastForward|Sampled|Store|Replay|Memoizes' \
@@ -64,13 +66,14 @@ go test -run 'FuzzDifferential' ./internal/check/
 
 echo "== monitoring smoke (live /metrics + /progress during a -j N sweep, stdout purity) =="
 go build -o /tmp/tcbench-ci ./cmd/tcbench
-rm -f /tmp/tcbench-ci-journal.jsonl
+rm -rf /tmp/tcbench-ci-journal.jsonl /tmp/tcbench-ci-mon-store
 # Empty the announce file first: the loop below can read it before the
 # launch's redirection truncates it, and must not find an earlier run's
 # address there.
 : >/tmp/tcbench-ci.err
 /tmp/tcbench-ci -exp all -warmup 2000 -insts 8000 -j 4 \
 	-http 127.0.0.1:0 -journal /tmp/tcbench-ci-journal.jsonl \
+	-store /tmp/tcbench-ci-mon-store \
 	>/tmp/tcbench-ci-monitored.out 2>/tmp/tcbench-ci.err &
 MON_PID=$!
 # Wait for the server announce, then hit the endpoints while the sweep runs.
@@ -89,7 +92,8 @@ for series in tracecache_runner_runs_started_total \
 	tracecache_runner_memo_hits_total \
 	tracecache_sim_instructions_committed_total \
 	tracecache_runner_run_wall_seconds_bucket \
-	tracecache_obs_events_total; do
+	tracecache_obs_events_total \
+	tracecache_store_misses_total; do
 	grep -q "$series" /tmp/tcbench-ci-metrics.txt || {
 		echo "FAIL: /metrics missing $series"; exit 1; }
 done
@@ -112,6 +116,51 @@ done
 /tmp/tcbench-ci -journal-report /tmp/tcbench-ci-store2.jsonl >/tmp/tcbench-ci-store2.report
 grep -q '^provenance: 0 cold, 0 replay, ' /tmp/tcbench-ci-store2.report || {
 	echo "FAIL: warm-store run simulated:"; head -2 /tmp/tcbench-ci-store2.report; exit 1; }
+
+echo "== interrupt smoke (a killed -store -journal sweep leaves the store and journal whole) =="
+# The cold run above simulated every point once: its cold count is the
+# sweep's distinct points, its memoized count the requests they share.
+/tmp/tcbench-ci -journal-report /tmp/tcbench-ci-store1.jsonl >/tmp/tcbench-ci-store1.report
+TOTAL=$(sed -n 's/^provenance: \([0-9]*\) cold, 0 replay, 0 sampled, \([0-9]*\) memoized, 0 store$/\1/p' /tmp/tcbench-ci-store1.report)
+MEMO=$(sed -n 's/^provenance: \([0-9]*\) cold, 0 replay, 0 sampled, \([0-9]*\) memoized, 0 store$/\2/p' /tmp/tcbench-ci-store1.report)
+[ -n "$TOTAL" ] && [ -n "$MEMO" ] || {
+	echo "FAIL: cold store run report:"; head -2 /tmp/tcbench-ci-store1.report; exit 1; }
+# SIGTERM and SIGKILL only: a background job of a non-interactive shell
+# starts with SIGINT ignored. With no handler installed, SIGTERM takes
+# the default action Ctrl-C's SIGINT takes in a terminal.
+for sig in TERM KILL; do
+	DIR=/tmp/tcbench-ci-int-$sig
+	rm -rf "$DIR" "$DIR.jsonl" "$DIR-rerun.jsonl"
+	/tmp/tcbench-ci -exp all -warmup 2000 -insts 8000 -j 4 -store "$DIR" \
+		-journal "$DIR.jsonl" >/dev/null 2>&1 &
+	INT_PID=$!
+	# Kill as soon as the first entry is installed.
+	for _ in $(seq 1 1500); do
+		ls "$DIR"/*.tcresult >/dev/null 2>&1 && break
+		sleep 0.02
+	done
+	kill -s "$sig" "$INT_PID"
+	STATUS=0
+	wait "$INT_PID" || STATUS=$?
+	[ "$STATUS" -gt 128 ] && [ "$(kill -l "$STATUS")" = "$sig" ] || {
+		echo "FAIL: SIG$sig: tcbench exit status $STATUS, want death by the signal"; exit 1; }
+	N=$(find "$DIR" -name '*.tcresult' | wc -l)
+	[ "$N" -gt 0 ] && [ "$N" -lt "$TOTAL" ] || {
+		echo "FAIL: SIG$sig left $N of $TOTAL entries, want 0 < N < $TOTAL"; exit 1; }
+	/tmp/tcbench-ci -journal-report "$DIR.jsonl" >/dev/null || {
+		echo "FAIL: SIG$sig: the killed run's journal does not read"; exit 1; }
+	/tmp/tcbench-ci -exp all -warmup 2000 -insts 8000 -j 4 -store "$DIR" \
+		-journal "$DIR-rerun.jsonl" >"$DIR.out" 2>/dev/null
+	cmp "$DIR.out" /tmp/tcbench-ci-bare.out || {
+		echo "FAIL: SIG$sig: rerun stdout differs from bare run"; exit 1; }
+	WANT="provenance: $((TOTAL - N)) cold, 0 replay, 0 sampled, $MEMO memoized, $N store"
+	GOT=$(/tmp/tcbench-ci -journal-report "$DIR-rerun.jsonl" | grep '^provenance: ')
+	[ "$GOT" = "$WANT" ] || {
+		echo "FAIL: SIG$sig rerun: '$GOT', want '$WANT'"; exit 1; }
+	[ -z "$(find "$DIR" -name '*.quarantined')" ] || {
+		echo "FAIL: SIG$sig: the rerun quarantined entries the killed run left"; exit 1; }
+	echo "SIG$sig: killed run left $N of $TOTAL entries; rerun: $GOT"
+done
 
 echo "== replay determinism smoke (-replay output is a pure function of the request) =="
 /tmp/tcbench-ci -exp all -warmup 2000 -insts 8000 -j 1 -replay >/tmp/tcbench-ci-replay1.out 2>/dev/null
@@ -176,72 +225,6 @@ go run ./cmd/tcsim -bench gcc -config promo-pack-costreg -check \
 go test -run 'TestRunMatchesDetailedTruth|TestRunAuditAndShape|TestRunDeterminism' \
 	./internal/sampling/
 go test -run 'TestCompareSampled|TestSamplingAudit' ./internal/check/
-
-echo "== tcserve smoke (sweep service; restart must serve the resubmitted sweep from the store; shared /metrics + pprof set) =="
-go build -o /tmp/tcserve-ci ./cmd/tcserve
-rm -rf /tmp/tcserve-ci-store /tmp/tcserve-ci-journal.jsonl
-SWEEP_SPEC='{"configs":["baseline","packing"],"benchmarks":["compress","gcc","go"],"warmupInsts":2000,"measureInsts":8000}'
-
-# start_tcserve launches a fresh daemon on the shared store and resolves
-# its bound address into SRV_ADDR / SRV_PID.
-start_tcserve() {
-	: >/tmp/tcserve-ci.err
-	/tmp/tcserve-ci -http 127.0.0.1:0 -store /tmp/tcserve-ci-store \
-		-journal /tmp/tcserve-ci-journal.jsonl -j 4 2>/tmp/tcserve-ci.err &
-	SRV_PID=$!
-	SRV_ADDR=""
-	for _ in $(seq 1 50); do
-		SRV_ADDR=$(sed -n 's|.*serving on http://\([^ ]*\).*|\1|p' /tmp/tcserve-ci.err)
-		[ -n "$SRV_ADDR" ] && break
-		sleep 0.1
-	done
-	[ -n "$SRV_ADDR" ] || { echo "FAIL: tcserve never announced"; cat /tmp/tcserve-ci.err; exit 1; }
-}
-
-# run_sweep submits the 6-point sweep, waits for the job, and saves its
-# results payload to $1.
-run_sweep() {
-	SWEEP_JOB=$(curl -sf -XPOST "http://$SRV_ADDR/api/jobs" -d "$SWEEP_SPEC" |
-		sed -n 's|.*"id": "\([^"]*\)".*|\1|p')
-	[ -n "$SWEEP_JOB" ] || { echo "FAIL: sweep submission returned no job id"; exit 1; }
-	SWEEP_STATE=""
-	for _ in $(seq 1 600); do
-		SWEEP_STATE=$(curl -sf "http://$SRV_ADDR/api/jobs/$SWEEP_JOB" |
-			sed -n 's|.*"state": "\([^"]*\)".*|\1|p')
-		[ "$SWEEP_STATE" = done ] && break
-		sleep 0.1
-	done
-	[ "$SWEEP_STATE" = done ] || { echo "FAIL: job $SWEEP_JOB ended as '$SWEEP_STATE'"; exit 1; }
-	curl -sf "http://$SRV_ADDR/api/jobs/$SWEEP_JOB/results" >"$1"
-}
-
-start_tcserve
-run_sweep /tmp/tcserve-ci-results1.json
-kill -TERM "$SRV_PID"; wait "$SRV_PID"
-
-# Restarted daemon, same store: the identical sweep must simulate nothing.
-start_tcserve
-run_sweep /tmp/tcserve-ci-results2.json
-curl -sf "http://$SRV_ADDR/metrics" >/tmp/tcserve-ci-metrics.txt
-curl -sf "http://$SRV_ADDR/debug/pprof/" >/dev/null
-kill -TERM "$SRV_PID"; wait "$SRV_PID"
-grep -q tracecache_server_jobs_submitted_total /tmp/tcserve-ci-metrics.txt || {
-	echo "FAIL: tcserve /metrics missing tracecache_server_jobs_submitted_total"; exit 1; }
-
-metric() { awk -v m="$1" '$1 == m {print $2}' /tmp/tcserve-ci-metrics.txt; }
-COLD=$(metric tracecache_runner_cold_starts_total)
-REPLAYS=$(metric tracecache_runner_replays_total)
-HITS=$(metric tracecache_store_hits_total)
-SERVED=$(metric tracecache_runner_store_served_total)
-[ "$COLD$REPLAYS" = "00" ] || {
-	echo "FAIL: restarted daemon simulated (cold=$COLD replays=$REPLAYS)"; exit 1; }
-[ "$HITS" = 6 ] && [ "$SERVED" = 6 ] || {
-	echo "FAIL: restarted daemon store hits=$HITS served=$SERVED, want 6/6"; exit 1; }
-STORE_RECS=$(grep -c '"provenance":"store"' /tmp/tcserve-ci-journal.jsonl)
-[ "$STORE_RECS" = 6 ] || {
-	echo "FAIL: journal has $STORE_RECS store-provenance records, want 6"; exit 1; }
-cmp /tmp/tcserve-ci-results1.json /tmp/tcserve-ci-results2.json || {
-	echo "FAIL: store-served results differ from simulated results"; exit 1; }
 
 echo "== throughput benchmark smoke (BenchmarkSimulatorThroughput, plain and -check) =="
 go test -run xxx -bench=SimulatorThroughput -benchtime=1x -benchmem .
