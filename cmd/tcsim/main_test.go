@@ -103,3 +103,32 @@ func TestReplayVerifyRefusesSummaryFlags(t *testing.T) {
 		t.Errorf("refused run wrote the journal (stat err %v)", err)
 	}
 }
+
+// TestReplayVerifyOutOfDomain: below the budgets the replay envelope was
+// calibrated at (check.InReplayDomain), -replay-verify still prints the
+// comparison but reports the run as out of domain and exits non-zero,
+// whether or not the comparison breaks the envelope (at 2k+8k baseline
+// does, promo-pack-costreg does not).
+func TestReplayVerifyOutOfDomain(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	bin := buildBinary(t)
+	for _, cfg := range []string{"baseline", "promo-pack-costreg"} {
+		args := []string{"-bench", "gcc", "-config", cfg, "-warmup", "2000", "-insts", "8000", "-replay-verify"}
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		if err == nil {
+			t.Errorf("tcsim %v exited 0, want an out-of-domain report", args)
+		}
+		for _, want := range []string{"mispredict     detailed=", "outside the calibrated domain"} {
+			if !strings.Contains(string(out), want) {
+				t.Errorf("tcsim %v: output lacks %q:\n%s", args, want, out)
+			}
+		}
+		for _, never := range []string{"passed", "FAILED"} {
+			if strings.Contains(string(out), never) {
+				t.Errorf("tcsim %v: out-of-domain run reported %q:\n%s", args, never, out)
+			}
+		}
+	}
+}

@@ -104,3 +104,24 @@ func TestCompareReplayProvenance(t *testing.T) {
 		t.Errorf("String() = %q", vs[0].String())
 	}
 }
+
+// TestInReplayDomain pins the envelope's calibrated budget domain: at
+// least 20k warm-up and 60k measured instructions, both required.
+func TestInReplayDomain(t *testing.T) {
+	for _, c := range []struct {
+		warm, measure uint64
+		want          bool
+	}{
+		{20_000, 60_000, true},
+		{20_000, 100_000, true},
+		{400_000, 600_000, true},
+		{2_000, 8_000, false},
+		{19_999, 60_000, false},
+		{20_000, 59_999, false},
+		{0, 1_000_000, false},
+	} {
+		if got := InReplayDomain(c.warm, c.measure); got != c.want {
+			t.Errorf("InReplayDomain(%d, %d) = %v, want %v", c.warm, c.measure, got, c.want)
+		}
+	}
+}

@@ -112,18 +112,21 @@ const maxBlockBuffer = 256
 
 // FillUnit collects blocks from the retired instruction stream and builds
 // trace segments (Section 3: "the fill unit collects blocks after they
-// retire"). Finalized segments are written to the trace cache.
+// retire"). Finalized segments are copied into the trace cache. Its
+// buffers are sized once, at construction, so filling allocates nothing.
 type FillUnit struct {
 	cfg             FillConfig
 	tc              *TraceCache
 	bias            *BiasTable
-	pending         []SegInst
+	pending         []SegInst // the fill buffer, capacity MaxInsts
 	pendingBranches int
-	block           []SegInst
-	blockScratch    []SegInst // mergeBlock working copy, reused across calls
+	block           []SegInst // the in-progress block, capacity maxBlockBuffer
+	seg             Segment   // finalize's view of pending
 	stats           FillStats
 	obs             *obs.Bus
-	// OnSegment, when set, observes every finalized segment.
+	// OnSegment, when set, observes every finalized segment. The segment
+	// is a view of the fill buffer, valid only during the callback: an
+	// observer that keeps it must copy it.
 	OnSegment func(*Segment)
 	// OnPack, when set, observes every packing split before the packed
 	// prefix is appended: the pending segment as it stood, the free slots,
@@ -151,7 +154,12 @@ func NewFillUnit(cfg FillConfig, tc *TraceCache) *FillUnit {
 	if cfg.BiasMaxCount < cfg.PromoteThreshold {
 		cfg.BiasMaxCount = cfg.PromoteThreshold
 	}
-	f := &FillUnit{cfg: cfg, tc: tc}
+	f := &FillUnit{
+		cfg:     cfg,
+		tc:      tc,
+		pending: make([]SegInst, 0, cfg.MaxInsts),
+		block:   make([]SegInst, 0, maxBlockBuffer),
+	}
 	if cfg.PromoteThreshold > 0 && cfg.StaticPromotions == nil {
 		size := cfg.BiasTableSize
 		if size <= 0 {
@@ -182,7 +190,12 @@ func (f *FillUnit) SetObserver(b *obs.Bus) { f.obs = b }
 //tc:hotpath
 func (f *FillUnit) Retire(pc int, in isa.Inst, taken bool) {
 	f.stats.Retired++
-	si := SegInst{PC: pc, Inst: in, Taken: taken}
+	// Fill the block's next slot in place; mergeBlock runs before the
+	// block outgrows its maxBlockBuffer capacity.
+	n := len(f.block)
+	f.block = f.block[:n+1]
+	si := &f.block[n]
+	*si = SegInst{PC: pc, Inst: in, Taken: taken}
 	switch {
 	case in.IsCondBranch() && f.cfg.StaticPromotions != nil:
 		if dir, ok := f.cfg.StaticPromotions[pc]; ok && dir == taken {
@@ -201,21 +214,19 @@ func (f *FillUnit) Retire(pc int, in isa.Inst, taken bool) {
 		}
 		f.obs.Emit(ev)
 	}
-	f.block = append(f.block, si)
 	if in.IsControl() || len(f.block) >= maxBlockBuffer {
 		f.mergeBlock()
 	}
 }
 
 // mergeBlock folds the completed block into the pending segment, splitting
-// it per the packing policy when it does not fit. The block is copied into
-// a reusable scratch buffer so the collector buffer can be truncated and
-// refilled in place instead of growing a fresh array per block.
+// it per the packing policy when it does not fit. It reads the block in
+// place: the collector is truncated up front, and nothing refills it
+// until the next Retire, after the merge.
 //
 //tc:hotpath
 func (f *FillUnit) mergeBlock() {
-	blk := append(f.blockScratch[:0], f.block...)
-	f.blockScratch = blk[:0]
+	blk := f.block
 	f.block = f.block[:0]
 	for len(blk) > 0 {
 		space := f.cfg.MaxInsts - len(f.pending)
@@ -307,39 +318,37 @@ func (f *FillUnit) packingWorthwhile() bool {
 	return false
 }
 
+// appendInsts appends a run of one block (never more than the free slots)
+// to the pending segment. A block ends at its only control instruction
+// (Retire merges at each one), so the run's last instruction is the only
+// one that can be a conditional branch.
+//
 //tc:hotpath
 func (f *FillUnit) appendInsts(insts []SegInst) {
-	for _, si := range insts {
-		f.pending = append(f.pending, si)
-		if si.Inst.IsCondBranch() {
-			f.stats.Branches++
-			if si.Promoted {
-				f.stats.Promotions++
-			} else {
-				f.pendingBranches++
-			}
+	f.pending = append(f.pending, insts...)
+	if last := &insts[len(insts)-1]; last.Inst.IsCondBranch() {
+		f.stats.Branches++
+		if last.Promoted {
+			f.stats.Promotions++
+		} else {
+			f.pendingBranches++
 		}
 	}
 }
 
-// finalize writes the pending segment to the trace cache and resets it.
+// finalize copies the pending segment into the trace cache and resets
+// the fill buffer. Insert and OnSegment see one reused view of the buffer.
 //
 //tc:hotpath
 func (f *FillUnit) finalize(reason FinalizeReason) {
 	if len(f.pending) == 0 {
 		return
 	}
-	// The segment and its instruction clone outlive the fill unit: they are
-	// handed to the trace cache, which keeps them until eviction. Allocating
-	// here is the ownership transfer, not leakage from the hot loop.
-	//tcvet:ignore hotalloc segment persists in the trace cache; per-finalize allocation is intentional
-	seg := &Segment{
-		Start: f.pending[0].PC,
-		//tcvet:ignore hotalloc clone gives the cached segment its own backing array
-		Insts:    append([]SegInst(nil), f.pending...),
-		Reason:   reason,
-		branches: f.pendingBranches,
-	}
+	seg := &f.seg
+	seg.Start = f.pending[0].PC
+	seg.Insts = f.pending
+	seg.Reason = reason
+	seg.branches = f.pendingBranches
 	f.pending = f.pending[:0]
 	f.pendingBranches = 0
 	f.stats.Segments++

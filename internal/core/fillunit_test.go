@@ -1,11 +1,20 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"tracecache/internal/isa"
 )
+
+// cloneSegment copies a segment handed to OnSegment, which is a view of the
+// fill buffer valid only during the callback, so a collector can keep it.
+func cloneSegment(s *Segment) *Segment {
+	c := *s
+	c.Insts = slices.Clone(s.Insts)
+	return &c
+}
 
 // feeder drives a fill unit with synthetic retired blocks and collects the
 // segments it builds.
@@ -17,7 +26,7 @@ type feeder struct {
 
 func newFeeder(cfg FillConfig) *feeder {
 	fd := &feeder{f: NewFillUnit(cfg, nil)}
-	fd.f.OnSegment = func(s *Segment) { fd.segs = append(fd.segs, s) }
+	fd.f.OnSegment = func(s *Segment) { fd.segs = append(fd.segs, cloneSegment(s)) }
 	return fd
 }
 
@@ -183,7 +192,7 @@ func TestFillCostRegulatedTightLoopOverride(t *testing.T) {
 	cfg := DefaultFillConfig(PackCostRegulated, 0)
 	f := NewFillUnit(cfg, nil)
 	var segs []*Segment
-	f.OnSegment = func(s *Segment) { segs = append(segs, s) }
+	f.OnSegment = func(s *Segment) { segs = append(segs, cloneSegment(s)) }
 	// A 13-instruction block ending in a short backward branch (tight
 	// loop): packing proceeds despite the nearly-full segment.
 	pc := 100
@@ -223,7 +232,7 @@ func TestFillPromotionEmbedsStaticPrediction(t *testing.T) {
 	cfg := DefaultFillConfig(PackAtomic, 4)
 	f := NewFillUnit(cfg, nil)
 	var segs []*Segment
-	f.OnSegment = func(s *Segment) { segs = append(segs, s) }
+	f.OnSegment = func(s *Segment) { segs = append(segs, cloneSegment(s)) }
 	// Retire the same taken branch enough times to cross the threshold.
 	retireBlock := func() {
 		f.Retire(0, isa.Inst{Op: isa.OpAdd}, false)
@@ -258,7 +267,7 @@ func TestFillPromotedBranchesDoNotCountTowardLimit(t *testing.T) {
 	cfg := DefaultFillConfig(PackAtomic, 2)
 	f := NewFillUnit(cfg, nil)
 	var segs []*Segment
-	f.OnSegment = func(s *Segment) { segs = append(segs, s) }
+	f.OnSegment = func(s *Segment) { segs = append(segs, cloneSegment(s)) }
 	// Warm the bias table so branch 1 promotes, then flush pending state.
 	for i := 0; i < 4; i++ {
 		f.Retire(0, isa.Inst{Op: isa.OpAdd}, false)
@@ -448,7 +457,7 @@ func TestFillCostRegulatedTightLoopDisplacementBoundary(t *testing.T) {
 		cfg := DefaultFillConfig(PackCostRegulated, 0)
 		f := NewFillUnit(cfg, nil)
 		var segs []*Segment
-		f.OnSegment = func(s *Segment) { segs = append(segs, s) }
+		f.OnSegment = func(s *Segment) { segs = append(segs, cloneSegment(s)) }
 		pc := 1000
 		// 12 pending instructions (5 unused, 10 < 12: half-empty trigger
 		// off) ending in a backward branch of the given displacement.

@@ -8,7 +8,8 @@ import (
 
 // FuzzFillUnit drives the fill unit with arbitrary retire streams under
 // every packing policy and checks the structural segment invariants: the
-// fill unit faces whatever the retire stream contains.
+// fill unit faces whatever the retire stream contains. The callback checks
+// each segment while it is valid and keeps none.
 func FuzzFillUnit(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0, 0, 2, 3, 0, 0, 0, 0, 4}, uint8(1), uint8(8))
 	f.Add([]byte{1, 1, 1, 1, 1, 1, 1}, uint8(4), uint8(2))
@@ -24,10 +25,17 @@ func FuzzFillUnit(f *testing.F) {
 			if s.NumBranches() > cfg.MaxBranches {
 				bad = "too many branches"
 			}
+			branches := 0
 			for i, si := range s.Insts {
 				if si.Inst.TerminatesSegment() && i != s.Len()-1 {
 					bad = "terminator mid-segment"
 				}
+				if si.Inst.IsCondBranch() && !si.Promoted {
+					branches++
+				}
+			}
+			if branches != s.NumBranches() {
+				bad = "branch count disagrees with a recount"
 			}
 		}
 		pc := 0

@@ -45,17 +45,18 @@ func TestPathAssocInsertKeepsDistinctPaths(t *testing.T) {
 	tc.Insert(a)
 	tc.Insert(b)
 	// Both paths resident: select by predicted path.
-	if got := tc.LookupPath(5, 0b11); got != a {
+	if got := tc.LookupPath(5, 0b11); !sameSegment(got, a) {
 		t.Errorf("path 11 = %v", got)
 	}
-	if got := tc.LookupPath(5, 0b10); got != b {
+	if got := tc.LookupPath(5, 0b10); !sameSegment(got, b) {
 		t.Errorf("path 10 = %v", got)
 	}
 	// Same start and same path replaces.
 	a2 := pathSeg(5, true, true)
+	a2.Reason = FinalMaxBranches
 	tc.Insert(a2)
-	if got := tc.LookupPath(5, 0b11); got != a2 {
-		t.Error("same-path insert did not replace")
+	if got := tc.LookupPath(5, 0b11); !sameSegment(got, a2) {
+		t.Errorf("same-path insert did not replace: got %v", got)
 	}
 	if tc.Stats().Overwrites != 1 {
 		t.Errorf("overwrites = %d", tc.Stats().Overwrites)
@@ -68,8 +69,8 @@ func TestNonPathAssocReplacesRegardlessOfPath(t *testing.T) {
 	b := pathSeg(5, false, true)
 	tc.Insert(a)
 	tc.Insert(b)
-	if got := tc.Lookup(5); got != b {
-		t.Error("non-path-assoc must keep one segment per start")
+	if got := tc.Lookup(5); !sameSegment(got, b) {
+		t.Errorf("non-path-assoc must keep one segment per start: got %v", got)
 	}
 }
 
@@ -81,8 +82,8 @@ func TestLookupPathPrefixMatch(t *testing.T) {
 	tc.Insert(b)
 	// Predicted path 01: first branch taken (matches a's first bit),
 	// second not-taken: a matches 1 leading bit, b matches 0.
-	if got := tc.LookupPath(5, 0b01); got != a {
-		t.Error("longest-prefix selection failed")
+	if got := tc.LookupPath(5, 0b01); !sameSegment(got, a) {
+		t.Errorf("longest-prefix selection failed: got %v", got)
 	}
 	if tc.LookupPath(99, 0) != nil {
 		t.Error("miss returned a segment")

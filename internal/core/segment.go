@@ -105,18 +105,6 @@ func (s *Segment) NumPromoted() int {
 	return n
 }
 
-// Blocks returns the indices (into Insts) at which fetch blocks begin.
-// A new block begins after each non-promoted conditional branch.
-func (s *Segment) Blocks() []int {
-	starts := []int{0}
-	for i, si := range s.Insts {
-		if si.Inst.IsCondBranch() && !si.Promoted && i+1 < len(s.Insts) {
-			starts = append(starts, i+1)
-		}
-	}
-	return starts
-}
-
 // ContainsPromoted reports whether the segment holds a promoted branch at
 // pc.
 func (s *Segment) ContainsPromoted(pc int) bool {
@@ -192,14 +180,44 @@ func (s TraceCacheStats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Lookups)
 }
 
+// tcWay is one trace cache line. It owns its segment: Insert copies the
+// inserted segment into seg, whose instruction array is sized once, at
+// the way's first fill, and reused by every later fill, like the paper's
+// fixed-size line.
 type tcWay struct {
-	seg *Segment
-	lru uint64
-	// sig/nsig cache seg.PathSig() under path associativity: a resident
-	// segment is immutable (demotion invalidates whole lines), so the
-	// signature computed at insert stays valid for the segment's lifetime.
-	sig  uint8
-	nsig int
+	seg   Segment
+	valid bool
+	lru   uint64
+	// sig/nsig cache seg.PathSig() under path associativity and promoted
+	// caches seg.NumPromoted(): a resident segment is immutable (demotion
+	// invalidates whole lines), so what Insert computes stays valid for
+	// the line's lifetime.
+	sig      uint8
+	nsig     int
+	promoted int
+}
+
+// fill copies seg into the way and stamps its cached summary. seg may be
+// the way's own segment (a looked-up segment re-inserted), in which case
+// the copy is a no-op.
+//
+//tc:hotpath
+func (w *tcWay) fill(seg *Segment, lru uint64, sig uint8, nsig, promoted int) {
+	n := len(seg.Insts)
+	if cap(w.seg.Insts) < n {
+		// First fill (or a segment longer than any this way held): size the
+		// line from the segment's capacity, which the fill unit sets to its
+		// MaxInsts, so no later fill reallocates.
+		w.seg.Insts = make([]SegInst, n, cap(seg.Insts))
+	}
+	insts := w.seg.Insts[:n]
+	copy(insts, seg.Insts)
+	w.seg = *seg
+	w.seg.Insts = insts
+	w.valid = true
+	w.lru = lru
+	w.sig, w.nsig = sig, nsig
+	w.promoted = promoted
 }
 
 // TraceCache stores trace segments indexed by starting fetch address. In
@@ -215,9 +233,9 @@ type TraceCache struct {
 	pathAssoc bool
 	stats     TraceCacheStats
 	// livePromoted tracks the promoted-branch instances embedded in
-	// resident segments, maintained incrementally by Insert,
-	// InvalidatePromoted and Reset. ResidentPromoted recounts it from
-	// scratch; the self-check layer compares the two.
+	// resident segments, maintained incrementally by Insert and
+	// InvalidatePromoted. ResidentPromoted recounts it from scratch; the
+	// self-check layer compares the two.
 	livePromoted int
 }
 
@@ -250,7 +268,7 @@ func (t *TraceCache) ResidentPromoted() int {
 	n := 0
 	for _, set := range t.sets {
 		for i := range set {
-			if set[i].seg != nil {
+			if set[i].valid {
 				n += set[i].seg.NumPromoted()
 			}
 		}
@@ -258,25 +276,32 @@ func (t *TraceCache) ResidentPromoted() int {
 	return n
 }
 
-// Lookup returns the segment starting at start, or nil on a miss.
+// Lookup returns the segment starting at start, or nil on a miss. The
+// segment is the line's own storage: it stays valid until the next Insert
+// or InvalidatePromoted, either of which may overwrite the line, and the
+// caller must not modify it.
 func (t *TraceCache) Lookup(start int) *Segment {
 	t.clock++
 	t.stats.Lookups++
 	set := t.sets[uint32(start)&t.mask]
 	for i := range set {
-		if set[i].seg != nil && set[i].seg.Start == start {
+		if set[i].valid && set[i].seg.Start == start {
 			set[i].lru = t.clock
 			t.stats.Hits++
-			return set[i].seg
+			return &set[i].seg
 		}
 	}
 	return nil
 }
 
-// Insert writes a segment. Without path associativity any resident
+// Insert copies a segment into the cache; the caller keeps ownership of
+// seg and may reuse it at once. Without path associativity any resident
 // segment with the same start is replaced; with it, only a segment with
 // the same start and the same embedded path is replaced. Otherwise the
-// LRU way is evicted.
+// LRU way is evicted. Once every way has been filled, Insert allocates
+// nothing.
+//
+//tc:hotpath
 func (t *TraceCache) Insert(seg *Segment) {
 	t.clock++
 	t.stats.Inserts++
@@ -288,37 +313,40 @@ func (t *TraceCache) Insert(seg *Segment) {
 		// computed once here and cached in the way for LookupPath.
 		sig, nsig = seg.PathSig()
 	}
+	promoted := seg.NumPromoted()
 	victim := 0
 	for i := range set {
-		if set[i].seg != nil && set[i].seg.Start == seg.Start {
-			if t.pathAssoc && (set[i].sig != sig || set[i].nsig != nsig) {
+		w := &set[i]
+		if w.valid && w.seg.Start == seg.Start {
+			if t.pathAssoc && (w.sig != sig || w.nsig != nsig) {
 				continue // a different path may stay resident
 			}
-			if set[i].seg != seg {
+			if seg != &w.seg {
 				t.stats.Overwrites++
 			}
-			t.livePromoted += seg.NumPromoted() - set[i].seg.NumPromoted()
-			set[i] = tcWay{seg: seg, lru: t.clock, sig: sig, nsig: nsig}
+			t.livePromoted += promoted - w.promoted
+			w.fill(seg, t.clock, sig, nsig, promoted)
 			return
 		}
-		if set[i].seg == nil {
+		if !w.valid {
 			victim = i
-		} else if set[victim].seg != nil && set[i].lru < set[victim].lru {
+		} else if set[victim].valid && w.lru < set[victim].lru {
 			victim = i
 		}
 	}
-	if set[victim].seg != nil {
+	if set[victim].valid {
 		t.stats.Evictions++
-		t.livePromoted -= set[victim].seg.NumPromoted()
+		t.livePromoted -= set[victim].promoted
 	}
-	t.livePromoted += seg.NumPromoted()
-	set[victim] = tcWay{seg: seg, lru: t.clock, sig: sig, nsig: nsig}
+	t.livePromoted += promoted
+	set[victim].fill(seg, t.clock, sig, nsig, promoted)
 }
 
 // LookupPath returns the resident segment starting at start whose embedded
 // path matches the longest prefix of the predicted path bits (bit i = i-th
 // predicted branch outcome). Without path associativity at most one
-// candidate exists and it is returned regardless of path.
+// candidate exists and it is returned regardless of path. The segment's
+// lifetime is Lookup's.
 func (t *TraceCache) LookupPath(start int, path uint8) *Segment {
 	t.clock++
 	t.stats.Lookups++
@@ -326,7 +354,7 @@ func (t *TraceCache) LookupPath(start int, path uint8) *Segment {
 	best := -1
 	bestLen := -1
 	for i := range set {
-		if set[i].seg == nil || set[i].seg.Start != start {
+		if !set[i].valid || set[i].seg.Start != start {
 			continue
 		}
 		l := matchLen(set[i].sig, path, set[i].nsig)
@@ -339,7 +367,7 @@ func (t *TraceCache) LookupPath(start int, path uint8) *Segment {
 	}
 	set[best].lru = t.clock
 	t.stats.Hits++
-	return set[best].seg
+	return &set[best].seg
 }
 
 // matchLen counts how many leading branch outcomes of sig agree with path.
@@ -357,30 +385,19 @@ func matchLen(sig, path uint8, n int) int {
 // InvalidatePromoted removes every segment containing a promoted branch at
 // pc, returning the number of lines invalidated. The simulator calls this
 // when a faulting promoted branch is demoted so stale segments stop
-// faulting.
+// faulting. Lines that embed no promoted branch are skipped unscanned.
 func (t *TraceCache) InvalidatePromoted(pc int) int {
 	n := 0
 	for _, set := range t.sets {
 		for i := range set {
-			if set[i].seg != nil && set[i].seg.ContainsPromoted(pc) {
-				t.livePromoted -= set[i].seg.NumPromoted()
-				set[i] = tcWay{}
+			w := &set[i]
+			if w.valid && w.promoted > 0 && w.seg.ContainsPromoted(pc) {
+				t.livePromoted -= w.promoted
+				w.valid = false
 				n++
 			}
 		}
 	}
 	t.stats.Demotions += uint64(n)
 	return n
-}
-
-// Reset clears contents and statistics.
-func (t *TraceCache) Reset() {
-	for _, set := range t.sets {
-		for i := range set {
-			set[i] = tcWay{}
-		}
-	}
-	t.clock = 0
-	t.stats = TraceCacheStats{}
-	t.livePromoted = 0
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -35,35 +36,6 @@ func TestSegInstNextPC(t *testing.T) {
 		if ok != c.wantOK || (ok && got != c.want) {
 			t.Errorf("%v NextPC = (%d,%v), want (%d,%v)", c.si.Inst, got, ok, c.want, c.wantOK)
 		}
-	}
-}
-
-func TestSegmentBlocks(t *testing.T) {
-	s := &Segment{Start: 0, Insts: []SegInst{
-		alu(0), alu(1), br(2, 20, true),
-		alu(20), br(21, 40, false),
-		alu(22), alu(23),
-	}, branches: 2}
-	blocks := s.Blocks()
-	if len(blocks) != 3 || blocks[0] != 0 || blocks[1] != 3 || blocks[2] != 5 {
-		t.Errorf("blocks = %v", blocks)
-	}
-}
-
-func TestSegmentBlocksPromotedDoesNotSplit(t *testing.T) {
-	p := br(2, 20, true)
-	p.Promoted = true
-	s := &Segment{Insts: []SegInst{alu(0), alu(1), p, alu(20), br(21, 0, false)}, branches: 1}
-	blocks := s.Blocks()
-	if len(blocks) != 1 {
-		t.Errorf("promoted branch split blocks: %v", blocks)
-	}
-}
-
-func TestSegmentTrailingBranchNoEmptyBlock(t *testing.T) {
-	s := &Segment{Insts: []SegInst{alu(0), br(1, 9, true)}, branches: 1}
-	if blocks := s.Blocks(); len(blocks) != 1 {
-		t.Errorf("trailing branch created empty block: %v", blocks)
 	}
 }
 
@@ -120,6 +92,14 @@ func seg(start int, insts ...SegInst) *Segment {
 	return &Segment{Start: start, Insts: insts}
 }
 
+// sameSegment reports whether a cached segment holds exactly want's
+// contents. The trace cache copies what Insert is given, so lookups are
+// compared by content, never by pointer.
+func sameSegment(got, want *Segment) bool {
+	return got != nil && got.Start == want.Start && got.Reason == want.Reason &&
+		got.branches == want.branches && slices.Equal(got.Insts, want.Insts)
+}
+
 func TestTraceCacheLookupInsert(t *testing.T) {
 	tc := MustNewTraceCache(TraceCacheConfig{Entries: 16, Assoc: 2})
 	if tc.Lookup(5) != nil {
@@ -127,8 +107,8 @@ func TestTraceCacheLookupInsert(t *testing.T) {
 	}
 	s := seg(5)
 	tc.Insert(s)
-	if got := tc.Lookup(5); got != s {
-		t.Error("lookup after insert missed")
+	if got := tc.Lookup(5); !sameSegment(got, s) {
+		t.Errorf("lookup after insert = %v, want %v", got, s)
 	}
 	st := tc.Stats()
 	if st.Lookups != 2 || st.Hits != 1 || st.Inserts != 1 {
@@ -142,8 +122,8 @@ func TestTraceCacheNoPathAssociativity(t *testing.T) {
 	s2 := seg(5, alu(5), br(6, 50, false))
 	tc.Insert(s1)
 	tc.Insert(s2)
-	if got := tc.Lookup(5); got != s2 {
-		t.Error("same-start insert must replace (no path associativity)")
+	if got := tc.Lookup(5); !sameSegment(got, s2) {
+		t.Errorf("same-start insert must replace (no path associativity): got %v", got)
 	}
 	if tc.Stats().Overwrites != 1 {
 		t.Errorf("overwrites = %d, want 1", tc.Stats().Overwrites)
@@ -194,15 +174,70 @@ func TestTraceCacheInvalidatePromoted(t *testing.T) {
 	}
 }
 
-func TestTraceCacheReset(t *testing.T) {
+// TestTraceCacheInsertCopies: the cache keeps its own copy, so a caller
+// that reuses or mutates the inserted segment (as the fill unit reuses
+// its fill buffer) leaves the cached line unchanged.
+func TestTraceCacheInsertCopies(t *testing.T) {
 	tc := MustNewTraceCache(TraceCacheConfig{Entries: 16, Assoc: 2})
-	tc.Insert(seg(1))
-	tc.Reset()
-	if tc.Lookup(1) != nil {
-		t.Error("segment survived reset")
+	s := seg(5, alu(5), br(6, 50, true))
+	want := seg(5, alu(5), br(6, 50, true))
+	tc.Insert(s)
+	s.Insts[1].Taken = false
+	s.Insts[0] = alu(99)
+	s.Start, s.Reason = 7, FinalTerminator
+	if got := tc.Lookup(5); !sameSegment(got, want) {
+		t.Errorf("cached line changed with its source: got %v, want %v", got, want)
 	}
-	if st := tc.Stats(); st.Lookups != 1 || st.Inserts != 0 {
-		t.Errorf("stats after reset = %+v", st)
+	if tc.Lookup(7) != nil {
+		t.Error("mutated start reached the cache")
+	}
+}
+
+// TestTraceCacheReinsertLookedUp: re-inserting the segment Lookup
+// returned (the line's own storage) refreshes the line in place and is
+// not counted as an overwrite.
+func TestTraceCacheReinsertLookedUp(t *testing.T) {
+	tc := MustNewTraceCache(TraceCacheConfig{Entries: 16, Assoc: 2})
+	want := seg(5, alu(5), br(6, 50, true))
+	tc.Insert(want)
+	tc.Insert(tc.Lookup(5))
+	if got := tc.Lookup(5); !sameSegment(got, want) {
+		t.Errorf("re-inserted line = %v, want %v", got, want)
+	}
+	if st := tc.Stats(); st.Inserts != 2 || st.Overwrites != 0 || st.Evictions != 0 {
+		t.Errorf("stats = %+v, want 2 inserts, no overwrite or eviction", st)
+	}
+}
+
+// TestTraceCacheInsertFullAllocFree: once every way holds a line sized
+// from a fill-unit-capacity segment, inserting (evicting, overwriting)
+// allocates nothing.
+func TestTraceCacheInsertFullAllocFree(t *testing.T) {
+	tc := MustNewTraceCache(TraceCacheConfig{Entries: 16, Assoc: 2})
+	buf := make([]SegInst, 0, 16)
+	s := &Segment{}
+	fill := func(start, n int) {
+		buf = buf[:0]
+		for i := 0; i < n; i++ {
+			buf = append(buf, alu(start+i))
+		}
+		s.Start, s.Insts = start, buf
+	}
+	for start := 0; start < 16; start++ {
+		fill(start, 1)
+		tc.Insert(s)
+	}
+	start := 16
+	allocs := testing.AllocsPerRun(100, func() {
+		fill(start, 1+start%16)
+		tc.Insert(s)
+		start++
+	})
+	if allocs != 0 {
+		t.Errorf("Insert into a full cache: %v allocations, want 0", allocs)
+	}
+	if st := tc.Stats(); st.Evictions == 0 {
+		t.Errorf("stats = %+v: inserts never evicted", st)
 	}
 }
 

@@ -84,7 +84,7 @@ func TestFillUnitStaticPromotion(t *testing.T) {
 		t.Error("static mode must not build a bias table")
 	}
 	var segs []*Segment
-	f.OnSegment = func(s *Segment) { segs = append(segs, s) }
+	f.OnSegment = func(s *Segment) { segs = append(segs, cloneSegment(s)) }
 	// Annotated branch retiring in the annotated direction: promoted
 	// immediately (no warm-up).
 	f.Retire(0, isa.Inst{Op: isa.OpAdd}, false)
@@ -115,7 +115,7 @@ func TestStaticPromotionOverridesThreshold(t *testing.T) {
 	cfg.StaticPromotions = map[int]bool{}
 	f := NewFillUnit(cfg, nil)
 	var segs []*Segment
-	f.OnSegment = func(s *Segment) { segs = append(segs, s) }
+	f.OnSegment = func(s *Segment) { segs = append(segs, cloneSegment(s)) }
 	// With an (empty) static table, dynamic promotion is off: repeated
 	// outcomes never promote.
 	for i := 0; i < 20; i++ {

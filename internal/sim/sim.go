@@ -52,6 +52,8 @@ type dyn struct {
 	resolution   uint64 // cycles from fetch to redirect
 	// inactiveSuffix holds the inactive instructions issued with this
 	// (diverging) branch; they are injected if the branch mispredicts.
+	// The buffer comes from Simulator.suffixFree and returns to it when
+	// the branch retires or is squashed.
 	inactiveSuffix []fetch.FetchedInst
 }
 
@@ -98,12 +100,17 @@ type Simulator struct {
 
 	fetchPC int
 	// pending is the fetched bundle awaiting dispatch.
-	pending       []fetch.FetchedInst
-	pendingRec    int
-	pendingPos    int
-	deliverAt     uint64 // cycle the pending bundle is delivered (icache miss)
-	pendingBrIdx  int    // position of the diverging branch, -1 if none
+	pending      []fetch.FetchedInst
+	pendingRec   int
+	pendingPos   int
+	deliverAt    uint64 // cycle the pending bundle is delivered (icache miss)
+	pendingBrIdx int    // position of the diverging branch, -1 if none
+	// pendingSuffix is the bundle's inactive suffix, a window on
+	// pendingBuf until the diverging branch dispatches and copies it.
 	pendingSuffix []fetch.FetchedInst
+	// suffixFree recycles the inactive-suffix buffers of retired and
+	// squashed diverging branches.
+	suffixFree [][]fetch.FetchedInst
 
 	// Injected inactive instructions awaiting window space. Dispatch
 	// consumes the queue from its head, so it is refilled from injectBuf,
@@ -519,6 +526,7 @@ func (s *Simulator) retireInst(d *dyn) {
 		s.recordRetire(d.fi.PC, in, d.taken, d.nextPC, d.memAddr)
 	}
 	s.retireUpdate(&s.run, &d.fi, d.alignFill, d.taken, d.mispredicted, d.nextPC, d.memAddr, true)
+	s.releaseSuffix(d)
 	if d.mispredicted && (in.IsCondBranch() || in.IsIndirect()) {
 		s.run.ResolutionSum += d.resolution
 		s.run.ResolutionsCounted++
@@ -629,6 +637,7 @@ func (s *Simulator) recover(d *dyn, cause stats.CycleClass, target int) {
 		if y.hasDest && s.renameMap[y.destReg] == seq {
 			s.renameMap[y.destReg] = y.prevProducer
 		}
+		s.releaseSuffix(y)
 		rec := s.rec(y.fetchID)
 		rec.pending--
 		if !rec.caused {
@@ -743,9 +752,10 @@ func (s *Simulator) dispatch() bool {
 		}
 		s.dispatchInst(fi, s.pendingRec)
 		if s.pendingPos == s.pendingBrIdx && s.pendingSuffix != nil {
-			// The diverging branch carries its inactive suffix.
+			// The diverging branch carries its inactive suffix, copied out
+			// of pendingBuf, which the next fetch refills.
 			last := &s.window[(s.eng.NextSeq()-1)&s.mask]
-			last.inactiveSuffix = s.pendingSuffix
+			last.inactiveSuffix = s.holdSuffix(s.pendingSuffix)
 			s.pendingSuffix = nil
 			s.pendingBrIdx = -1
 		}
@@ -886,9 +896,9 @@ func (s *Simulator) fetch(deliveredThisCycle bool) {
 	}
 	// Copy the bundle into the reusable pending buffer (the fetch engine
 	// reuses its own) and locate the diverging branch for inactive-issue
-	// injection. Dispatch copies instructions into the window by value, so
-	// nothing references the buffer once the bundle drains — except an
-	// inactive suffix, which attachInactive clones.
+	// injection. Dispatch copies instructions into the window by value,
+	// and the diverging branch copies its inactive suffix (holdSuffix), so
+	// nothing references the buffer once the bundle drains.
 	insts := append(s.pendingBuf[:0], b.Insts...)
 	s.pendingBuf = insts[:0]
 	s.pending = insts
@@ -905,9 +915,12 @@ func (s *Simulator) fetch(deliveredThisCycle bool) {
 }
 
 // attachInactive locates the divergence point; the inactive suffix is
-// attached to the diverging branch when it dispatches. The suffix is
-// cloned because the diverging branch may hold it in the window long after
-// the pending buffer has been reused by later fetches.
+// attached to the diverging branch when it dispatches. Until then it
+// aliases the pending bundle: only fetch refills pendingBuf, and fetch
+// waits until the bundle has drained (the branch has dispatched and
+// copied the suffix) or been discarded (the suffix with it).
+//
+//tc:hotpath
 func (s *Simulator) attachInactive(insts []fetch.FetchedInst) {
 	first := -1
 	for i := range insts {
@@ -923,7 +936,33 @@ func (s *Simulator) attachInactive(insts []fetch.FetchedInst) {
 		return
 	}
 	s.pendingBrIdx = first - 1
-	s.pendingSuffix = append([]fetch.FetchedInst(nil), insts[first:]...)
+	s.pendingSuffix = insts[first:]
+}
+
+// holdSuffix copies an inactive suffix into a buffer from the free list
+// (a new one only while the list is empty), which the diverging branch
+// keeps until it retires or is squashed.
+//
+//tc:hotpath
+func (s *Simulator) holdSuffix(suffix []fetch.FetchedInst) []fetch.FetchedInst {
+	var buf []fetch.FetchedInst
+	if n := len(s.suffixFree); n > 0 {
+		buf = s.suffixFree[n-1]
+		s.suffixFree = s.suffixFree[:n-1]
+	}
+	buf = append(buf[:0], suffix...)
+	return buf
+}
+
+// releaseSuffix returns a retiring or squashed instruction's inactive
+// suffix buffer, if it holds one, to the free list.
+//
+//tc:hotpath
+func (s *Simulator) releaseSuffix(d *dyn) {
+	if d.inactiveSuffix != nil {
+		s.suffixFree = append(s.suffixFree, d.inactiveSuffix[:0])
+		d.inactiveSuffix = nil
+	}
 }
 
 // maybeFinalize classifies a fetch record once all of its instructions

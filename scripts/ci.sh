@@ -11,7 +11,8 @@
 # -replay stdout must not depend on -j, on which experiments run with it,
 # or on what a detailed run left in the store), a replay smoke (tcsim
 # -replay must print tcbench -replay's numbers for a point, and
-# -replay-verify must hold the fidelity envelope), a smoke run of the
+# -replay-verify must hold the fidelity envelope in its calibrated domain
+# and report a shorter run as out of domain), a smoke run of the
 # throughput benchmarks (BenchmarkSimulatorThroughput and its -check
 # twin), and vet + tests of the perfbench module, which ./... skips
 # because it is its own module.
@@ -210,6 +211,18 @@ done
 	-replay-verify
 /tmp/tcsim-ci -bench gcc -config promo-pack-costreg -warmup 20000 -insts 60000 \
 	-replay-verify
+# Below the calibrated domain (20k warm-up + 60k measured) the envelope
+# does not apply: -replay-verify still prints the comparison, reports the
+# run as out of domain and exits non-zero, never "passed".
+if /tmp/tcsim-ci -bench gcc -config baseline -warmup 2000 -insts 8000 \
+	-replay-verify >/tmp/tcsim-ci-ood.out 2>&1; then
+	echo "FAIL: -replay-verify at 2k+8k exited 0"; exit 1
+fi
+grep -q 'outside the calibrated domain' /tmp/tcsim-ci-ood.out &&
+	grep -q 'mispredict     detailed=' /tmp/tcsim-ci-ood.out &&
+	! grep -q 'passed' /tmp/tcsim-ci-ood.out || {
+	echo "FAIL: -replay-verify at 2k+8k did not report an out-of-domain comparison:"
+	cat /tmp/tcsim-ci-ood.out; exit 1; }
 echo "== replay tests (stream format, fidelity, determinism, runner fast path) =="
 go test ./internal/trace/
 go test -run 'TestReplay|TestRecord|TestRunnerReplay|TestCompareReplay' \
