@@ -38,6 +38,23 @@ func (c Counter2) Update(taken bool) Counter2 {
 // weaklyNotTaken is the initial counter state.
 const weaklyNotTaken Counter2 = 1
 
+// table returns a table of n entries, each v: tb's storage when it holds
+// n entries, new storage otherwise. It is every predictor table's one
+// initialization, so a renewed table starts exactly as a new one.
+func table[T comparable](tb []T, n int, v T) []T {
+	if len(tb) != n {
+		tb = make([]T, n)
+		var zero T
+		if v == zero {
+			return tb
+		}
+	}
+	for i := range tb {
+		tb[i] = v
+	}
+	return tb
+}
+
 // History is a global branch history register of a fixed width. It is a
 // value type: the fetch engine checkpoints it by copying.
 type History struct {
@@ -105,18 +122,22 @@ type TreeMBP struct {
 
 // NewTreeMBP builds the predictor with the given number of entries (a
 // power of two; the paper uses 16K entries = 32KB of storage).
-func NewTreeMBP(entries int) *TreeMBP {
-	t := &TreeMBP{
-		entries:  make([][7]Counter2, entries),
+func NewTreeMBP(entries int) *TreeMBP { return RenewTreeMBP(nil, entries) }
+
+// RenewTreeMBP is NewTreeMBP built in old's table when that has the given
+// number of entries. old may be nil; a renewed old must not be used
+// again.
+func RenewTreeMBP(old *TreeMBP, entries int) *TreeMBP {
+	var tb [][7]Counter2
+	if old != nil {
+		tb = old.entries
+	}
+	w := weaklyNotTaken
+	return &TreeMBP{
+		entries:  table(tb, entries, [7]Counter2{w, w, w, w, w, w, w}),
 		mask:     uint32(entries - 1),
 		histBits: log2(entries),
 	}
-	for i := range t.entries {
-		for j := range t.entries[i] {
-			t.entries[i][j] = weaklyNotTaken
-		}
-	}
-	return t
 }
 
 func log2(n int) uint {
@@ -176,14 +197,17 @@ type SplitMBP struct {
 
 // NewSplitMBP builds the predictor with per-slot table sizes (powers of
 // two).
-func NewSplitMBP(first, second, third int) *SplitMBP {
+func NewSplitMBP(first, second, third int) *SplitMBP { return RenewSplitMBP(nil, first, second, third) }
+
+// RenewSplitMBP is NewSplitMBP built in old's tables, each where it has
+// its slot's size. old may be nil; a renewed old must not be used again.
+func RenewSplitMBP(old *SplitMBP, first, second, third int) *SplitMBP {
 	s := &SplitMBP{}
-	sizes := [3]int{first, second, third}
-	for i, n := range sizes {
-		s.tables[i] = make([]Counter2, n)
-		for j := range s.tables[i] {
-			s.tables[i][j] = weaklyNotTaken
-		}
+	if old != nil {
+		s.tables = old.tables
+	}
+	for i, n := range [3]int{first, second, third} {
+		s.tables[i] = table(s.tables[i], n, weaklyNotTaken)
 		s.masks[i] = uint32(n - 1)
 	}
 	return s
@@ -265,6 +289,9 @@ func (s *SingleHybridMBP) Update(ctx PredCtx, taken bool) {
 
 // MaxSlots implements MultiPredictor.
 func (s *SingleHybridMBP) MaxSlots() int { return 1 }
+
+// Hybrid returns the wrapped hybrid predictor.
+func (s *SingleHybridMBP) Hybrid() *Hybrid { return s.h }
 
 // Counters implements MultiPredictor, reporting the wrapped hybrid's
 // telemetry.

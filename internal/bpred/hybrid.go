@@ -25,25 +25,31 @@ type Hybrid struct {
 }
 
 // NewHybrid builds the hybrid predictor with the paper's geometry.
-func NewHybrid() *Hybrid {
-	return NewHybridSized(1<<15, 1<<12, 1<<15)
-}
+func NewHybrid() *Hybrid { return RenewHybrid(nil) }
+
+// RenewHybrid is NewHybrid built in old's tables (its PAs component's
+// included), each where it has the paper's size. old may be nil; a
+// renewed old must not be used again.
+func RenewHybrid(old *Hybrid) *Hybrid { return renewHybrid(old, 1<<15, 1<<12, 1<<15) }
 
 // NewHybridSized builds a hybrid predictor with a gshare/selector table of
 // gsize counters, a PAs branch history table of bhtSize entries, and a PAs
 // pattern history table of psize counters.
 func NewHybridSized(gsize, bhtSize, psize int) *Hybrid {
-	h := &Hybrid{
-		gshare:   make([]Counter2, gsize),
-		gmask:    uint32(gsize - 1),
-		selector: make([]Counter2, gsize),
-		pas:      NewPAs(bhtSize, psize),
+	return renewHybrid(nil, gsize, bhtSize, psize)
+}
+
+func renewHybrid(old *Hybrid, gsize, bhtSize, psize int) *Hybrid {
+	var h Hybrid
+	var pas *PAs
+	if old != nil {
+		h.gshare, h.selector, pas = old.gshare, old.selector, old.pas
 	}
-	for i := range h.gshare {
-		h.gshare[i] = weaklyNotTaken
-		h.selector[i] = weaklyNotTaken
-	}
-	return h
+	h.gshare = table(h.gshare, gsize, weaklyNotTaken)
+	h.gmask = uint32(gsize - 1)
+	h.selector = table(h.selector, gsize, weaklyNotTaken)
+	h.pas = renewPAs(pas, bhtSize, psize)
+	return &h
 }
 
 // Predict returns the hybrid prediction for the branch at pc under the
@@ -87,17 +93,19 @@ type PAs struct {
 
 // NewPAs builds a PAs predictor with bhtSize local-history entries and a
 // pattern history table of phtSize counters (both powers of two).
-func NewPAs(bhtSize, phtSize int) *PAs {
+func NewPAs(bhtSize, phtSize int) *PAs { return renewPAs(nil, bhtSize, phtSize) }
+
+func renewPAs(old *PAs, bhtSize, phtSize int) *PAs {
 	p := &PAs{
-		bht:      make([]uint32, bhtSize),
 		bhtMask:  uint32(bhtSize - 1),
-		pht:      make([]Counter2, phtSize),
 		phtMask:  uint32(phtSize - 1),
 		histBits: log2(phtSize),
 	}
-	for i := range p.pht {
-		p.pht[i] = weaklyNotTaken
+	if old != nil {
+		p.bht, p.pht = old.bht, old.pht
 	}
+	p.bht = table(p.bht, bhtSize, 0)
+	p.pht = table(p.pht, phtSize, weaklyNotTaken)
 	return p
 }
 
@@ -131,12 +139,19 @@ type IndirectPredictor struct {
 
 // NewIndirectPredictor builds a last-target table with size entries (a
 // power of two).
-func NewIndirectPredictor(size int) *IndirectPredictor {
-	return &IndirectPredictor{
-		targets: make([]int, size),
-		valid:   make([]bool, size),
-		mask:    uint32(size - 1),
+func NewIndirectPredictor(size int) *IndirectPredictor { return RenewIndirectPredictor(nil, size) }
+
+// RenewIndirectPredictor is NewIndirectPredictor built in old's table
+// when that has size entries. old may be nil; a renewed old must not be
+// used again.
+func RenewIndirectPredictor(old *IndirectPredictor, size int) *IndirectPredictor {
+	ip := &IndirectPredictor{mask: uint32(size - 1)}
+	if old != nil {
+		ip.targets, ip.valid = old.targets, old.valid
 	}
+	ip.targets = table(ip.targets, size, 0)
+	ip.valid = table(ip.valid, size, false)
+	return ip
 }
 
 // Predict returns the predicted target for the indirect jump at pc and

@@ -96,6 +96,17 @@ func New(cfg Config) (*Cache, error) {
 	return c, nil
 }
 
+// Renew returns a cache for cfg built in old's tag array, cleared by
+// Reset to exactly what New builds, when old was built for cfg, and New's
+// cache otherwise. old may be nil; a renewed old must not be used again.
+func Renew(old *Cache, cfg Config) (*Cache, error) {
+	if old == nil || old.cfg != cfg {
+		return New(cfg)
+	}
+	old.Reset()
+	return old, nil
+}
+
 // Config returns the cache geometry.
 func (c *Cache) Config() Config { return c.cfg }
 
@@ -150,12 +161,11 @@ func (c *Cache) LineAddr(addr uint64) uint64 {
 // LineBytes returns the line size.
 func (c *Cache) LineBytes() int { return c.cfg.LineBytes }
 
-// Reset clears contents and statistics.
+// Reset clears contents and statistics, leaving the cache as New built
+// it. It is the cache's one clearing routine (Renew uses it).
 func (c *Cache) Reset() {
 	for _, set := range c.sets {
-		for i := range set {
-			set[i] = way{}
-		}
+		clear(set)
 	}
 	c.clock = 0
 	c.stats = Stats{}

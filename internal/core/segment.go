@@ -240,12 +240,33 @@ type TraceCache struct {
 }
 
 // NewTraceCache builds a trace cache.
-func NewTraceCache(cfg TraceCacheConfig) (*TraceCache, error) {
+func NewTraceCache(cfg TraceCacheConfig) (*TraceCache, error) { return RenewTraceCache(nil, cfg) }
+
+// RenewTraceCache is NewTraceCache built in old's ways when old has cfg's
+// geometry. Every way is emptied. A way old left resident keeps its
+// instruction array's storage, which no lookup sees before the way's
+// next fill; the others drop theirs, so a cache renewed run after run
+// holds no more line storage than one run fills. old may be nil; a
+// renewed old must not be used again.
+func RenewTraceCache(old *TraceCache, cfg TraceCacheConfig) (*TraceCache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	nsets := cfg.Entries / cfg.Assoc
 	t := &TraceCache{mask: uint32(nsets - 1), pathAssoc: cfg.PathAssoc}
+	if old != nil && len(old.sets) == nsets && len(old.sets[0]) == cfg.Assoc {
+		t.sets = old.sets
+		for _, set := range t.sets {
+			for i := range set {
+				var insts []SegInst
+				if set[i].valid {
+					insts = set[i].seg.Insts[:0]
+				}
+				set[i] = tcWay{seg: Segment{Insts: insts}}
+			}
+		}
+		return t, nil
+	}
 	backing := make([]tcWay, cfg.Entries)
 	t.sets = make([][]tcWay, nsets)
 	for i := range t.sets {

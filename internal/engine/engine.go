@@ -166,10 +166,38 @@ type Stats struct {
 const depsPerSlot = 4
 
 // New builds an engine over the given data-cache hierarchy.
-func New(cfg Config, hier *cache.Hierarchy) *Engine {
+func New(cfg Config, hier *cache.Hierarchy) *Engine { return Renew(nil, cfg, hier) }
+
+// Renew is New built in old's storage when old's window has the size cfg
+// needs: the window slots with their dependency lists, the event buckets,
+// the scheduler heaps and the store-address index are emptied in place,
+// keeping only their capacity, so the engine behaves exactly as a new
+// one. old may be nil; a renewed old must not be used again.
+func Renew(old *Engine, cfg Config, hier *cache.Hierarchy) *Engine {
 	size := 1
 	for size < 2*cfg.Window() {
 		size <<= 1
+	}
+	if old != nil && len(old.insts) == size {
+		e := old
+		for i := range e.insts {
+			e.insts[i] = inst{deps: e.insts[i].deps[:0]}
+		}
+		for i := range e.buckets {
+			e.buckets[i] = e.buckets[i][:0]
+		}
+		clear(e.storesByAddr)
+		*e = Engine{
+			cfg: cfg, hier: hier, insts: e.insts, mask: e.mask,
+			buckets:      e.buckets,
+			ready:        e.ready[:0],
+			pendingStore: e.pendingStore[:0],
+			blockedLoads: e.blockedLoads[:0],
+			storesByAddr: e.storesByAddr,
+			storeFree:    e.storeFree,
+			completedBuf: e.completedBuf[:0],
+		}
+		return e
 	}
 	e := &Engine{
 		cfg:          cfg,

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"testing"
 
 	"tracecache/internal/cache"
@@ -322,4 +323,45 @@ func mustCache(cfg cache.Config) *cache.Cache {
 		panic(err)
 	}
 	return c
+}
+
+// TestRenewMatchesNew: an engine renewed while it still holds in-flight
+// instructions, scheduled events, ready and blocked loads, pending stores
+// and store-address entries behaves exactly as a new one: the same
+// script of dispatches and ticks completes the same instructions on the
+// same cycles, with the same statistics.
+func TestRenewMatchesNew(t *testing.T) {
+	old := newEngine(false)
+	old.Tick(0)
+	for i := uint64(0); i < 40; i++ {
+		old.Dispatch(nil, i%5 == 4, i%5 == 0, 0x100*(i%8), 12)
+	}
+	old.Tick(1)
+	old.Tick(2)
+	script := func(e *Engine) (done [][]uint64) {
+		for c := uint64(0); c < 60; c++ {
+			if c < 20 {
+				st := e.Dispatch(nil, false, true, 0x100*(c%8), 1)
+				ld := e.Dispatch([]uint64{st}, true, false, 0x100*(c%8), 1)
+				e.Dispatch([]uint64{ld}, false, false, 0, 12)
+			}
+			if c == 2 {
+				// A load no store of this script precedes at its address.
+				e.Dispatch(nil, true, false, 0x500, 1)
+			}
+			done = append(done, append([]uint64(nil), e.Tick(c)...))
+		}
+		return done
+	}
+	renewed := Renew(old, DefaultConfig(), testHier())
+	fresh := newEngine(false)
+	got, want := script(renewed), script(fresh)
+	for c := range want {
+		if fmt.Sprint(got[c]) != fmt.Sprint(want[c]) {
+			t.Fatalf("cycle %d: renewed engine completed %v, new engine %v", c, got[c], want[c])
+		}
+	}
+	if renewed.Stats() != fresh.Stats() {
+		t.Errorf("renewed stats %+v, new engine %+v", renewed.Stats(), fresh.Stats())
+	}
 }

@@ -594,3 +594,36 @@ func TestTraceUndoTrimming(t *testing.T) {
 		t.Errorf("steps = %d", steps)
 	}
 }
+
+// TestRenewStateMatchesNew: state renewed from a used one — a page
+// outside the next program's image, a stale word beside that image on a
+// page both map, registers, a call stack and a live undo log — equals the
+// next program's new state, page for page and word for word.
+func TestRenewStateMatchesNew(t *testing.T) {
+	a, b := buildLoop(t), buildLoop(t)
+	a.Data = map[uint64]int64{0x1000: 7, 0x9000: 8}
+	b.Data = map[uint64]int64{0x1008: 9, 0x20000: 10}
+	old := NewState(a)
+	old.Run(100)
+	old.writeMem(0x40000, 11)
+	old.writeMem(0x1010, 12)
+	old.writeReg(3, 13)
+	old.StepAt(len(a.Code)) // off-image: counts a step
+	old.callStack = append(old.callStack, 5)
+	got, want := RenewState(old, b), NewState(b)
+	if got.Regs != want.Regs || len(got.callStack) != len(want.callStack) ||
+		got.UndoLen() != want.UndoLen() || got.Steps() != want.Steps() ||
+		got.Checkpoint() != want.Checkpoint() {
+		t.Fatalf("renewed state differs: regs %v calls %v undo %d steps %d mark %v; want %v %v %d %d %v",
+			got.Regs, got.callStack, got.UndoLen(), got.Steps(), got.Checkpoint(),
+			want.Regs, want.callStack, want.UndoLen(), want.Steps(), want.Checkpoint())
+	}
+	if got.Mem().Pages() != want.Mem().Pages() {
+		t.Fatalf("renewed state maps %d pages, new state %d", got.Mem().Pages(), want.Mem().Pages())
+	}
+	for pg, wp := range want.mem.pages {
+		if gp := got.mem.pages[pg]; gp == nil || *gp != *wp {
+			t.Errorf("page %d differs from the new state's", pg)
+		}
+	}
+}

@@ -19,11 +19,25 @@ type Memory struct {
 	pages    map[uint64]*[pageWords]int64
 	lastPage uint64
 	lastPtr  *[pageWords]int64
+	// owned lists every page this memory has allocated, in allocation
+	// order; the first used of them are mapped. reset unmaps them all,
+	// and later writes to unmapped pages take them back, cleared, before
+	// allocating.
+	owned []*[pageWords]int64
+	used  int
 }
 
 // NewMemory returns an empty memory image.
 func NewMemory() *Memory {
 	return &Memory{pages: make(map[uint64]*[pageWords]int64)}
+}
+
+// reset empties the memory to what NewMemory returns, keeping its pages
+// for later writes to reuse.
+func (m *Memory) reset() {
+	clear(m.pages)
+	m.lastPage, m.lastPtr = 0, nil
+	m.used = 0
 }
 
 func split(addr uint64) (page, offset uint64) {
@@ -61,11 +75,23 @@ func (m *Memory) Write(addr uint64, v int64) {
 		if v == 0 {
 			return // writing zero to unmapped memory is a no-op
 		}
-		p = new([pageWords]int64)
+		p = m.newPage()
 		m.pages[pg] = p
 	}
 	m.lastPage, m.lastPtr = pg, p
 	p[off] = v
+}
+
+// newPage returns a zeroed page: the next one reset unmapped, or a new
+// one.
+func (m *Memory) newPage() *[pageWords]int64 {
+	if m.used == len(m.owned) {
+		m.owned = append(m.owned, new([pageWords]int64))
+	} else {
+		clear(m.owned[m.used][:])
+	}
+	m.used++
+	return m.owned[m.used-1]
 }
 
 // Pages returns the number of allocated pages (for footprint diagnostics).

@@ -56,8 +56,19 @@ type State struct {
 
 // NewState builds machine state for the program, loading its initial data
 // image.
-func NewState(p *program.Program) *State {
-	s := &State{prog: p, mem: NewMemory()}
+func NewState(p *program.Program) *State { return RenewState(nil, p) }
+
+// RenewState is NewState built in old's storage: its memory pages
+// (emptied, then refilled from the program's data image), undo log and
+// call stack. old may be nil; a renewed old must not be used again.
+func RenewState(old *State, p *program.Program) *State {
+	s := &State{prog: p}
+	if old != nil {
+		s.mem, s.undo, s.callStack = old.mem, old.undo[:0], old.callStack[:0]
+		s.mem.reset()
+	} else {
+		s.mem = NewMemory()
+	}
 	//tcvet:ignore determinism disjoint writes: each data word lands at its own address, final image is order-independent
 	for addr, v := range p.Data {
 		s.mem.Write(addr, v)

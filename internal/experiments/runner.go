@@ -36,6 +36,18 @@
 // SweepE and RunAll fan work across the pool while returning or emitting
 // results in paper order; with Workers == 1 they degrade to strictly
 // sequential execution, which also makes the Log line order deterministic.
+//
+// # Storage
+//
+// Each worker slot owns one spare machine (sim.Spare), so a point pays
+// for its simulation, not for its machine's storage. A detailed or
+// sampled point is built in the tables its worker's last point left:
+// every table its configuration shares the geometry of is cleared to
+// exactly what a fresh allocation holds, so a reused point equals a
+// fresh one byte for byte, and the rest is allocated as sim.New does. A
+// point that fails or panics drops its worker's spare; the worker's next
+// point allocates afresh. Store-served and replayed points build no
+// simulator and leave the spare as it was.
 package experiments
 
 import (
@@ -137,8 +149,10 @@ type Runner struct {
 
 	logMu sync.Mutex
 
-	mu     sync.Mutex
-	sem    chan struct{} // sized from Workers on first use
+	mu sync.Mutex
+	// slots holds the free worker slots, each one worker's spare machine;
+	// it is sized from Workers on first use.
+	slots  chan *sim.Spare
 	runs   map[memoKey]*runEntry
 	traces map[string]*traceEntry // per-benchmark committed streams (Replay)
 }
@@ -169,19 +183,24 @@ func (r *Runner) workers() int {
 }
 
 // acquire claims a worker slot, creating the pool on first use, and
-// returns the release function.
-func (r *Runner) acquire() func() {
+// returns the slot's spare machine, which only the caller uses until it
+// calls the returned release function.
+func (r *Runner) acquire() (*sim.Spare, func()) {
 	r.mu.Lock()
-	if r.sem == nil {
-		r.sem = make(chan struct{}, r.workers())
+	if r.slots == nil {
+		n := r.workers()
+		r.slots = make(chan *sim.Spare, n)
+		for i := 0; i < n; i++ {
+			r.slots <- new(sim.Spare)
+		}
 		if m := r.Metrics; m != nil {
-			m.WorkersLimit.Set(int64(r.workers()))
+			m.WorkersLimit.Set(int64(n))
 		}
 	}
-	sem := r.sem
+	slots := r.slots
 	r.mu.Unlock()
-	sem <- struct{}{}
-	return func() { <-sem }
+	sp := <-slots
+	return sp, func() { slots <- sp }
 }
 
 // emit delivers a run-lifecycle event to the OnRun listener, if any.
@@ -374,7 +393,7 @@ func (r *Runner) execute(q request, key string) (res result) {
 	}
 	//tcvet:ignore determinism wall-clock telemetry only: queue-wait measurement start, never simulated state
 	queuedAt := time.Now()
-	release := r.acquire()
+	spare, release := r.acquire()
 	defer release()
 	//tcvet:ignore determinism wall-clock telemetry only: queue-wait histogram and journal, never simulated state
 	res.queueWait = time.Since(queuedAt)
@@ -429,7 +448,9 @@ func (r *Runner) execute(q request, key string) (res result) {
 		return res
 	}
 
-	s, err := sim.New(cfg, prog)
+	// The simulator takes the worker's spare; only a point that succeeds
+	// gives its tables back for the worker's next point.
+	s, err := spare.New(cfg, prog)
 	if err != nil {
 		return fail(err)
 	}
@@ -456,6 +477,7 @@ func (r *Runner) execute(q request, key string) (res result) {
 		}
 		res.run, res.sampled = out.Run, out.Sampled
 		res.provenance = stats.ProvSampled
+		spare.Keep(s)
 		return res
 	}
 
@@ -465,6 +487,7 @@ func (r *Runner) execute(q request, key string) (res result) {
 	if chk := s.Checker(); chk != nil && chk.Total() > 0 {
 		return fail(fmt.Errorf("%s", chk.Report()))
 	}
+	spare.Keep(s)
 	return res
 }
 

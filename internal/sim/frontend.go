@@ -29,27 +29,23 @@ type frontEnd struct {
 	fe   fetch.Engine
 }
 
-// newFrontEnd builds the front end the configuration describes.
-func newFrontEnd(cfg Config, prog *program.Program) (frontEnd, error) {
+// newFrontEnd builds the front end the configuration describes, its
+// tables renewed from sp's (see Spare).
+func newFrontEnd(cfg Config, prog *program.Program, sp *Spare) (frontEnd, error) {
 	var f frontEnd
-	ccs := cfg.cacheConfigs()
-	l1i, err := cache.New(ccs[0])
-	if err != nil {
-		return f, fmt.Errorf("sim %q: %w", cfg.Name, err)
+	var caches [3]*cache.Cache
+	for i, cc := range cfg.cacheConfigs() {
+		c, err := cache.Renew(sp.caches[i], cc)
+		if err != nil {
+			return f, fmt.Errorf("sim %q: %w", cfg.Name, err)
+		}
+		caches[i] = c
 	}
-	l1d, err := cache.New(ccs[1])
-	if err != nil {
-		return f, fmt.Errorf("sim %q: %w", cfg.Name, err)
-	}
-	l2, err := cache.New(ccs[2])
-	if err != nil {
-		return f, fmt.Errorf("sim %q: %w", cfg.Name, err)
-	}
-	f.hier = &cache.Hierarchy{L1I: l1i, L1D: l1d, L2: l2}
-	f.ind = bpred.NewIndirectPredictor(cfg.IndirectEntries)
+	f.hier = &cache.Hierarchy{L1I: caches[0], L1D: caches[1], L2: caches[2]}
+	f.ind = bpred.RenewIndirectPredictor(sp.ind, cfg.IndirectEntries)
 	switch cfg.Front {
 	case FrontTrace:
-		tc, err := core.NewTraceCache(cfg.TC)
+		tc, err := core.RenewTraceCache(sp.tc, cfg.TC)
 		if err != nil {
 			return f, err
 		}
@@ -57,11 +53,11 @@ func newFrontEnd(cfg Config, prog *program.Program) (frontEnd, error) {
 		f.fill = core.NewFillUnit(cfg.Fill, tc)
 		switch {
 		case cfg.SingleHybrid:
-			f.mbp = bpred.NewSingleHybridMBP(bpred.NewHybrid())
+			f.mbp = bpred.NewSingleHybridMBP(bpred.RenewHybrid(sp.hyb))
 		case cfg.SplitMBP:
-			f.mbp = bpred.NewSplitMBP(cfg.SplitSizes[0], cfg.SplitSizes[1], cfg.SplitSizes[2])
+			f.mbp = bpred.RenewSplitMBP(sp.split, cfg.SplitSizes[0], cfg.SplitSizes[1], cfg.SplitSizes[2])
 		default:
-			f.mbp = bpred.NewTreeMBP(cfg.TreeEntries)
+			f.mbp = bpred.RenewTreeMBP(sp.tree, cfg.TreeEntries)
 		}
 		f.fe = fetch.NewTraceEngine(fetch.TraceConfig{
 			Prog: prog, TC: tc, MBP: f.mbp, Indirect: f.ind, Hier: f.hier,
@@ -70,7 +66,7 @@ func newFrontEnd(cfg Config, prog *program.Program) (frontEnd, error) {
 			DisableInactiveIssue: cfg.DisableInactiveIssue,
 		})
 	default:
-		f.hyb = bpred.NewHybrid()
+		f.hyb = bpred.RenewHybrid(sp.hyb)
 		f.fe = fetch.NewICacheEngine(fetch.ICacheConfig{
 			Prog: prog, Hier: f.hier, Hybrid: f.hyb, Indirect: f.ind,
 			MaxWidth: cfg.FetchWidth,

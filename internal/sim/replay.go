@@ -48,7 +48,7 @@ func NewReplayer(cfg Config, prog *program.Program) (*Replayer, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	f, err := newFrontEnd(cfg, prog)
+	f, err := newFrontEnd(cfg, prog, &Spare{})
 	if err != nil {
 		return nil, err
 	}

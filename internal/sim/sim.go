@@ -183,20 +183,32 @@ type Simulator struct {
 
 // New builds a simulator for the program under the configuration.
 func New(cfg Config, prog *program.Program) (*Simulator, error) {
+	var sp Spare
+	return sp.New(cfg, prog)
+}
+
+// New builds a simulator for the program under the configuration in the
+// spare's tables, each renewed where the configuration shares its
+// geometry and allocated as the package-level New does where it does not.
+// It takes every table, so sp is empty afterwards, whether or not New
+// succeeds, until Keep refills it.
+func (sp *Spare) New(cfg Config, prog *program.Program) (*Simulator, error) {
+	old := *sp
+	*sp = Spare{}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	f, err := newFrontEnd(cfg, prog)
+	f, err := newFrontEnd(cfg, prog, &old)
 	if err != nil {
 		return nil, err
 	}
-	s := &Simulator{frontEnd: f, cfg: cfg, prog: prog, state: exec.NewState(prog), pendingBrIdx: -1}
-	s.eng = engine.New(cfg.Engine, s.hier)
+	s := &Simulator{frontEnd: f, cfg: cfg, prog: prog, state: exec.RenewState(old.state, prog), pendingBrIdx: -1}
+	s.eng = engine.Renew(old.eng, cfg.Engine, s.hier)
 	size := 1
 	for size < 2*cfg.Engine.Window() {
 		size <<= 1
 	}
-	s.window = make([]dyn, size)
+	s.window = renewed(old.window, size)
 	s.mask = uint64(size - 1)
 	for i := range s.renameMap {
 		s.renameMap[i] = noProducer
@@ -211,8 +223,9 @@ func New(cfg Config, prog *program.Program) (*Simulator, error) {
 	for recs < cfg.Engine.Window()+2 {
 		recs <<= 1
 	}
-	s.records = make([]fetchRec, recs)
+	s.records = renewed(old.records, recs)
 	s.recMask = recs - 1
+	s.suffixFree = old.suffixFree
 	s.pendingBuf = make([]fetch.FetchedInst, 0, cfg.FetchWidth)
 	if cfg.Check {
 		s.attachChecker()

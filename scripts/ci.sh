@@ -40,8 +40,8 @@ go test -race ./internal/obs/... ./internal/sim/... \
 	./internal/metrics/... ./internal/monitor/... ./internal/journal/... \
 	./internal/resultstore/... ./internal/atomicfile/...
 
-echo "== go test -race (sweep engine: worker pool + singleflight + executor in every mode + program cache) =="
-go test -race -run 'Parallel|Singleflight|RunE|SweepE|RunAll|Shared|FastForward|Sampled|Store|Replay|Memoizes' \
+echo "== go test -race (sweep engine: worker pool + singleflight + executor in every mode + spare reuse + program cache) =="
+go test -race -run 'Parallel|Singleflight|RunE|SweepE|RunAll|Shared|FastForward|Sampled|Store|Replay|Memoizes|Reuse' \
 	./internal/experiments/ ./internal/workload/
 
 echo "== fast-forward agreement (tcbench -ffwd fig4 mean fetch size == tcsim -ffwd) =="
