@@ -11,7 +11,7 @@
 //	tcbench -list
 //	tcbench -warmup 400000 -insts 1000000 -progress
 //	tcbench -exp fig11 -cpuprofile cpu.pprof -memprofile mem.pprof
-//	tcbench -http 127.0.0.1:8080        # live /metrics /progress /debug/pprof
+//	tcbench -http 127.0.0.1:8080        # live /progress /debug/pprof
 //	tcbench -journal runs.jsonl         # persist one record per simulation
 //	tcbench -journal-report runs.jsonl  # summarize a journal, no simulation
 //	tcbench -journal-report old.jsonl,new.jsonl   # diff two journals
@@ -31,9 +31,7 @@ import (
 	"tracecache/internal/buildinfo"
 	"tracecache/internal/experiments"
 	"tracecache/internal/journal"
-	"tracecache/internal/metrics"
 	"tracecache/internal/monitor"
-	"tracecache/internal/obs"
 	"tracecache/internal/profiler"
 	"tracecache/internal/resultstore"
 	"tracecache/internal/sim"
@@ -52,7 +50,7 @@ func main() {
 		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
 		check    = flag.Bool("check", false, "run every simulation with the self-verification layer; violations fail the experiment")
-		httpAddr = flag.String("http", "", "serve live monitoring on this address (/metrics, /progress, /debug/pprof), e.g. 127.0.0.1:8080")
+		httpAddr = flag.String("http", "", "serve live monitoring on this address (/progress, /debug/pprof), e.g. 127.0.0.1:8080")
 		jPath    = flag.String("journal", "", "append one JSONL record per simulation to this file")
 		jReport  = flag.String("journal-report", "", "summarize a journal file and exit (two comma-separated files: diff them)")
 		replay   = flag.Bool("replay", false, "record each benchmark's committed stream functionally once and replay it for every front-end-equivalent point (cycle-domain statistics undefined on replayed points; see DESIGN.md §9)")
@@ -142,51 +140,36 @@ func main() {
 		}}
 	}
 
-	// Monitoring and journaling ride on the runner's instrumentation
-	// hooks; with both flags absent every hook stays nil.
+	// Monitoring and journaling listen to the runner's RunEvents; with
+	// both flags absent OnRun stays nil.
 	var (
-		prog   *monitor.Progress
-		monSrv *monitor.Server
-		jw     *journal.Writer
+		prog      *monitor.Progress
+		monSrv    *monitor.Server
+		jw        *journal.Writer
+		listeners []func(experiments.RunEvent)
 	)
-	if *httpAddr != "" || *jPath != "" {
-		reg := metrics.NewRegistry()
-		m := experiments.InstrumentRunner(reg)
-		r.Metrics = m
-		if r.Store != nil {
-			r.Store.Metrics = resultstore.InstrumentStore(reg)
+	if *jPath != "" {
+		jw, err = journal.OpenFile(*jPath)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "tcbench: %v\n", err)
+			os.Exit(1)
 		}
-		var listeners []func(experiments.RunEvent)
-		if *jPath != "" {
-			var err error
-			jw, err = journal.OpenFile(*jPath)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "tcbench: %v\n", err)
-				os.Exit(1)
-			}
-			listeners = append(listeners, journal.RunnerListener(jw, func(err error) {
-				fmt.Fprintf(os.Stderr, "tcbench: journal: %v\n", err)
-			}))
-		}
-		if *httpAddr != "" {
-			prog = monitor.NewProgress(r.Workers, m.Sim.Insts.Value)
-			listeners = append(listeners, prog.Listener())
-			sink := metrics.NewBusSink(reg)
-			r.NewObserver = func() *obs.Bus {
-				b := obs.NewBus()
-				b.Attach(sink)
-				return b
-			}
-			monSrv = &monitor.Server{Registry: reg, Progress: prog}
-			addr, err := monSrv.Start(*httpAddr)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "tcbench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "tcbench: monitoring on http://%s (/metrics /progress /debug/pprof)\n", addr)
-		}
-		r.OnRun = experiments.MultiListener(listeners...)
+		listeners = append(listeners, journal.RunnerListener(jw, func(err error) {
+			fmt.Fprintf(os.Stderr, "tcbench: journal: %v\n", err)
+		}))
 	}
+	if *httpAddr != "" {
+		prog = monitor.NewProgress(r.Workers)
+		listeners = append(listeners, prog.Listener())
+		monSrv = &monitor.Server{Progress: prog}
+		addr, err := monSrv.Start(*httpAddr)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "tcbench: %v\n", err)
+			os.Exit(1)
+		}
+		fmt.Fprintf(os.Stderr, "tcbench: monitoring on http://%s (/progress /debug/pprof)\n", addr)
+	}
+	r.OnRun = experiments.MultiListener(listeners...)
 
 	runErr := tracecache.RunExperiments(r, selected, func(e tracecache.Experiment, out string) {
 		fmt.Printf("==================================================================\n")

@@ -7,7 +7,7 @@
 //	tcsim -bench gcc -config baseline -warmup 400000 -insts 1000000
 //	tcsim -bench gcc -config best -ffwd 10000000 -warmup 400000 -insts 1000000
 //	tcsim -bench gcc -config promote -interval 10000 -timeseries ts.json -trace tr.json
-//	tcsim -bench gcc -http 127.0.0.1:8080 -journal runs.jsonl
+//	tcsim -bench gcc -journal runs.jsonl
 //	tcsim -bench gcc -config promo-t64 -replay -json
 //	tcsim -bench gcc -config baseline -replay-verify
 //	tcsim -list
@@ -24,8 +24,6 @@ import (
 	"tracecache/internal/buildinfo"
 	"tracecache/internal/core"
 	"tracecache/internal/journal"
-	"tracecache/internal/metrics"
-	"tracecache/internal/monitor"
 	"tracecache/internal/obs"
 	"tracecache/internal/profiler"
 	"tracecache/internal/program"
@@ -51,7 +49,6 @@ func main() {
 		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
 		check    = flag.Bool("check", false, "run with the self-verification layer (lockstep reference model + invariants); violations exit non-zero")
-		httpAddr = flag.String("http", "", "serve live monitoring on this address (/metrics, /progress, /debug/pprof), e.g. 127.0.0.1:8080")
 		jPath    = flag.String("journal", "", "append one JSONL record for this run to this file")
 		replay   = flag.Bool("replay", false, "record the committed stream functionally and replay it through the front end only, as tcbench -replay does (cycle-domain stats undefined; see DESIGN.md §9)")
 		repVer   = flag.Bool("replay-verify", false, "run detailed, replay as -replay does, and verify the replayed statistics against the detailed run; violations exit non-zero")
@@ -92,8 +89,8 @@ func main() {
 	}
 
 	if *replay || *repVer {
-		if *check || *httpAddr != "" || *tsOut != "" || *trOut != "" || *sample != "" {
-			fmt.Fprintln(os.Stderr, "tcsim: -replay/-replay-verify cannot be combined with -check, -http, -timeseries, -trace or -sample")
+		if *check || *tsOut != "" || *trOut != "" || *sample != "" {
+			fmt.Fprintln(os.Stderr, "tcsim: -replay/-replay-verify cannot be combined with -check, -timeseries, -trace or -sample")
 			os.Exit(1)
 		}
 	}
@@ -102,8 +99,8 @@ func main() {
 		os.Exit(1)
 	}
 	if *sample != "" {
-		if *httpAddr != "" || *tsOut != "" || *trOut != "" {
-			fmt.Fprintln(os.Stderr, "tcsim: -sample cannot be combined with -http, -timeseries or -trace (windowed telemetry needs a contiguous detailed run)")
+		if *tsOut != "" || *trOut != "" {
+			fmt.Fprintln(os.Stderr, "tcsim: -sample cannot be combined with -timeseries or -trace (windowed telemetry needs a contiguous detailed run)")
 			os.Exit(1)
 		}
 		p, err := sim.ParseSamplingSpec(*sample)
@@ -125,10 +122,6 @@ func main() {
 	if *trOut != "" {
 		chrome = obs.NewChromeTrace(0)
 	}
-	pointKey := *cfgStr + "/" + *bench
-	if *progFile != "" {
-		pointKey = *cfgStr + "/" + *progFile
-	}
 
 	stopProf, err := profiler.Start(*cpuProf, *memProf)
 	if err != nil {
@@ -145,7 +138,7 @@ func main() {
 	case *replay:
 		out, err = runReplay(cfg, prog)
 	default:
-		out, err = runDetailed(cfg, prog, coll, chrome, *httpAddr, pointKey)
+		out, err = runDetailed(cfg, prog, coll, chrome)
 	}
 	wall := time.Since(started)
 
@@ -225,9 +218,8 @@ type outcome struct {
 }
 
 // runDetailed runs the configuration fully detailed, feeding the
-// telemetry sinks that are non-nil and, with httpAddr set, serving live
-// monitoring of the one point.
-func runDetailed(cfg tracecache.Config, prog *tracecache.Program, coll *obs.Collector, chrome *obs.ChromeTrace, httpAddr, pointKey string) (*outcome, error) {
+// telemetry sinks that are non-nil.
+func runDetailed(cfg tracecache.Config, prog *tracecache.Program, coll *obs.Collector, chrome *obs.ChromeTrace) (*outcome, error) {
 	s, err := tracecache.NewSimulator(cfg, prog)
 	if err != nil {
 		return nil, err
@@ -235,42 +227,12 @@ func runDetailed(cfg tracecache.Config, prog *tracecache.Program, coll *obs.Coll
 	if coll != nil {
 		s.SetIntervalCollector(coll)
 	}
-	// All event sinks — the Chrome trace and the monitoring bridge —
-	// share one lazily created bus.
-	var bus *obs.Bus
-	ensureBus := func() *obs.Bus {
-		if bus == nil {
-			bus = obs.NewBus()
-			s.AttachObserver(bus)
-		}
-		return bus
-	}
 	if chrome != nil {
-		ensureBus().Attach(chrome)
+		bus := obs.NewBus()
+		bus.Attach(chrome)
+		s.AttachObserver(bus)
 	}
-	var live *monitor.Progress
-	if httpAddr != "" {
-		reg := metrics.NewRegistry()
-		simMet := sim.NewMetrics(reg)
-		s.AttachMetrics(simMet)
-		ensureBus().Attach(metrics.NewBusSink(reg))
-		live = monitor.NewProgress(1, simMet.Insts.Value)
-		live.PointQueued(pointKey)
-		monSrv := &monitor.Server{Registry: reg, Progress: live}
-		addr, err := monSrv.Start(httpAddr)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(os.Stderr, "tcsim: monitoring on http://%s (/metrics /progress /debug/pprof)\n", addr)
-		live.PointStarted(pointKey)
-	}
-
-	started := time.Now()
 	run := s.Run()
-	if live != nil {
-		live.PointDone(pointKey, nil, time.Since(started))
-		live.Finish()
-	}
 	return &outcome{run: run, sim: s, report: func() {
 		reportParts(run, s.TraceCache(), s.FillUnit())
 	}}, nil

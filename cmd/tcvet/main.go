@@ -2,7 +2,7 @@
 // machine-checks the contracts the simulator's correctness story rests
 // on: determinism of simulation results at any sweep width, the hot-path
 // allocation diet, nil-receiver safety of the instrumentation handles,
-// no panics behind input-facing exported APIs, and metric hygiene.
+// and no panics behind input-facing exported APIs.
 //
 // Usage:
 //

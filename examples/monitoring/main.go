@@ -1,8 +1,10 @@
-// Monitoring: run an instrumented, journaled parallel sweep while polling
-// its own live monitoring endpoint, then rebuild the sweep summary from
-// the journal alone. Everything is self-terminating: the HTTP server
-// binds an ephemeral port and the program exits when the sweep and its
-// final poll complete.
+// Monitoring: run a journaled parallel sweep while polling its own live
+// monitoring endpoint, then rebuild the sweep summary from the journal
+// alone. The runner reports only through its RunEvents, and the progress
+// tracker and the journal both listen to them, so the final /progress
+// snapshot and the journal report count the same sweep. Everything is
+// self-terminating: the HTTP server binds an ephemeral port and the
+// program exits when the sweep and its final poll complete.
 package main
 
 import (
@@ -26,15 +28,12 @@ func main() {
 	defer os.RemoveAll(dir)
 	jPath := filepath.Join(dir, "runs.jsonl")
 
-	// 1. An instrumented runner: fleet metrics, a live progress tracker,
-	// and a persistent journal, all riding the runner's lifecycle hooks.
+	// 1. A runner whose RunEvents feed a live progress tracker and a
+	// persistent journal.
 	workers := runtime.GOMAXPROCS(0)
 	r := tracecache.NewRunner(50_000, 150_000)
 	r.Workers = workers
-	reg := tracecache.NewMetricsRegistry()
-	m := tracecache.InstrumentRunner(reg)
-	r.Metrics = m
-	progress := tracecache.NewSweepProgress(workers, m.Sim.Insts.Value)
+	progress := tracecache.NewSweepProgress(workers)
 	jw, err := tracecache.OpenJournal(jPath)
 	if err != nil {
 		log.Fatal(err)
@@ -45,7 +44,7 @@ func main() {
 	)
 
 	// 2. The monitoring surface on an ephemeral port.
-	srv := &tracecache.MonitorServer{Registry: reg, Progress: progress}
+	srv := &tracecache.MonitorServer{Progress: progress}
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
@@ -56,6 +55,7 @@ func main() {
 	// 3. Sweep two configurations over every benchmark in the background.
 	done := make(chan error, 1)
 	go func() {
+		defer progress.Finish()
 		for _, cfg := range []tracecache.Config{
 			tracecache.BaselineConfig(), tracecache.BestConfig(),
 		} {
@@ -64,18 +64,17 @@ func main() {
 				return
 			}
 		}
-		progress.Finish()
 		done <- nil
 	}()
 
-	// 4. Poll /progress like an external dashboard would.
+	// 4. Poll /progress like an external dashboard would. The instruction
+	// count and rate advance as points finish.
 	for {
 		var snap struct {
 			Total, Done    int
 			Complete       bool
 			InstsCommitted uint64
 			InstsPerSec    float64
-			EtaSeconds     float64
 		}
 		resp, err := http.Get("http://" + addr + "/progress")
 		if err != nil {
@@ -100,7 +99,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 5. The journal alone reproduces the sweep summary.
+	// 5. The journal alone reproduces the sweep summary; its measured
+	// insts equal the last poll's insts committed.
 	recs, truncated, err := tracecache.ReadJournal(jPath)
 	if err != nil {
 		log.Fatal(err)

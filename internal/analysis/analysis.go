@@ -10,9 +10,7 @@
 //   - nilsafe: types annotated //tc:nilsafe keep their methods safe on a
 //     nil receiver and are never boxed into interfaces;
 //   - nopanic: no panic is reachable from the exported entry points of
-//     the input-facing packages;
-//   - metrichygiene: metric names are Prometheus-legal, registered once,
-//     and histogram buckets ascend.
+//     the input-facing packages.
 //
 // The driver is stdlib-only: packages are discovered with `go list
 // -export -deps -json`, parsed with go/parser and type-checked with
@@ -51,17 +49,12 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", d.File, d.Line, d.Col, d.Analyzer, d.Message)
 }
 
-// Analyzer is one named pass over a package. Analyzers are stateful for
-// the duration of a Run (metrichygiene accumulates registrations across
-// packages), so a fresh set must be built per run with Analyzers.
+// Analyzer is one named pass over a package.
 type Analyzer struct {
 	Name string
 	Doc  string
 	// Run inspects one package.
 	Run func(*Pass)
-	// Finish, if non-nil, is called once after every package has been
-	// inspected, for whole-run checks.
-	Finish func(report func(Diagnostic))
 }
 
 // Pass carries one package through one analyzer.
@@ -327,15 +320,7 @@ func Analyze(dir string, pkgs []*Package, analyzers []*Analyzer) *Result {
 	facts := collectFacts(pkgs)
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
-			if a.Run == nil {
-				continue
-			}
 			a.Run(&Pass{Analyzer: a, Pkg: pkg, Facts: facts, report: report})
-		}
-	}
-	for _, a := range analyzers {
-		if a.Finish != nil {
-			a.Finish(report)
 		}
 	}
 

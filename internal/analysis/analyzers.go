@@ -1,14 +1,11 @@
 package analysis
 
-// Analyzers builds a fresh instance of every tcvet analyzer. Instances
-// carry per-run state (metrichygiene accumulates registration sites), so
-// never share a set between runs.
+// Analyzers builds the tcvet analyzer set.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		Determinism(),
 		HotAlloc(),
 		NilSafe(),
 		NoPanic(),
-		MetricHygiene(),
 	}
 }

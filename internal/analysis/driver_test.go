@@ -169,7 +169,7 @@ func MissingReason() {
 
 // TestJSONRoundTrip: -json output decodes back to the same result.
 func TestJSONRoundTrip(t *testing.T) {
-	_, res := analyzeFixture(t, "metrichygiene/fleet")
+	_, res := analyzeFixture(t, "determinism/sim")
 	var buf bytes.Buffer
 	if err := res.RenderJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -206,11 +206,11 @@ func TestByteStableOutput(t *testing.T) {
 		if err != nil {
 			t.Fatalf("fresh loader: %v", err)
 		}
-		dir, err := filepath.Abs(filepath.Join("testdata", "src", "metrichygiene", "fleet"))
+		dir, err := filepath.Abs(filepath.Join("testdata", "src", "determinism", "sim"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		pkg := l.Check("tracecache/internal/analysis/testdata/src/metrichygiene/fleet", dir, []string{"fleet.go"})
+		pkg := l.Check("tracecache/internal/analysis/testdata/src/determinism/sim", dir, []string{"sim.go"})
 		res := Analyze(root, []*Package{pkg}, Analyzers())
 		var text, js bytes.Buffer
 		res.Render(&text)

@@ -92,7 +92,6 @@ func TestFixtureGoldens(t *testing.T) {
 		{"hotalloc", "hotalloc/hot", 2},
 		{"nilsafe", "nilsafe/obsbus", 0},
 		{"nopanic", "nopanic/config", 1},
-		{"metrichygiene", "metrichygiene/fleet", 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.analyzer, func(t *testing.T) {

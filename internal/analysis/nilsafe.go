@@ -7,7 +7,7 @@ import (
 )
 
 // NilSafe enforces the nil-receiver contract on types annotated
-// //tc:nilsafe (the obs.Bus / sim.Metrics / journal.Writer pattern: a nil
+// //tc:nilsafe (the obs.Bus / journal.Writer pattern: a nil
 // pointer is a valid, permanently-disabled instance):
 //
 //   - every method must use a pointer receiver (a value receiver derefs

@@ -9,11 +9,11 @@ import (
 
 // noPanicPkgs are the input-facing packages whose exported API must
 // return errors instead of panicking: user-supplied configs, cache and
-// trace-cache geometries, experiment selections, journals and metric
-// registrations all flow in through them.
+// trace-cache geometries, experiment selections, journals and stored
+// results all flow in through them.
 var noPanicPkgs = map[string]bool{
 	"config": true, "cache": true, "core": true,
-	"experiments": true, "journal": true, "metrics": true, "trace": true,
+	"experiments": true, "journal": true, "trace": true,
 	"sampling": true, "resultstore": true,
 }
 

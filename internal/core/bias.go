@@ -26,13 +26,20 @@ type biasEntry struct {
 // NewBiasTable builds a tagged bias table with size entries (a power of
 // two; the paper uses 8K) whose consecutive-outcome counter saturates at
 // maxCount.
-func NewBiasTable(size int, maxCount uint32) *BiasTable {
-	return &BiasTable{
-		entries:  make([]biasEntry, size),
-		mask:     uint32(size - 1),
-		tagShift: log2(size),
-		maxCount: maxCount,
+func NewBiasTable(size int, maxCount uint32) *BiasTable { return RenewBiasTable(nil, size, maxCount) }
+
+// RenewBiasTable is NewBiasTable built in old's entries when old has size
+// entries, cleared to the empty entries a new table holds. old may be
+// nil; a renewed old must not be used again.
+func RenewBiasTable(old *BiasTable, size int, maxCount uint32) *BiasTable {
+	b := &BiasTable{mask: uint32(size - 1), tagShift: log2(size), maxCount: maxCount}
+	if old != nil && len(old.entries) == size {
+		b.entries = old.entries
+		clear(b.entries)
+	} else {
+		b.entries = make([]biasEntry, size)
 	}
+	return b
 }
 
 func log2(n int) uint {

@@ -136,7 +136,12 @@ type FillUnit struct {
 
 // NewFillUnit builds a fill unit writing into tc (which may be nil for
 // analysis-only use).
-func NewFillUnit(cfg FillConfig, tc *TraceCache) *FillUnit {
+func NewFillUnit(cfg FillConfig, tc *TraceCache) *FillUnit { return RenewFillUnit(nil, cfg, tc) }
+
+// RenewFillUnit is NewFillUnit with its bias table, if the configuration
+// promotes dynamically, renewed from bias (RenewBiasTable). bias may be
+// nil; a renewed bias must not be used again.
+func RenewFillUnit(bias *BiasTable, cfg FillConfig, tc *TraceCache) *FillUnit {
 	if cfg.MaxInsts <= 0 {
 		cfg.MaxInsts = 16
 	}
@@ -165,7 +170,7 @@ func NewFillUnit(cfg FillConfig, tc *TraceCache) *FillUnit {
 		if size <= 0 {
 			size = 8192
 		}
-		f.bias = NewBiasTable(size, cfg.BiasMaxCount)
+		f.bias = RenewBiasTable(bias, size, cfg.BiasMaxCount)
 	}
 	return f
 }

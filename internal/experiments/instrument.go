@@ -3,8 +3,6 @@ package experiments
 import (
 	"time"
 
-	"tracecache/internal/metrics"
-	"tracecache/internal/sim"
 	"tracecache/internal/stats"
 )
 
@@ -33,13 +31,14 @@ func (p RunPhase) String() string {
 	return "phase(?)"
 }
 
-// RunEvent is one run-lifecycle notification delivered to Runner.OnRun.
-// Every RunE/RunConfiguredE/RunSampledE resolution produces exactly one
-// RunDone event: the executing request emits it with its result's
-// provenance (stats.ProvCold, ProvReplay, ProvSampled or ProvStore), and
-// every memo-sharing request emits one with Memoized set and
-// stats.ProvMemoized — so journal records and progress trackers built on
-// these events tie out against the runner's counters. Key is the point's
+// RunEvent is one run-lifecycle notification delivered to Runner.OnRun,
+// the Runner's one reporting channel. Every RunE/RunConfiguredE/
+// RunSampledE resolution produces exactly one RunDone event: the
+// executing request emits it with its result's provenance
+// (stats.ProvCold, ProvReplay, ProvSampled or ProvStore), and every
+// memo-sharing request emits one with Memoized set and
+// stats.ProvMemoized — so the journal and the live progress tracker,
+// both built on these events, count the same sweep. Key is the point's
 // display label (stats.PointLabel), not its memo identity.
 type RunEvent struct {
 	Phase                  RunPhase
@@ -78,71 +77,5 @@ func MultiListener(ls ...func(RunEvent)) func(RunEvent) {
 		for _, l := range live {
 			l(ev)
 		}
-	}
-}
-
-// RunnerMetrics is the fleet-level counter set a Runner feeds when its
-// Metrics field is non-nil. All members are registry-backed atomics, so
-// one RunnerMetrics serves any number of concurrent sweeps; the identities
-//
-//	MemoMisses == RunsCompleted + RunsFailed (every miss simulates)
-//	RunsCompleted == ColdStarts + Replays + SampledRuns + StoreServed
-//
-// hold whenever the runner is quiescent.
-type RunnerMetrics struct {
-	// RunsStarted counts simulations that acquired a worker slot;
-	// RunsCompleted and RunsFailed partition their outcomes.
-	RunsStarted, RunsCompleted, RunsFailed *metrics.Counter
-	// MemoHits counts requests resolved by singleflight sharing;
-	// MemoMisses counts requests that had to simulate.
-	MemoHits, MemoMisses *metrics.Counter
-	// ColdStarts, Replays, SampledRuns and StoreServed partition completed
-	// runs by provenance: simulated from scratch (fast-forward prefix
-	// included), resolved by the front-end replay fast path, estimated by
-	// the statistical-sampling path, or served verbatim from the
-	// persistent result store (zero simulation).
-	ColdStarts, Replays, SampledRuns, StoreServed *metrics.Counter
-	// WorkersBusy is the current worker-pool occupancy; WorkersLimit is
-	// the pool size (set when the pool is created).
-	WorkersBusy, WorkersLimit *metrics.Gauge
-	// QueueWait and RunWall are per-run distributions in seconds: time
-	// waiting for a slot, and time holding it.
-	QueueWait, RunWall *metrics.Histogram
-	// Sim carries the shared simulator counters (committed instructions,
-	// cycles); the runner attaches it to every simulator it builds.
-	Sim *sim.Metrics
-}
-
-// InstrumentRunner registers the runner counter set in the registry.
-// Assign the result to Runner.Metrics before the first Run call.
-func InstrumentRunner(r *metrics.Registry) *RunnerMetrics {
-	return &RunnerMetrics{
-		RunsStarted: r.Counter("tracecache_runner_runs_started_total",
-			"Simulations that acquired a worker slot."),
-		RunsCompleted: r.Counter("tracecache_runner_runs_completed_total",
-			"Simulations that finished successfully."),
-		RunsFailed: r.Counter("tracecache_runner_runs_failed_total",
-			"Simulations that finished with an error."),
-		MemoHits: r.Counter("tracecache_runner_memo_hits_total",
-			"Run requests resolved by singleflight memo sharing."),
-		MemoMisses: r.Counter("tracecache_runner_memo_misses_total",
-			"Run requests that had to simulate."),
-		ColdStarts: r.Counter("tracecache_runner_cold_starts_total",
-			"Completed simulations executed from scratch."),
-		Replays: r.Counter("tracecache_runner_replays_total",
-			"Completed runs resolved by the front-end replay fast path."),
-		SampledRuns: r.Counter("tracecache_runner_sampled_runs_total",
-			"Completed runs estimated by the statistical-sampling path."),
-		StoreServed: r.Counter("tracecache_runner_store_served_total",
-			"Completed runs served verbatim from the persistent result store."),
-		WorkersBusy: r.Gauge("tracecache_runner_workers_busy",
-			"Worker slots currently held by executing simulations."),
-		WorkersLimit: r.Gauge("tracecache_runner_workers_limit",
-			"Size of the worker pool."),
-		QueueWait: r.Histogram("tracecache_runner_queue_wait_seconds",
-			"Per-run wait for a worker slot.", metrics.DefSecondsBuckets),
-		RunWall: r.Histogram("tracecache_runner_run_wall_seconds",
-			"Per-run wall time holding a worker slot.", metrics.DefSecondsBuckets),
-		Sim: sim.NewMetrics(r),
 	}
 }

@@ -6,8 +6,6 @@ import (
 	"testing"
 
 	"tracecache/internal/config"
-	"tracecache/internal/metrics"
-	"tracecache/internal/obs"
 	"tracecache/internal/stats"
 )
 
@@ -36,15 +34,13 @@ func (l *eventLog) byPhase(p RunPhase) []RunEvent {
 	return out
 }
 
-// TestInstrumentedSweep checks the counter identities after a concurrent
+// TestInstrumentedSweep checks the event identities of a concurrent
 // sweep with duplicate requests: every unique key simulates exactly once
-// (a memo miss and a cold start), every duplicate is a memo hit, and the
-// per-run histograms saw exactly one observation per started simulation.
+// (one queued, started and cold RunDone), every duplicate is a memo hit
+// sharing that result, and every executed point reports its slot wall
+// time and measured instructions.
 func TestInstrumentedSweep(t *testing.T) {
 	r := parallelBudgetRunner(4)
-	reg := metrics.NewRegistry()
-	m := InstrumentRunner(reg)
-	r.Metrics = m
 	log := &eventLog{}
 	r.OnRun = log.listen
 
@@ -67,39 +63,6 @@ func TestInstrumentedSweep(t *testing.T) {
 
 	unique := uint64(len(benches))
 	total := uint64(dup) * unique
-	if got := m.MemoMisses.Value(); got != unique {
-		t.Errorf("memo misses = %d, want %d", got, unique)
-	}
-	if got := m.MemoHits.Value(); got != total-unique {
-		t.Errorf("memo hits = %d, want %d", got, total-unique)
-	}
-	if got := m.RunsStarted.Value(); got != unique {
-		t.Errorf("runs started = %d, want %d", got, unique)
-	}
-	if got := m.RunsCompleted.Value(); got != unique {
-		t.Errorf("runs completed = %d, want %d", got, unique)
-	}
-	if got := m.RunsFailed.Value(); got != 0 {
-		t.Errorf("runs failed = %d, want 0", got)
-	}
-	if got := m.ColdStarts.Value(); got != unique {
-		t.Errorf("cold starts = %d, want %d (no fast-forward configured)", got, unique)
-	}
-	if got := m.WorkersBusy.Value(); got != 0 {
-		t.Errorf("workers busy = %d after quiescence, want 0", got)
-	}
-	if got := m.WorkersLimit.Value(); got != 4 {
-		t.Errorf("workers limit = %d, want 4", got)
-	}
-	if got := m.QueueWait.Count(); got != unique {
-		t.Errorf("queue-wait observations = %d, want %d", got, unique)
-	}
-	if got := m.RunWall.Count(); got != unique {
-		t.Errorf("run-wall observations = %d, want %d", got, unique)
-	}
-	if got := m.Sim.Insts.Value(); got == 0 {
-		t.Error("sim insts counter did not move")
-	}
 
 	// Event stream: one queued+started per unique key, one done per
 	// request; memoized done events carry the identical *stats.Run.
@@ -121,11 +84,13 @@ func TestInstrumentedSweep(t *testing.T) {
 		}
 		if ev.Memoized {
 			memoized++
-			if ev.Provenance != stats.ProvMemoized {
-				t.Errorf("memoized done provenance = %q, want %q", ev.Provenance, stats.ProvMemoized)
+			if ev.Provenance != stats.ProvMemoized || ev.Wall != 0 || ev.QueueWait != 0 {
+				t.Errorf("memoized done = %s, %v wall, %v queue wait; want %s and zero times",
+					ev.Provenance, ev.Wall, ev.QueueWait, stats.ProvMemoized)
 			}
-		} else if ev.Provenance != stats.ProvCold {
-			t.Errorf("executed done provenance = %q, want %q", ev.Provenance, stats.ProvCold)
+		} else if ev.Provenance != stats.ProvCold || ev.Wall <= 0 || ev.Run.Retired < r.Budget {
+			t.Errorf("executed done = %s, %v wall, %d retired; want %s, a wall time and >= %d retired",
+				ev.Provenance, ev.Wall, ev.Run.Retired, stats.ProvCold, r.Budget)
 		}
 		if prev, ok := byKey[ev.Key]; ok {
 			if prev != ev.Run {
@@ -140,50 +105,19 @@ func TestInstrumentedSweep(t *testing.T) {
 	}
 }
 
-// TestFailedRunMetrics checks a failing request increments RunsFailed and
-// emits a done event carrying the error.
+// TestFailedRunMetrics checks a failing request emits one RunDone that
+// carries the error and no run, and is not a memo hit.
 func TestFailedRunMetrics(t *testing.T) {
 	r := parallelBudgetRunner(2)
-	m := InstrumentRunner(metrics.NewRegistry())
-	r.Metrics = m
 	log := &eventLog{}
 	r.OnRun = log.listen
 
 	if _, err := r.RunE(config.Baseline(), "no-such-benchmark"); err == nil {
 		t.Fatal("expected an error for an unknown benchmark")
 	}
-	if got := m.RunsFailed.Value(); got != 1 {
-		t.Errorf("runs failed = %d, want 1", got)
-	}
-	if got := m.RunsCompleted.Value(); got != 0 {
-		t.Errorf("runs completed = %d, want 0", got)
-	}
 	dones := log.byPhase(RunDone)
-	if len(dones) != 1 || dones[0].Err == nil || dones[0].Run != nil {
-		t.Errorf("done events = %+v, want one carrying the error and a nil run", dones)
-	}
-}
-
-// TestRunnerObserverBridge checks the per-simulation bus factory feeds a
-// shared metrics.BusSink across a concurrent sweep.
-func TestRunnerObserverBridge(t *testing.T) {
-	r := parallelBudgetRunner(4)
-	reg := metrics.NewRegistry()
-	sink := metrics.NewBusSink(reg)
-	r.NewObserver = func() *obs.Bus {
-		b := obs.NewBus()
-		b.Attach(sink)
-		return b
-	}
-	if _, err := r.SweepE(config.Baseline()); err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), `tracecache_obs_events_total{kind="`) {
-		t.Errorf("no obs events reached the bridge; exposition:\n%s", sb.String())
+	if len(dones) != 1 || dones[0].Err == nil || dones[0].Run != nil || dones[0].Memoized {
+		t.Errorf("done events = %+v, want one executed request carrying the error and a nil run", dones)
 	}
 }
 
@@ -202,21 +136,13 @@ func TestMultiListener(t *testing.T) {
 	}
 }
 
-// TestInstrumentationPreservesOutput pins that attaching the full
-// instrumentation stack changes no experiment output byte.
+// TestInstrumentationPreservesOutput pins that an OnRun listener
+// changes no experiment output byte.
 func TestInstrumentationPreservesOutput(t *testing.T) {
-	render := func(instrument bool) string {
+	render := func(listen bool) string {
 		r := parallelBudgetRunner(4)
-		if instrument {
-			reg := metrics.NewRegistry()
-			r.Metrics = InstrumentRunner(reg)
-			sink := metrics.NewBusSink(reg)
-			r.NewObserver = func() *obs.Bus {
-				b := obs.NewBus()
-				b.Attach(sink)
-				return b
-			}
-			r.OnRun = MultiListener(func(RunEvent) {})
+		if listen {
+			r.OnRun = MultiListener((&eventLog{}).listen)
 		}
 		var sb strings.Builder
 		err := RunAll(r, parallelTestExperiments(t), func(e Experiment, out string) {
@@ -227,7 +153,7 @@ func TestInstrumentationPreservesOutput(t *testing.T) {
 		}
 		return sb.String()
 	}
-	if plain, metered := render(false), render(true); plain != metered {
-		t.Error("instrumentation changed experiment output")
+	if plain, listened := render(false), render(true); plain != listened {
+		t.Error("an OnRun listener changed experiment output")
 	}
 }

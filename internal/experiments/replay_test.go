@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"tracecache/internal/config"
-	"tracecache/internal/metrics"
 	"tracecache/internal/sim"
 	"tracecache/internal/stats"
 )
@@ -46,8 +45,8 @@ func withoutMeta(run *stats.Run) stats.Run {
 // statistics stay within the fidelity envelope of a detailed twin.
 func TestRunnerReplaySweep(t *testing.T) {
 	r := replayRunner()
-	reg := metrics.NewRegistry()
-	r.Metrics = InstrumentRunner(reg)
+	log := &eventLog{}
+	r.OnRun = log.listen
 
 	const bench = "gcc"
 	runs := make(map[string]*stats.Run)
@@ -70,8 +69,14 @@ func TestRunnerReplaySweep(t *testing.T) {
 			t.Errorf("%s: replay measured %d insts in %d fetches, want >= %d", cfg.Name, run.Retired, run.Fetches, r.Budget)
 		}
 	}
-	if got := r.Metrics.Replays.Value(); got != 4 {
-		t.Errorf("Replays counter = %d, want 4", got)
+	replays := 0
+	for _, ev := range log.byPhase(RunDone) {
+		if ev.Provenance == stats.ProvReplay {
+			replays++
+		}
+	}
+	if replays != 4 {
+		t.Errorf("%d RunDone events with replay provenance, want 4", replays)
 	}
 
 	// Fidelity: a detailed runner with the same budgets must agree on the

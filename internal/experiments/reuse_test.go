@@ -33,7 +33,9 @@ type reusePoint struct {
 // machine whose window, engine, data caches, tree and indirect tables are
 // all smaller; the memory oracle; a fast-forward prefix, a sampled run, a
 // checked run, and a point right after a failed one. The benchmarks
-// alternate, so memory pages are reused across data images.
+// alternate, so memory pages are reused across data images, except for
+// two promotion points in a row on gcc: the second renews the bias table
+// the first filled with entries for the same branches.
 func reuseSequence() []reusePoint {
 	small := config.Baseline()
 	small.Name = "small-tables"
@@ -59,6 +61,7 @@ func reuseSequence() []reusePoint {
 		{cfg: config.EightWidePromotionHybrid(), bench: "gcc"},
 		{cfg: config.EightWide(config.Baseline()), bench: "compress"},
 		{cfg: config.Promotion(config.PromotionThreshold), bench: "gcc"},
+		{cfg: config.Promotion(32), bench: "gcc"},
 		{cfg: small, bench: "go"},
 		{cfg: config.Best(), bench: "gcc"},
 		{cfg: tc512, bench: "go"},

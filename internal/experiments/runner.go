@@ -59,7 +59,6 @@ import (
 	"sync"
 	"time"
 
-	"tracecache/internal/obs"
 	"tracecache/internal/program"
 	"tracecache/internal/resultstore"
 	"tracecache/internal/sampling"
@@ -129,23 +128,12 @@ type Runner struct {
 	// carries its own warmup). The detailed path (RunE, SweepE) ignores
 	// this field entirely. Set before the first RunSampledE call.
 	Sampling sim.SamplingParams
-	// Metrics, when non-nil, receives fleet-level counters for every run
-	// request (see RunnerMetrics); r.Metrics.Sim is attached to every
-	// simulator the runner builds. Instrumentation changes no simulated
-	// statistic and no Runner output. Set before the first Run call.
-	Metrics *RunnerMetrics
 	// OnRun, when non-nil, receives run-lifecycle events (see RunEvent).
 	// It is called from the goroutines executing or awaiting runs, so it
 	// may be called concurrently; listeners serialize internally (see
 	// MultiListener, journal.RunnerListener, monitor.Progress.Listener).
 	// Set before the first Run call.
 	OnRun func(RunEvent)
-	// NewObserver, when non-nil, builds one obs.Bus per simulation, which
-	// the runner attaches before Run. A bus is not safe for concurrent
-	// use, so the factory must return a fresh bus per call; sinks shared
-	// across buses must be concurrency-safe (metrics.BusSink is). Set
-	// before the first Run call.
-	NewObserver func() *obs.Bus
 
 	logMu sync.Mutex
 
@@ -192,9 +180,6 @@ func (r *Runner) acquire() (*sim.Spare, func()) {
 		r.slots = make(chan *sim.Spare, n)
 		for i := 0; i < n; i++ {
 			r.slots <- new(sim.Spare)
-		}
-		if m := r.Metrics; m != nil {
-			m.WorkersLimit.Set(int64(n))
 		}
 	}
 	slots := r.slots
@@ -312,9 +297,6 @@ func (r *Runner) do(q request) *runEntry {
 	r.mu.Lock()
 	if e, ok := r.runs[key]; ok {
 		r.mu.Unlock()
-		if m := r.Metrics; m != nil {
-			m.MemoHits.Inc()
-		}
 		<-e.done
 		r.emit(RunEvent{
 			Phase: RunDone, Key: label, Config: q.cfg.Name, Benchmark: q.bench,
@@ -327,19 +309,8 @@ func (r *Runner) do(q request) *runEntry {
 	r.runs[key] = e
 	r.mu.Unlock()
 
-	if m := r.Metrics; m != nil {
-		m.MemoMisses.Inc()
-	}
 	r.emit(RunEvent{Phase: RunQueued, Key: label, Config: q.cfg.Name, Benchmark: q.bench})
 	e.result = r.execute(q, label)
-	if m := r.Metrics; m != nil {
-		if e.err != nil {
-			m.RunsFailed.Inc()
-		} else {
-			m.RunsCompleted.Inc()
-			provenances[e.provenance].counter(m).Inc()
-		}
-	}
 	r.emit(RunEvent{
 		Phase: RunDone, Key: label, Config: q.cfg.Name, Benchmark: q.bench,
 		Run: e.run, Err: e.err,
@@ -351,7 +322,7 @@ func (r *Runner) do(q request) *runEntry {
 }
 
 // result carries one executed request's outcome plus the provenance and
-// timing that counters, events, and journal records need.
+// timing its RunDone event carries.
 type result struct {
 	run *stats.Run
 	// sampled is the aggregate of a sampled request; run then holds its
@@ -395,24 +366,15 @@ func (r *Runner) execute(q request, key string) (res result) {
 	queuedAt := time.Now()
 	spare, release := r.acquire()
 	defer release()
-	//tcvet:ignore determinism wall-clock telemetry only: queue-wait histogram and journal, never simulated state
+	//tcvet:ignore determinism wall-clock telemetry only: queue wait for RunEvent and the journal, never simulated state
 	res.queueWait = time.Since(queuedAt)
-	if m := r.Metrics; m != nil {
-		m.RunsStarted.Inc()
-		m.WorkersBusy.Add(1)
-		m.QueueWait.Observe(res.queueWait.Seconds())
-	}
 	r.emit(RunEvent{Phase: RunStarted, Key: key, Config: cfg.Name, Benchmark: q.bench,
 		QueueWait: res.queueWait})
 	//tcvet:ignore determinism wall-clock telemetry only: run-wall measurement start, never simulated state
 	startedAt := time.Now()
 	defer func() {
-		//tcvet:ignore determinism wall-clock telemetry only: run-wall histogram and journal, never simulated state
+		//tcvet:ignore determinism wall-clock telemetry only: run wall for RunEvent and the journal, never simulated state
 		res.wall = time.Since(startedAt)
-		if m := r.Metrics; m != nil {
-			m.WorkersBusy.Add(-1)
-			m.RunWall.Observe(res.wall.Seconds())
-		}
 	}()
 	if q.prep != nil {
 		q.prep(&cfg, prog)
@@ -453,14 +415,6 @@ func (r *Runner) execute(q request, key string) (res result) {
 	s, err := spare.New(cfg, prog)
 	if err != nil {
 		return fail(err)
-	}
-	if m := r.Metrics; m != nil {
-		s.AttachMetrics(m.Sim)
-	}
-	if r.NewObserver != nil {
-		if bus := r.NewObserver(); bus != nil {
-			s.AttachObserver(bus)
-		}
 	}
 	if q.mode == modeSampled {
 		r.logf("sampling %s...\n", key)

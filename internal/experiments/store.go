@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"tracecache/internal/metrics"
 	"tracecache/internal/resultstore"
 	"tracecache/internal/sim"
 	"tracecache/internal/stats"
@@ -44,17 +43,13 @@ func (r *Runner) storeGet(cfg sim.Config, bench, mode string) *resultstore.Entry
 	return e
 }
 
-// provenances maps every provenance an executed request can end with to
-// the RunnerMetrics counter that counts it and the store mode its result
-// is persisted under. Store-served results are never persisted again.
-var provenances = map[string]struct {
-	counter func(*RunnerMetrics) *metrics.Counter
-	mode    string
-}{
-	stats.ProvCold:    {func(m *RunnerMetrics) *metrics.Counter { return m.ColdStarts }, resultstore.ModeDetailed},
-	stats.ProvReplay:  {func(m *RunnerMetrics) *metrics.Counter { return m.Replays }, resultstore.ModeReplay},
-	stats.ProvSampled: {func(m *RunnerMetrics) *metrics.Counter { return m.SampledRuns }, resultstore.ModeSampled},
-	stats.ProvStore:   {func(m *RunnerMetrics) *metrics.Counter { return m.StoreServed }, ""},
+// provenances maps every provenance a computed result can carry to the
+// store mode it is persisted under. Store-served results are never
+// persisted again.
+var provenances = map[string]string{
+	stats.ProvCold:    resultstore.ModeDetailed,
+	stats.ProvReplay:  resultstore.ModeReplay,
+	stats.ProvSampled: resultstore.ModeSampled,
 }
 
 // storePut persists one computed result. It is a no-op without a store,
@@ -67,7 +62,7 @@ func (r *Runner) storePut(cfg sim.Config, bench string, res result) {
 		return
 	}
 	e := &resultstore.Entry{
-		Key:     storeKey(cfg, bench, provenances[res.provenance].mode),
+		Key:     storeKey(cfg, bench, provenances[res.provenance]),
 		Config:  cfg.Name,
 		Run:     res.run,
 		Sampled: res.sampled,

@@ -2,6 +2,7 @@ package experiments_test
 
 import (
 	"bytes"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -9,23 +10,20 @@ import (
 	"tracecache/internal/config"
 	"tracecache/internal/experiments"
 	"tracecache/internal/journal"
-	"tracecache/internal/metrics"
 	"tracecache/internal/resultstore"
 	"tracecache/internal/sim"
 	"tracecache/internal/stats"
 )
 
 // storeSweep fans a small sweep (2 configurations × 3 benchmarks, every
-// request duplicated once for memo hits) through a fresh instrumented,
-// journaled runner sharing the given store, and returns the runner's
-// metrics, the journal records, and the runs in request order.
-func storeSweep(t *testing.T, store *resultstore.Store) (*experiments.RunnerMetrics, []journal.Record, map[string]*stats.Run) {
+// request duplicated once for memo hits) through a fresh journaled
+// runner sharing the given store, and returns the journal's record count
+// per provenance and the runs by point.
+func storeSweep(t *testing.T, store *resultstore.Store) (map[string]int, map[string]*stats.Run) {
 	t.Helper()
 	r := experiments.NewRunner(1_000, 3_000)
 	r.Workers = 4
 	r.Store = store
-	m := experiments.InstrumentRunner(metrics.NewRegistry())
-	r.Metrics = m
 
 	var buf bytes.Buffer
 	w := journal.NewWriter(&buf)
@@ -60,87 +58,67 @@ func storeSweep(t *testing.T, store *resultstore.Store) (*experiments.RunnerMetr
 	if err != nil || truncated {
 		t.Fatalf("journal read back: err=%v truncated=%v", err, truncated)
 	}
-	return m, recs, runs
-}
-
-// TestSweepStoreTieOut mirrors PR 6's journal tie-out across the
-// persistent store: a first sweep populates the store (all simulated), a
-// second sweep through a fresh runner — the restarted-process shape — is
-// served entirely from disk, and on both sides the store traffic ties out
-// against the journal records and runner counters. The served numbers are
-// the verbatim originals.
-func TestSweepStoreTieOut(t *testing.T) {
-	store, err := resultstore.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	store.Metrics = resultstore.InstrumentStore(metrics.NewRegistry())
-	const points = 6 // 2 configurations × 3 benchmarks
-
-	// First sweep: every point misses the store and simulates.
-	m1, recs1, runs1 := storeSweep(t, store)
-	if got := m1.StoreServed.Value(); got != 0 {
-		t.Errorf("first sweep store-served = %d, want 0", got)
-	}
-	if got := store.Metrics.Misses.Value(); got != points {
-		t.Errorf("first sweep store misses = %d, want %d", got, points)
-	}
-	if got := store.Metrics.Puts.Value(); got != points {
-		t.Errorf("first sweep store puts = %d, want %d", got, points)
-	}
-	if n, _ := store.Len(); n != points {
-		t.Errorf("store holds %d entries, want %d", n, points)
-	}
-	// Store traffic ties out against the journal: every non-memoized
-	// record is one lookup (hit or miss).
-	var executed1 int
-	for _, rec := range recs1 {
-		if rec.Provenance != stats.ProvMemoized {
-			executed1++
-		}
-	}
-	if got := store.Metrics.Hits.Value() + store.Metrics.Misses.Value(); got != uint64(executed1) {
-		t.Errorf("store hits+misses = %d, want %d executed journal records", got, executed1)
-	}
-
-	// Second sweep, fresh runner sharing the directory: the restarted
-	// process. Zero simulations — every executing request is store-served.
-	hitsBefore, missesBefore := store.Metrics.Hits.Value(), store.Metrics.Misses.Value()
-	m2, recs2, runs2 := storeSweep(t, store)
-	if got := m2.StoreServed.Value(); got != points {
-		t.Errorf("second sweep store-served = %d, want %d", got, points)
-	}
-	if cold, replays := m2.ColdStarts.Value(), m2.Replays.Value(); cold+replays != 0 {
-		t.Errorf("second sweep simulated: cold=%d replays=%d, want both 0", cold, replays)
-	}
-	if got := store.Metrics.Hits.Value() - hitsBefore; got != points {
-		t.Errorf("second sweep store hits = %d, want %d", got, points)
-	}
-	if got := store.Metrics.Misses.Value() - missesBefore; got != 0 {
-		t.Errorf("second sweep store misses = %d, want 0", got)
-	}
-
-	// Journal provenance: every executed record of the second sweep says
-	// "store", and counts tie out against the runner's partition.
-	prov := map[string]uint64{}
-	for _, rec := range recs2 {
+	prov := make(map[string]int)
+	for _, rec := range recs {
 		if rec.Error != "" {
 			t.Errorf("failed record: %+v", rec)
 		}
-		prov[rec.Provenance]++
 		if rec.Provenance == stats.ProvStore && rec.Meta == nil {
 			t.Errorf("store record lost its meta: %+v", rec)
 		}
+		prov[rec.Provenance]++
 	}
-	if got := prov[stats.ProvStore]; got != m2.StoreServed.Value() {
-		t.Errorf("journal store records = %d, want %d", got, m2.StoreServed.Value())
+	return prov, runs
+}
+
+// lastProvenance makes r record the provenance of its RunDone events and
+// returns a reader of the latest one. Use it with one request at a time.
+func lastProvenance(r *experiments.Runner) func() string {
+	var prov string
+	r.OnRun = func(ev experiments.RunEvent) {
+		if ev.Phase == experiments.RunDone {
+			prov = ev.Provenance
+		}
 	}
-	if got := prov[stats.ProvCold]; got != 0 {
-		t.Errorf("journal shows %d simulated records, want 0", got)
+	return func() string { return prov }
+}
+
+// TestSweepStoreTieOut mirrors the journal tie-out across the
+// persistent store: a first sweep populates the store (all simulated), a
+// second sweep through a fresh runner — the restarted-process shape — is
+// served entirely from disk, and on both sides the store's entries tie
+// out against the journal's provenance counts. The served numbers are
+// the verbatim originals.
+func TestSweepStoreTieOut(t *testing.T) {
+	dir := t.TempDir()
+	store, err := resultstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got, want := uint64(len(recs2)), m2.MemoHits.Value()+m2.MemoMisses.Value(); got != want {
-		t.Errorf("journal records = %d, want memo hits+misses = %d", got, want)
+	const points = 6 // 2 configurations × 3 benchmarks
+	want := func(sweep string, prov map[string]int, cold, served int) {
+		t.Helper()
+		if prov[stats.ProvCold] != cold || prov[stats.ProvStore] != served || prov[stats.ProvMemoized] != points {
+			t.Errorf("%s sweep journal provenances = %v, want %d cold, %d store and %d memoized",
+				sweep, prov, cold, served, points)
+		}
+		if n, _ := store.Len(); n != points {
+			t.Errorf("after the %s sweep the store holds %d entries, want %d", sweep, n, points)
+		}
+		if q, _ := filepath.Glob(filepath.Join(dir, "*.quarantined")); len(q) != 0 {
+			t.Errorf("after the %s sweep the store quarantined %v", sweep, q)
+		}
 	}
+
+	// First sweep: every executed request misses the store, simulates and
+	// installs its entry.
+	prov1, runs1 := storeSweep(t, store)
+	want("first", prov1, points, 0)
+
+	// Second sweep, fresh runner sharing the directory: the restarted
+	// process. Zero simulations — every executing request is store-served.
+	prov2, runs2 := storeSweep(t, store)
+	want("second", prov2, 0, points)
 
 	// Served results are the verbatim originals, provenance metadata and
 	// all — the store changes where numbers come from, never the numbers.
@@ -165,20 +143,35 @@ func TestStoreCheckBypass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store.Metrics = resultstore.InstrumentStore(metrics.NewRegistry())
-
-	r := experiments.NewRunner(1_000, 3_000)
-	r.Workers = 1
-	r.Store = store
-	r.Check = true
-	if _, err := r.RunE(config.Baseline(), r.Benchmarks()[0]); err != nil {
+	runner := func(check bool) *experiments.Runner {
+		r := experiments.NewRunner(1_000, 3_000)
+		r.Workers = 1
+		r.Store = store
+		r.Check = check
+		return r
+	}
+	checked := runner(true)
+	bench := checked.Benchmarks()[0]
+	if _, err := checked.RunE(config.Baseline(), bench); err != nil {
 		t.Fatal(err)
 	}
 	if n, _ := store.Len(); n != 0 {
 		t.Errorf("checked run seeded the store with %d entries", n)
 	}
-	if got := store.Metrics.Hits.Value() + store.Metrics.Misses.Value(); got != 0 {
-		t.Errorf("checked run consulted the store %d times", got)
+
+	// A checked run hashes as its unchecked twin, so once an unchecked run
+	// has stored the point, only the bypass keeps the checked run from
+	// being served it.
+	if _, err := runner(false).RunE(config.Baseline(), bench); err != nil {
+		t.Fatal(err)
+	}
+	r := runner(true)
+	prov := lastProvenance(r)
+	if _, err := r.RunE(config.Baseline(), bench); err != nil {
+		t.Fatal(err)
+	}
+	if prov() != stats.ProvCold {
+		t.Errorf("checked run over a stored point has provenance %q, want %q", prov(), stats.ProvCold)
 	}
 }
 
@@ -190,7 +183,6 @@ func TestStoreSampledFidelity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store.Metrics = resultstore.InstrumentStore(metrics.NewRegistry())
 	bench := "compress"
 
 	// Detailed run populates a detailed entry.
@@ -224,14 +216,13 @@ func TestStoreSampledFidelity(t *testing.T) {
 	rs2.Workers = 1
 	rs2.Store = store
 	rs2.Sampling = rs.Sampling
-	m2 := experiments.InstrumentRunner(metrics.NewRegistry())
-	rs2.Metrics = m2
+	prov := lastProvenance(rs2)
 	sm2, err := rs2.RunSampledE(config.Baseline(), bench)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m2.StoreServed.Value(); got != 1 {
-		t.Errorf("sampled resubmission store-served = %d, want 1", got)
+	if prov() != stats.ProvStore {
+		t.Errorf("sampled resubmission provenance = %q, want %q", prov(), stats.ProvStore)
 	}
 	if !reflect.DeepEqual(sm, sm2) {
 		t.Errorf("sampled aggregate differs:\nfirst  %+v\nsecond %+v", sm, sm2)
@@ -280,13 +271,13 @@ func TestStoreReplayModeSeparation(t *testing.T) {
 	}
 
 	r := runner(true, store)
-	r.Metrics = experiments.InstrumentRunner(metrics.NewRegistry())
+	prov := lastProvenance(r)
 	served, err := r.RunE(config.Baseline(), bench)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := r.Metrics.StoreServed.Value(); n != 1 {
-		t.Errorf("replay resubmission store-served = %d, want 1", n)
+	if prov() != stats.ProvStore {
+		t.Errorf("replay resubmission provenance = %q, want %q", prov(), stats.ProvStore)
 	}
 	if !reflect.DeepEqual(served, got) {
 		t.Errorf("served replay entry differs:\n got %+v\nwant %+v", served, got)

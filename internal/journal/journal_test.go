@@ -13,7 +13,6 @@ import (
 
 	"tracecache/internal/config"
 	"tracecache/internal/experiments"
-	"tracecache/internal/metrics"
 	"tracecache/internal/sim"
 	"tracecache/internal/stats"
 )
@@ -276,24 +275,34 @@ func TestDiffGolden(t *testing.T) {
 }
 
 // TestSweepTieOut runs a real 10-point sweep (2 configurations × 5
-// benchmarks, with duplicate requests) through an instrumented, journaled
-// runner and checks the journal alone reproduces the runner's counters:
-// every request has exactly one record, and per-provenance record counts
-// equal the memo/cold counters.
+// benchmarks, with duplicate requests) through a journaled runner and
+// checks the journal alone reproduces the runner's RunDone events: every
+// request has exactly one record, carrying its event's provenance, and
+// the measured insts the report prints are those of the executed events.
 func TestSweepTieOut(t *testing.T) {
 	r := experiments.NewRunner(1_000, 3_000)
 	r.Workers = 4
-	m := experiments.InstrumentRunner(metrics.NewRegistry())
-	r.Metrics = m
 
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	var errMu sync.Mutex
 	var appendErrs []error
-	r.OnRun = RunnerListener(w, func(err error) {
+	eventProv := map[string]int{}
+	var executedInsts uint64
+	r.OnRun = experiments.MultiListener(RunnerListener(w, func(err error) {
 		errMu.Lock()
 		appendErrs = append(appendErrs, err)
 		errMu.Unlock()
+	}), func(ev experiments.RunEvent) {
+		if ev.Phase != experiments.RunDone {
+			return
+		}
+		errMu.Lock()
+		defer errMu.Unlock()
+		eventProv[ev.Provenance]++
+		if !ev.Memoized && ev.Err == nil {
+			executedInsts += ev.Run.Retired
+		}
 	})
 
 	cfgA := config.Baseline()
@@ -323,10 +332,10 @@ func TestSweepTieOut(t *testing.T) {
 	if err != nil || truncated {
 		t.Fatalf("read back: err=%v truncated=%v", err, truncated)
 	}
-	if got, want := uint64(len(recs)), m.MemoHits.Value()+m.MemoMisses.Value(); got != want {
-		t.Errorf("journal records = %d, want memo hits+misses = %d", got, want)
+	if got, want := len(recs), 20; got != want {
+		t.Errorf("journal records = %d, want one per request, %d", got, want)
 	}
-	prov := map[string]uint64{}
+	prov := map[string]int{}
 	for _, rec := range recs {
 		if rec.Error != "" {
 			t.Errorf("unexpected failed record: %+v", rec)
@@ -339,16 +348,14 @@ func TestSweepTieOut(t *testing.T) {
 			t.Errorf("record missing meta: %+v", rec)
 		}
 	}
-	if got := prov[stats.ProvMemoized]; got != m.MemoHits.Value() {
-		t.Errorf("memoized records = %d, want %d", got, m.MemoHits.Value())
-	}
-	if got := prov[stats.ProvCold]; got != m.ColdStarts.Value() {
-		t.Errorf("cold records = %d, want %d", got, m.ColdStarts.Value())
+	if !reflect.DeepEqual(prov, eventProv) {
+		t.Errorf("journal provenances = %v, RunDone events %v", prov, eventProv)
 	}
 
 	// The report reproduces the sweep summary from the journal alone.
 	rep := Report(recs, false)
-	if !strings.Contains(rep, "10 cold") || !strings.Contains(rep, "10 memoized") {
-		t.Errorf("report does not reflect the sweep:\n%s", rep)
+	if !strings.Contains(rep, "10 cold") || !strings.Contains(rep, "10 memoized") ||
+		!strings.Contains(rep, fmt.Sprintf("simulated: %d measured insts", executedInsts)) {
+		t.Errorf("report does not reflect the sweep (%d measured insts):\n%s", executedInsts, rep)
 	}
 }

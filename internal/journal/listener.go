@@ -8,8 +8,8 @@ import (
 
 // RunnerListener adapts a Writer into an experiments.Runner.OnRun
 // listener: every resolved request (RunDone) appends exactly one record,
-// so the journal's provenance counts tie out against the runner's
-// memo-hit/miss and provenance counters. Queued and started events are not
+// carrying its event's provenance, so the journal counts a sweep exactly
+// as the live progress tracker does. Queued and started events are not
 // journaled. Append failures are reported to onErr (if non-nil) and do
 // not disturb the run.
 func RunnerListener(w *Writer, onErr func(error)) func(experiments.RunEvent) {

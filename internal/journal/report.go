@@ -47,9 +47,10 @@ func sortedKeys(m map[string]Record) []string {
 }
 
 // Report renders a human-readable summary of a journal: record and
-// provenance counts (which tie out against the runner's counters),
-// aggregate simulated throughput, and one table row per sweep point. It
-// reproduces a sweep's summary from the journal alone — no re-simulation.
+// provenance counts, aggregate simulated throughput (its measured insts
+// equal the sweep's final /progress instsCommitted), and one table row
+// per sweep point. It reproduces a sweep's summary from the journal
+// alone — no re-simulation.
 func Report(recs []Record, truncatedTail bool) string {
 	var sb strings.Builder
 	if truncatedTail {

@@ -10,16 +10,11 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"tracecache/internal/metrics"
 )
 
-// Server is the monitoring HTTP surface of tcbench -http and tcsim -http:
-// /metrics, live sweep progress (JSON and SSE) on /progress, and the
-// /debug/pprof/ profiles.
+// Server is the monitoring HTTP surface of tcbench -http: live sweep
+// progress (JSON and SSE) on /progress, and the /debug/pprof/ profiles.
 type Server struct {
-	// Registry feeds /metrics. Nil serves an empty exposition.
-	Registry *metrics.Registry
 	// Progress feeds /progress. Nil serves a zero snapshot.
 	Progress *Progress
 
@@ -45,16 +40,10 @@ func (s *Server) shutdownChan() chan struct{} {
 	return s.done
 }
 
-// Handler builds the monitoring mux: /metrics (the Prometheus text
-// exposition of Registry), /progress, and the /debug/pprof/ profiles.
+// Handler builds the monitoring mux: /progress and the /debug/pprof/
+// profiles.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if s.Registry != nil {
-			_ = s.Registry.WritePrometheus(w)
-		}
-	})
 	mux.HandleFunc("GET /progress", s.progress)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,22 +10,53 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"runtime"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"tracecache/internal/config"
 	"tracecache/internal/experiments"
-	"tracecache/internal/metrics"
+	"tracecache/internal/journal"
+	"tracecache/internal/sim"
+	"tracecache/internal/stats"
 )
+
+// feed delivers events to the tracker through its Listener, as a Runner
+// does.
+func feed(p *Progress, evs ...experiments.RunEvent) {
+	l := p.Listener()
+	for _, ev := range evs {
+		l(ev)
+	}
+}
+
+func queued(key string) experiments.RunEvent {
+	return experiments.RunEvent{Phase: experiments.RunQueued, Key: key}
+}
+
+func started(key string) experiments.RunEvent {
+	return experiments.RunEvent{Phase: experiments.RunStarted, Key: key}
+}
+
+// done is an executed point's RunDone: a cold run that measured retired
+// instructions, or, with err set, a failure.
+func done(key string, err error, wall time.Duration, retired uint64) experiments.RunEvent {
+	ev := experiments.RunEvent{Phase: experiments.RunDone, Key: key, Err: err, Wall: wall}
+	if err == nil {
+		ev.Run = &stats.Run{Retired: retired}
+		ev.Provenance = stats.ProvCold
+	}
+	return ev
+}
 
 // TestProgressLifecycle drives the tracker through a three-point sweep.
 func TestProgressLifecycle(t *testing.T) {
-	p := NewProgress(2, nil)
-	p.PointQueued("a/x")
-	p.PointQueued("a/y")
-	p.PointStarted("a/x")
+	p := NewProgress(2)
+	feed(p, queued("a/x"), queued("a/y"), started("a/x"))
 	s := p.Snapshot()
 	if s.Total != 2 || s.Running != 1 || s.Queued != 1 || s.Done != 0 {
 		t.Errorf("mid-sweep snapshot = %+v", s)
@@ -36,9 +68,8 @@ func TestProgressLifecycle(t *testing.T) {
 		t.Errorf("points not active-first: %+v", s.Points)
 	}
 
-	p.PointDone("a/x", nil, 100*time.Millisecond)
-	p.PointStarted("a/y")
-	p.PointDone("a/y", errors.New("boom"), 50*time.Millisecond)
+	feed(p, done("a/x", nil, 100*time.Millisecond, 4_000), started("a/y"),
+		done("a/y", errors.New("boom"), 50*time.Millisecond, 0))
 	p.Finish()
 	s = p.Snapshot()
 	if s.Done != 1 || s.Failed != 1 || s.Running != 0 || !s.Complete {
@@ -60,11 +91,8 @@ func TestProgressLifecycle(t *testing.T) {
 func TestDefaultWorkersInProgress(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
 	for _, workers := range []int{0, -1} {
-		p := NewProgress(workers, nil)
-		p.PointQueued("a/x")
-		p.PointQueued("a/y")
-		p.PointQueued("a/z")
-		p.PointDone("a/x", nil, 300*time.Millisecond)
+		p := NewProgress(workers)
+		feed(p, queued("a/x"), queued("a/y"), queued("a/z"), done("a/x", nil, 300*time.Millisecond, 4_000))
 		s := p.Snapshot()
 		if s.Workers != 3 {
 			t.Errorf("NewProgress(%d): workers = %d, want 3 (GOMAXPROCS)", workers, s.Workers)
@@ -77,27 +105,35 @@ func TestDefaultWorkersInProgress(t *testing.T) {
 }
 
 // TestProgressListener checks the RunEvent adapter feeds the tracker,
-// memo hits included.
+// memo hits included, and counts the measured instructions of executed
+// points only: a memoized or store-served result simulated nothing here.
 func TestProgressListener(t *testing.T) {
-	p := NewProgress(1, nil)
-	l := p.Listener()
-	l(experiments.RunEvent{Phase: experiments.RunQueued, Key: "c/b"})
-	l(experiments.RunEvent{Phase: experiments.RunStarted, Key: "c/b"})
-	l(experiments.RunEvent{Phase: experiments.RunDone, Key: "c/b", Wall: time.Millisecond})
-	l(experiments.RunEvent{Phase: experiments.RunDone, Key: "c/b", Memoized: true})
+	p := NewProgress(1)
+	shared := &stats.Run{Retired: 4_000}
+	stored := done("c/s", nil, time.Millisecond, 3_000)
+	stored.Provenance = stats.ProvStore
+	feed(p,
+		queued("c/b"), started("c/b"), done("c/b", nil, time.Millisecond, 4_000),
+		experiments.RunEvent{Phase: experiments.RunDone, Key: "c/b", Run: shared,
+			Memoized: true, Provenance: stats.ProvMemoized},
+		queued("c/s"), started("c/s"), stored)
 	s := p.Snapshot()
-	if s.Total != 1 || s.Done != 1 || s.MemoHits != 1 {
+	if s.Total != 2 || s.Done != 2 || s.MemoHits != 1 {
 		t.Errorf("snapshot = %+v", s)
+	}
+	if s.InstsCommitted != 4_000 {
+		t.Errorf("insts committed = %d, want 4000 (the executed point only)", s.InstsCommitted)
+	}
+	if s.InstsPerSec != 4_000/s.ElapsedSeconds {
+		t.Errorf("insts/s = %v, want insts committed over %v s elapsed", s.InstsPerSec, s.ElapsedSeconds)
 	}
 }
 
 // TestEndpoints exercises every route of a started server.
 func TestEndpoints(t *testing.T) {
-	reg := metrics.NewRegistry()
-	reg.Counter("tracecache_test_total", "Test counter.").Add(7)
-	p := NewProgress(1, nil)
-	p.PointQueued("a/x")
-	srv := &Server{Registry: reg, Progress: p}
+	p := NewProgress(1)
+	feed(p, queued("a/x"))
+	srv := &Server{Progress: p}
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -115,9 +151,6 @@ func TestEndpoints(t *testing.T) {
 		return resp.StatusCode, string(body)
 	}
 
-	if code, body := get("/metrics"); code != 200 || !strings.Contains(body, "tracecache_test_total 7") {
-		t.Errorf("/metrics: code=%d body=%q", code, body)
-	}
 	if code, body := get("/progress"); code != 200 {
 		t.Errorf("/progress: code=%d", code)
 	} else {
@@ -137,8 +170,8 @@ func TestEndpoints(t *testing.T) {
 // TestProgressSSE checks the stream emits JSON events and terminates on
 // completion.
 func TestProgressSSE(t *testing.T) {
-	p := NewProgress(1, nil)
-	p.PointQueued("a/x")
+	p := NewProgress(1)
+	feed(p, queued("a/x"))
 	srv := httptest.NewServer((&Server{Progress: p}).Handler())
 	defer srv.Close()
 
@@ -153,7 +186,7 @@ func TestProgressSSE(t *testing.T) {
 
 	go func() {
 		time.Sleep(50 * time.Millisecond)
-		p.PointDone("a/x", nil, time.Millisecond)
+		feed(p, done("a/x", nil, time.Millisecond, 4_000))
 		p.Finish()
 	}()
 
@@ -194,8 +227,8 @@ func sseHandlerGoroutines() int {
 // client interval and an incomplete sweep, Close must still unblock the
 // stream promptly and the handler goroutine must exit — no leak.
 func TestCloseTerminatesSSE(t *testing.T) {
-	p := NewProgress(1, nil)
-	p.PointQueued("a/x") // never completes, so only Close can end the stream
+	p := NewProgress(1)
+	feed(p, queued("a/x")) // never completes, so only Close can end the stream
 	srv := &Server{Progress: p}
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
@@ -243,7 +276,7 @@ func TestCloseTerminatesSSE(t *testing.T) {
 
 // TestAcceptHeaderSSE checks content negotiation picks the stream.
 func TestAcceptHeaderSSE(t *testing.T) {
-	p := NewProgress(1, nil)
+	p := NewProgress(1)
 	p.Finish()
 	srv := httptest.NewServer((&Server{Progress: p}).Handler())
 	defer srv.Close()
@@ -260,19 +293,16 @@ func TestAcceptHeaderSSE(t *testing.T) {
 }
 
 // TestLiveSweepMonitoring monitors a real concurrent sweep end to end:
-// while the sweep runs, /progress and /metrics must respond; afterwards
-// the snapshot must account for every point and the fleet instruction
-// counter must have moved.
+// while the sweep runs, /progress must respond; afterwards the snapshot
+// must account for every point, and the instruction count and rate must
+// have moved.
 func TestLiveSweepMonitoring(t *testing.T) {
 	r := experiments.NewRunner(1_000, 3_000)
 	r.Workers = 4
-	reg := metrics.NewRegistry()
-	m := experiments.InstrumentRunner(reg)
-	r.Metrics = m
-	prog := NewProgress(4, m.Sim.Insts.Value)
+	prog := NewProgress(4)
 	r.OnRun = prog.Listener()
 
-	srv := &Server{Registry: reg, Progress: prog}
+	srv := &Server{Progress: prog}
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -304,6 +334,10 @@ func TestLiveSweepMonitoring(t *testing.T) {
 			if s.Done == 0 {
 				t.Error("sweep completed with zero points")
 			}
+			if s.InstsCommitted < uint64(s.Done)*r.Budget || s.InstsPerSec <= 0 {
+				t.Errorf("final snapshot counts %d insts at %v insts/s over %d points of %d",
+					s.InstsCommitted, s.InstsPerSec, s.Done, r.Budget)
+			}
 			break
 		}
 		select {
@@ -315,24 +349,100 @@ func TestLiveSweepMonitoring(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
+}
 
-	resp, err := http.Get("http://" + addr + "/metrics")
+// measuredInsts parses the "measured insts" figure of a journal report.
+var measuredInsts = regexp.MustCompile(`(?m)^simulated: (\d+) measured insts`)
+
+// TestProgressMatchesJournal: /progress and the journal listen to the
+// same RunEvents, so after a sweep they count it identically. The sweep
+// runs on four workers with every request made twice and one request
+// failing. The final /progress snapshot's done, failed and memo-hit
+// counts equal the journal's record counts, and its instructions
+// committed equal the measured insts journal.Report prints.
+func TestProgressMatchesJournal(t *testing.T) {
+	r := experiments.NewRunner(1_000, 3_000)
+	r.Workers = 4
+	prog := NewProgress(4)
+	var buf bytes.Buffer
+	jw := journal.NewWriter(&buf)
+	r.OnRun = experiments.MultiListener(
+		journal.RunnerListener(jw, func(err error) { t.Errorf("journal: %v", err) }),
+		prog.Listener())
+
+	bad := config.Baseline()
+	bad.Name = "bad-engine"
+	bad.Engine.FUs = 0
+	type request struct {
+		cfg   sim.Config
+		bench string
+	}
+	reqs := []request{{bad, "gcc"}}
+	for range 2 {
+		for _, b := range r.Benchmarks()[:5] {
+			reqs = append(reqs, request{config.Baseline(), b}, request{config.Best(), b})
+		}
+	}
+	var wg sync.WaitGroup
+	for _, q := range reqs {
+		wg.Add(1)
+		go func(q request) {
+			defer wg.Done()
+			_, err := r.RunE(q.cfg, q.bench)
+			if (err != nil) != (q.cfg.Name == bad.Name) {
+				t.Errorf("RunE(%s, %s): %v", q.cfg.Name, q.bench, err)
+			}
+		}(q)
+	}
+	wg.Wait()
+	prog.Finish()
+
+	srv := httptest.NewServer((&Server{Progress: prog}).Handler())
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/progress")
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, _ := io.ReadAll(resp.Body)
+	var snap Snapshot
+	err = json.NewDecoder(resp.Body).Decode(&snap)
 	resp.Body.Close()
-	for _, series := range []string{
-		"tracecache_runner_runs_completed_total",
-		"tracecache_sim_instructions_committed_total",
-		"tracecache_runner_run_wall_seconds_count",
-	} {
-		if !strings.Contains(string(body), series) {
-			t.Errorf("/metrics missing %s", series)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	recs, truncated, err := journal.Read(&buf)
+	if err != nil || truncated {
+		t.Fatalf("read back: err=%v truncated=%v", err, truncated)
+	}
+	var ok, failed, memo int
+	for _, rec := range recs {
+		switch {
+		case rec.Error != "":
+			failed++
+		case rec.Provenance == stats.ProvMemoized:
+			memo++
+		default:
+			ok++
 		}
 	}
-	if m.Sim.Insts.Value() == 0 {
-		t.Error("fleet instruction counter did not move")
+	if ok != 10 || failed != 1 || memo != 10 {
+		t.Errorf("journal holds %d executed, %d failed and %d memoized records, want 10, 1 and 10", ok, failed, memo)
+	}
+	if snap.Done != ok || snap.Failed != failed || snap.MemoHits != memo {
+		t.Errorf("/progress counts done=%d failed=%d memoHits=%d, journal %d, %d and %d",
+			snap.Done, snap.Failed, snap.MemoHits, ok, failed, memo)
+	}
+	rep := journal.Report(recs, false)
+	m := measuredInsts.FindStringSubmatch(rep)
+	if m == nil {
+		t.Fatalf("report has no measured insts line:\n%s", rep)
+	}
+	insts, err := strconv.ParseUint(m[1], 10, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if insts == 0 || snap.InstsCommitted != insts {
+		t.Errorf("/progress instsCommitted = %d, journal report measured insts = %d", snap.InstsCommitted, insts)
 	}
 }
 
@@ -353,12 +463,9 @@ func TestMonitoringPreservesOutput(t *testing.T) {
 		r.Workers = workers
 		var srv *Server
 		if monitored {
-			reg := metrics.NewRegistry()
-			m := experiments.InstrumentRunner(reg)
-			r.Metrics = m
-			prog := NewProgress(workers, m.Sim.Insts.Value)
+			prog := NewProgress(workers)
 			r.OnRun = prog.Listener()
-			srv = &Server{Registry: reg, Progress: prog}
+			srv = &Server{Progress: prog}
 			if _, err := srv.Start("127.0.0.1:0"); err != nil {
 				t.Fatal(err)
 			}

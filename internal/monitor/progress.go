@@ -1,9 +1,9 @@
 // Package monitor is the opt-in live observability surface of a sweep: a
-// Progress tracker fed by runner events, and a Server that serves
-// /metrics, /progress and /debug/pprof/ for tcbench -http and tcsim
-// -http. Nothing here runs unless a binary asks for it; all monitoring
-// output is out-of-band (HTTP and stderr), never stdout, so enabling it
-// cannot change a sweep's committed results.
+// Progress tracker fed by the Runner's RunEvents, and a Server that
+// serves /progress and /debug/pprof/ for tcbench -http. Nothing here runs
+// unless a binary asks for it; all monitoring output is out-of-band (HTTP
+// and stderr), never stdout, so enabling it cannot change a sweep's
+// committed results.
 package monitor
 
 import (
@@ -13,15 +13,15 @@ import (
 	"time"
 
 	"tracecache/internal/experiments"
+	"tracecache/internal/stats"
 )
 
 // Point statuses reported by Snapshot.
 const (
-	StatusQueued   = "queued"
-	StatusRunning  = "running"
-	StatusDone     = "done"
-	StatusFailed   = "failed"
-	StatusMemoized = "memoized"
+	StatusQueued  = "queued"
+	StatusRunning = "running"
+	StatusDone    = "done"
+	StatusFailed  = "failed"
 )
 
 // PointState is one sweep point's live status.
@@ -55,20 +55,21 @@ type Snapshot struct {
 	// times the remaining point count over the worker pool; -1 until a
 	// first completion calibrates it.
 	ETASeconds float64 `json:"etaSeconds"`
-	// InstsCommitted is the fleet committed-instruction counter;
-	// InstsPerSec is its rate over the recent sampling window (0 until
-	// two samples exist).
+	// InstsCommitted sums the measured instructions (Run.Retired) of the
+	// points this sweep simulated: not memoized, not store-served, not
+	// failed. It is the "measured insts" figure journal.Report prints for
+	// the same sweep. InstsPerSec is InstsCommitted over ElapsedSeconds,
+	// so it advances once per finished point.
 	InstsCommitted uint64       `json:"instsCommitted"`
 	InstsPerSec    float64      `json:"instsPerSec"`
 	Points         []PointState `json:"points"`
 }
 
-// Progress aggregates run-lifecycle events into live sweep status. It is
-// safe for concurrent use; feed it with Listener or the Point methods.
+// Progress aggregates a sweep's RunEvents into live status. It is safe
+// for concurrent use; feed it through Listener.
 type Progress struct {
 	mu       sync.Mutex
 	workers  int
-	insts    func() uint64
 	start    time.Time
 	points   map[string]*PointState
 	order    []string
@@ -76,44 +77,51 @@ type Progress struct {
 	done     int
 	failed   int
 	wallSum  float64 // milliseconds over completed points
+	insts    uint64  // see Snapshot.InstsCommitted
 	complete bool
-
-	lastSample time.Time
-	lastInsts  uint64
-	rate       float64
 }
 
 // NewProgress builds a tracker. workers sizes the ETA divisor; a
 // non-positive count means GOMAXPROCS, the runner's own default, so a
 // tracker built from an unset worker count reports the pool that runs.
-// insts, when non-nil, reads the fleet committed-instruction counter
-// (e.g. sim.Metrics.Insts.Value) for the live throughput estimate.
-func NewProgress(workers int, insts func() uint64) *Progress {
+func NewProgress(workers int) *Progress {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	now := time.Now()
 	return &Progress{
-		workers:    workers,
-		insts:      insts,
-		start:      now,
-		points:     make(map[string]*PointState),
-		lastSample: now,
+		workers: workers,
+		start:   time.Now(),
+		points:  make(map[string]*PointState),
 	}
 }
 
 // Listener adapts the tracker into an experiments.Runner.OnRun listener.
 func (p *Progress) Listener() func(experiments.RunEvent) {
 	return func(ev experiments.RunEvent) {
-		switch {
-		case ev.Phase == experiments.RunQueued:
-			p.PointQueued(ev.Key)
-		case ev.Phase == experiments.RunStarted:
-			p.PointStarted(ev.Key)
-		case ev.Memoized:
-			p.memoHit()
-		default:
-			p.PointDone(ev.Key, ev.Err, ev.Wall)
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		if ev.Memoized {
+			p.memoHits++
+			return
+		}
+		ps := p.point(ev.Key)
+		switch ev.Phase {
+		case experiments.RunStarted:
+			ps.Status = StatusRunning
+		case experiments.RunDone:
+			ps.WallMillis = float64(ev.Wall) / float64(time.Millisecond)
+			p.wallSum += ps.WallMillis
+			if ev.Err != nil {
+				ps.Status = StatusFailed
+				ps.Error = ev.Err.Error()
+				p.failed++
+				return
+			}
+			ps.Status = StatusDone
+			p.done++
+			if ev.Run != nil && ev.Provenance != stats.ProvStore {
+				p.insts += ev.Run.Retired
+			}
 		}
 	}
 }
@@ -129,43 +137,6 @@ func (p *Progress) point(key string) *PointState {
 	return ps
 }
 
-// PointQueued records a point waiting for a worker slot.
-func (p *Progress) PointQueued(key string) {
-	p.mu.Lock()
-	p.point(key)
-	p.mu.Unlock()
-}
-
-// PointStarted records a point acquiring its worker slot.
-func (p *Progress) PointStarted(key string) {
-	p.mu.Lock()
-	p.point(key).Status = StatusRunning
-	p.mu.Unlock()
-}
-
-// PointDone records a point's resolution.
-func (p *Progress) PointDone(key string, err error, wall time.Duration) {
-	p.mu.Lock()
-	ps := p.point(key)
-	ps.WallMillis = float64(wall) / float64(time.Millisecond)
-	if err != nil {
-		ps.Status = StatusFailed
-		ps.Error = err.Error()
-		p.failed++
-	} else {
-		ps.Status = StatusDone
-		p.done++
-	}
-	p.wallSum += ps.WallMillis
-	p.mu.Unlock()
-}
-
-func (p *Progress) memoHit() {
-	p.mu.Lock()
-	p.memoHits++
-	p.mu.Unlock()
-}
-
 // Finish marks the sweep complete; SSE streams end after the next send.
 func (p *Progress) Finish() {
 	p.mu.Lock()
@@ -173,27 +144,11 @@ func (p *Progress) Finish() {
 	p.mu.Unlock()
 }
 
-// sampleRate refreshes the insts/s estimate over windows of at least
-// 200ms, so rapid polling cannot alias the rate to zero. Callers hold mu.
-func (p *Progress) sampleRate(now time.Time) {
-	if p.insts == nil {
-		return
-	}
-	cur := p.insts()
-	dt := now.Sub(p.lastSample).Seconds()
-	if dt >= 0.2 {
-		p.rate = float64(cur-p.lastInsts) / dt
-		p.lastInsts = cur
-		p.lastSample = now
-	}
-}
-
 // Snapshot returns a consistent copy of the current progress.
 func (p *Progress) Snapshot() Snapshot {
 	now := time.Now()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.sampleRate(now)
 	s := Snapshot{
 		Total:          len(p.points),
 		Done:           p.done,
@@ -203,11 +158,11 @@ func (p *Progress) Snapshot() Snapshot {
 		Workers:        p.workers,
 		ElapsedSeconds: now.Sub(p.start).Seconds(),
 		ETASeconds:     -1,
-		InstsPerSec:    p.rate,
+		InstsCommitted: p.insts,
 		Points:         make([]PointState, 0, len(p.order)),
 	}
-	if p.insts != nil {
-		s.InstsCommitted = p.insts()
+	if s.ElapsedSeconds > 0 {
+		s.InstsPerSec = float64(p.insts) / s.ElapsedSeconds
 	}
 	for _, key := range p.order {
 		ps := *p.points[key]

@@ -32,7 +32,6 @@ import (
 	"strings"
 
 	"tracecache/internal/atomicfile"
-	"tracecache/internal/metrics"
 	"tracecache/internal/stats"
 )
 
@@ -126,38 +125,12 @@ type Entry struct {
 	Sampled *stats.Sampled `json:"sampled,omitempty"`
 }
 
-// Metrics counts store traffic. All fields are registry-backed atomics;
-// a nil *Metrics disables counting.
-type Metrics struct {
-	Hits        *metrics.Counter
-	Misses      *metrics.Counter
-	Puts        *metrics.Counter
-	Quarantined *metrics.Counter
-}
-
-// InstrumentStore registers the store counter set in the registry.
-func InstrumentStore(r *metrics.Registry) *Metrics {
-	return &Metrics{
-		Hits: r.Counter("tracecache_store_hits_total",
-			"Run requests served from the persistent result store."),
-		Misses: r.Counter("tracecache_store_misses_total",
-			"Store lookups that found no usable entry."),
-		Puts: r.Counter("tracecache_store_puts_total",
-			"Results persisted to the store."),
-		Quarantined: r.Counter("tracecache_store_quarantined_total",
-			"Corrupt store entries renamed aside during load."),
-	}
-}
-
 // Store is an on-disk result cache rooted at one directory. It is safe
 // for concurrent use by any number of goroutines and processes: reads
 // see either a complete entry or none (atomic installs), and concurrent
 // writers of the same key install identical content.
 type Store struct {
 	dir string
-	// Metrics, when non-nil, counts hits/misses/puts/quarantines.
-	// Set before first use.
-	Metrics *Metrics
 }
 
 // Open returns a store rooted at dir, creating the directory if needed.
@@ -235,9 +208,6 @@ func (s *Store) Get(key Key) (*Entry, error) {
 	path := filepath.Join(s.dir, key.FileName())
 	data, err := os.ReadFile(path)
 	if err != nil {
-		if m := s.Metrics; m != nil {
-			m.Misses.Inc()
-		}
 		if os.IsNotExist(err) {
 			return nil, nil
 		}
@@ -246,13 +216,7 @@ func (s *Store) Get(key Key) (*Entry, error) {
 	e, derr := decode(data, key)
 	if derr != nil {
 		s.quarantine(path)
-		if m := s.Metrics; m != nil {
-			m.Misses.Inc()
-		}
 		return nil, fmt.Errorf("resultstore: %s: quarantined: %w", filepath.Base(path), derr)
-	}
-	if m := s.Metrics; m != nil {
-		m.Hits.Inc()
 	}
 	return e, nil
 }
@@ -262,9 +226,6 @@ func (s *Store) Get(key Key) (*Entry, error) {
 // removal, and a failure of that too leaves the file for the next Get to
 // retry.
 func (s *Store) quarantine(path string) {
-	if m := s.Metrics; m != nil {
-		m.Quarantined.Inc()
-	}
 	if err := os.Rename(path, path+quarantineSuffix); err != nil {
 		os.Remove(path)
 	}
@@ -287,9 +248,6 @@ func (s *Store) Put(e *Entry) error {
 	path := filepath.Join(s.dir, e.Key.FileName())
 	if err := atomicfile.WriteFile(path, data, 0o644); err != nil {
 		return fmt.Errorf("resultstore: %w", err)
-	}
-	if m := s.Metrics; m != nil {
-		m.Puts.Inc()
 	}
 	return nil
 }

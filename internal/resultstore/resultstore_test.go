@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"tracecache/internal/metrics"
 	"tracecache/internal/resultstore"
 	"tracecache/internal/stats"
 )
@@ -41,8 +40,17 @@ func openStore(t *testing.T, dir string) *resultstore.Store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Metrics = resultstore.InstrumentStore(metrics.NewRegistry())
 	return s
+}
+
+// quarantined counts the entry files Get has set aside in dir.
+func quarantined(t *testing.T, dir string) int {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*.quarantined"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(files)
 }
 
 // entryPath locates the single live entry file of a one-entry store.
@@ -88,9 +96,6 @@ func TestRoundTrip(t *testing.T) {
 	if n, _ := s.Len(); n != 1 {
 		t.Errorf("store holds %d entries, want 1", n)
 	}
-	if s.Metrics.Hits.Value() != 1 || s.Metrics.Puts.Value() != 1 {
-		t.Errorf("hits=%d puts=%d, want 1/1", s.Metrics.Hits.Value(), s.Metrics.Puts.Value())
-	}
 }
 
 func TestMissingKeyIsPlainMiss(t *testing.T) {
@@ -98,9 +103,6 @@ func TestMissingKeyIsPlainMiss(t *testing.T) {
 	e, err := s.Get(sampleEntry().Key)
 	if e != nil || err != nil {
 		t.Fatalf("empty-store Get = (%v, %v), want (nil, nil)", e, err)
-	}
-	if s.Metrics.Misses.Value() != 1 {
-		t.Errorf("misses = %d, want 1", s.Metrics.Misses.Value())
 	}
 }
 
@@ -131,8 +133,8 @@ func TestStaleTempFileIgnored(t *testing.T) {
 	if _, err := os.Stat(stale); err != nil {
 		t.Errorf("stale temporary removed: %v", err)
 	}
-	if s.Metrics.Quarantined.Value() != 0 {
-		t.Errorf("quarantined = %d, want 0", s.Metrics.Quarantined.Value())
+	if n := quarantined(t, dir); n != 0 {
+		t.Errorf("%d quarantined files, want 0", n)
 	}
 }
 
@@ -175,8 +177,8 @@ func TestTruncatedEntryQuarantined(t *testing.T) {
 	if e, err := s.Get(want.Key); e == nil || err != nil {
 		t.Fatalf("repopulated Get = (%v, %v)", e, err)
 	}
-	if s.Metrics.Quarantined.Value() != 1 {
-		t.Errorf("quarantined = %d, want 1", s.Metrics.Quarantined.Value())
+	if n := quarantined(t, dir); n != 1 {
+		t.Errorf("%d quarantined files, want 1", n)
 	}
 }
 

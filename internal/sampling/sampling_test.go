@@ -6,7 +6,6 @@ import (
 
 	"tracecache/internal/check"
 	"tracecache/internal/config"
-	"tracecache/internal/metrics"
 	"tracecache/internal/sim"
 	"tracecache/internal/stats"
 	"tracecache/internal/workload"
@@ -184,29 +183,6 @@ func TestRunWithChecker(t *testing.T) {
 	res := runSampled(t, cfg, "go")
 	if len(res.Violations) != 0 {
 		t.Fatalf("sampling audit violations: %v", res.Violations)
-	}
-}
-
-// TestRunFlushesSimMetrics: every detailed retirement of a sampled run —
-// window warmups, measurement windows and drain tails — reaches attached
-// simulator metrics by the time Run returns, so fleet counters (and the
-// insts/s tcbench -http's /progress derives from them) see the whole run.
-func TestRunFlushesSimMetrics(t *testing.T) {
-	prog, err := workload.SharedProgram("gcc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := sim.New(sampledConfig(t), prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := sim.NewMetrics(metrics.NewRegistry())
-	s.AttachMetrics(m)
-	if _, err := Run(s); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := m.Insts.Value(), s.CommittedInsts()-s.FastForwarded(); got != want {
-		t.Errorf("instructions counter = %d, want %d detailed retirements", got, want)
 	}
 }
 

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 
+	"tracecache/internal/core"
 	"tracecache/internal/program"
 	"tracecache/internal/workload"
 )
@@ -25,12 +27,13 @@ func gccProgram(t *testing.T) *program.Program {
 // quietly regress. The reused case is the same point built from a spare
 // that an earlier point of the configuration filled, as a Runner worker
 // builds its second and later points: the tables, the trace cache's
-// lines, the event buckets and the memory pages are renewed, not
-// allocated. The measured counts are fresh 971 and 715, reused 81 and
-// 55. Under -race they run a few higher and vary, because the race
-// detector drops sync.Pool entries at random: fresh about 978 and 720,
-// reused 84-86 and 57-64 averaged over ten points. Each bound sits about
-// 10% above the -race count.
+// lines, the event buckets, the memory pages and the inactive-suffix
+// buffers of branches left in flight are renewed, not allocated. The
+// measured counts are fresh 971 and 715, reused 75 and 55. Under -race
+// they run a few higher and vary, because the race detector drops
+// sync.Pool entries at random: fresh about 978 and 720, reused 84-86 and
+// 57-64 averaged over ten points before the suffix buffers were kept
+// (81 and 58 after). Each bound sits about 10% above the -race count.
 func TestSuitePointAllocs(t *testing.T) {
 	prog := gccProgram(t)
 	cases := []struct {
@@ -68,6 +71,46 @@ func TestSuitePointAllocs(t *testing.T) {
 				t.Errorf("%.0f allocations per reused point, bound %.0f", reused, tc.reuse)
 			}
 		})
+	}
+}
+
+// TestSuitePointBytes bounds the bytes of a reused suite point, which
+// TestSuitePointAllocs's counts cannot see when one allocation is large:
+// a promotion point's 8K-entry bias table is a single 96 KiB allocation.
+// The spare keeps the table, so ten reused gcc points of promotion with
+// cost-regulated packing (tcbench's best) allocate within 2 KB per point
+// of ten reused baseline points at the same 1k warm-up + 4k measured.
+func TestSuitePointBytes(t *testing.T) {
+	prog := gccProgram(t)
+	best := DefaultConfig()
+	best.Name = "promo-pack-costreg"
+	best.Fill = core.DefaultFillConfig(core.PackCostRegulated, 64)
+	best.SplitMBP = true
+	perPoint := func(cfg Config) uint64 {
+		cfg.WarmupInsts, cfg.MaxInsts = 1_000, 4_000
+		var sp Spare
+		point := func() {
+			s, err := sp.New(cfg, prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Run()
+			sp.Keep(s)
+		}
+		point() // fills the spare
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range 10 {
+			point()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / 10
+	}
+	base, promo := perPoint(DefaultConfig()), perPoint(best)
+	t.Logf("%d bytes per reused baseline point, %d per reused %s point", base, promo, best.Name)
+	if promo > base+2048 {
+		t.Errorf("a reused %s point allocates %d bytes, more than 2 KB above a reused baseline point's %d",
+			best.Name, promo, base)
 	}
 }
 

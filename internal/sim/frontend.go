@@ -50,7 +50,7 @@ func newFrontEnd(cfg Config, prog *program.Program, sp *Spare) (frontEnd, error)
 			return f, err
 		}
 		f.tc = tc
-		f.fill = core.NewFillUnit(cfg.Fill, tc)
+		f.fill = core.RenewFillUnit(sp.bias, cfg.Fill, tc)
 		switch {
 		case cfg.SingleHybrid:
 			f.mbp = bpred.NewSingleHybridMBP(bpred.RenewHybrid(sp.hyb))

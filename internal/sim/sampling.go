@@ -94,8 +94,7 @@ func (s *Simulator) SkipFunctional(n uint64) (uint64, error) {
 // retire into the current window (i.e. past the Retired count at entry),
 // the program halts, or the cycle bound trips. Like Run, it may overshoot
 // the target by up to RetireWidth−1 instructions (retirement is
-// burst-granular). Attached metrics are flushed on return, as at the end
-// of Run.
+// burst-granular).
 //
 //tc:hotpath
 func (s *Simulator) RunDetailed(n uint64) error {
@@ -109,12 +108,6 @@ func (s *Simulator) RunDetailed(n uint64) error {
 		}
 		s.stepCycle()
 		s.cycle++
-		if s.met != nil && s.cycle&(metricsFlushPeriod-1) == 0 {
-			s.flushMetrics()
-		}
-	}
-	if s.met != nil {
-		s.flushMetrics()
 	}
 	return err
 }
@@ -122,7 +115,7 @@ func (s *Simulator) RunDetailed(n uint64) error {
 // DrainPipeline retires or squashes everything in flight without
 // initiating new fetches, leaving the machine quiescent at a committed
 // boundary (or halted). See the file comment for why the resulting fetch
-// state is committed-equivalent. Attached metrics are flushed on return.
+// state is committed-equivalent.
 //
 //tc:hotpath
 func (s *Simulator) DrainPipeline() error {
@@ -138,9 +131,6 @@ func (s *Simulator) DrainPipeline() error {
 		s.cycle++
 	}
 	s.noFetch = false
-	if s.met != nil {
-		s.flushMetrics()
-	}
 	return err
 }
 

@@ -160,14 +160,6 @@ type Simulator struct {
 	coll   *obs.Collector
 	occSum uint64 // per-cycle window occupancy sum (collector enabled only)
 
-	// met is the fleet-level metrics attachment (AttachMetrics); nil by
-	// default, so the detached path costs one nil comparison per site.
-	// metInsts accumulates retirements between batched flushes and
-	// metCycleMark is the cycle of the last flush.
-	met          *Metrics
-	metInsts     uint64
-	metCycleMark uint64
-
 	// chk is the self-verification layer (Config.Check); nil by default,
 	// so the unchecked path costs one nil comparison per site.
 	chk *check.Checker
@@ -411,12 +403,6 @@ func (s *Simulator) Run() *stats.Run {
 				V1: uint64(s.eng.InFlight()),
 			})
 		}
-		if s.met != nil && s.cycle&(metricsFlushPeriod-1) == 0 {
-			s.flushMetrics()
-		}
-	}
-	if s.met != nil {
-		s.flushMetrics()
 	}
 	s.run.Cycles = s.cycle - s.cycleBase
 	//tcvet:ignore determinism wall-clock provenance only: feeds stats.Meta wall time, never simulated state
@@ -524,9 +510,6 @@ func (s *Simulator) retire() {
 //tc:hotpath
 func (s *Simulator) retireInst(d *dyn) {
 	in := d.fi.Inst
-	if s.met != nil {
-		s.metInsts++
-	}
 	if s.chk != nil {
 		s.chk.Commit(check.Commit{
 			Cycle: s.cycle, Seq: d.seq, PC: d.fi.PC,

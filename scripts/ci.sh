@@ -3,19 +3,19 @@
 # gates, a race pass over the observability layer, the simulator, and the
 # parallel sweep engine, a fast-forward agreement+accuracy step (tcbench
 # -ffwd and tcsim -ffwd must print the same mean fetch size), a
-# monitoring smoke (/metrics, /progress and /debug/pprof/ of a live
-# tcbench -http -store sweep), a warm result-store smoke, an interrupt
-# smoke (a tcbench -store -journal sweep killed by SIGTERM or SIGKILL
-# leaves only whole entries and a readable journal, and its rerun
-# simulates only the missing points), a replay-determinism smoke (tcbench
-# -replay stdout must not depend on -j, on which experiments run with it,
-# or on what a detailed run left in the store), a replay smoke (tcsim
-# -replay must print tcbench -replay's numbers for a point, and
-# -replay-verify must hold the fidelity envelope in its calibrated domain
-# and report a shorter run as out of domain), a smoke run of the
-# throughput benchmarks (BenchmarkSimulatorThroughput and its -check
-# twin), and vet + tests of the perfbench module, which ./... skips
-# because it is its own module.
+# monitoring smoke (/progress and /debug/pprof/ of a live tcbench -http
+# -store sweep) and a run of examples/monitoring, a warm result-store
+# smoke, an interrupt smoke (a tcbench -store -journal sweep killed by
+# SIGTERM or SIGKILL leaves only whole entries and a readable journal,
+# and its rerun simulates only the missing points), a replay-determinism
+# smoke (tcbench -replay stdout must not depend on -j, on which
+# experiments run with it, or on what a detailed run left in the store),
+# a replay smoke (tcsim -replay must print tcbench -replay's numbers for
+# a point, and -replay-verify must hold the fidelity envelope in its
+# calibrated domain and report a shorter run as out of domain), a smoke
+# run of the throughput benchmarks (BenchmarkSimulatorThroughput and its
+# -check twin), and vet + tests of the perfbench module, which ./...
+# skips because it is its own module.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -29,15 +29,15 @@ echo "== gofmt =="
 UNFORMATTED=$(gofmt -l .)
 [ -z "$UNFORMATTED" ] || { echo "FAIL: gofmt needed:"; echo "$UNFORMATTED"; exit 1; }
 
-echo "== tcvet (project static analysis: determinism, hotalloc, nilsafe, nopanic, metrichygiene) =="
+echo "== tcvet (project static analysis: determinism, hotalloc, nilsafe, nopanic) =="
 go run ./cmd/tcvet ./...
 
 echo "== go test =="
 go test ./...
 
-echo "== go test -race (obs, sim, metrics, monitor, journal, resultstore, atomicfile) =="
+echo "== go test -race (obs, sim, monitor, journal, resultstore, atomicfile) =="
 go test -race ./internal/obs/... ./internal/sim/... \
-	./internal/metrics/... ./internal/monitor/... ./internal/journal/... \
+	./internal/monitor/... ./internal/journal/... \
 	./internal/resultstore/... ./internal/atomicfile/...
 
 echo "== go test -race (sweep engine: worker pool + singleflight + executor in every mode + spare reuse + program cache) =="
@@ -65,7 +65,7 @@ go run ./cmd/tcsim -check -bench gcc -config promo-pack-costreg \
 echo "== differential fuzz seeds (replay only, no fuzzing) =="
 go test -run 'FuzzDifferential' ./internal/check/
 
-echo "== monitoring smoke (live /metrics + /progress during a -j N sweep, stdout purity) =="
+echo "== monitoring smoke (live /progress + /debug/pprof/ during a -j N sweep, stdout purity) =="
 go build -o /tmp/tcbench-ci ./cmd/tcbench
 rm -rf /tmp/tcbench-ci-journal.jsonl /tmp/tcbench-ci-mon-store
 # Empty the announce file first: the loop below can read it before the
@@ -85,26 +85,21 @@ for _ in $(seq 1 50); do
 	sleep 0.1
 done
 [ -n "$ADDR" ] || { echo "FAIL: no monitoring announce"; cat /tmp/tcbench-ci.err; exit 1; }
-curl -sf "http://$ADDR/metrics" >/tmp/tcbench-ci-metrics.txt
 curl -sf "http://$ADDR/progress" >/tmp/tcbench-ci-progress.json
 curl -sf "http://$ADDR/debug/pprof/" >/dev/null
 wait "$MON_PID"
-for series in tracecache_runner_runs_started_total \
-	tracecache_runner_memo_hits_total \
-	tracecache_sim_instructions_committed_total \
-	tracecache_runner_run_wall_seconds_bucket \
-	tracecache_obs_events_total \
-	tracecache_store_misses_total; do
-	grep -q "$series" /tmp/tcbench-ci-metrics.txt || {
-		echo "FAIL: /metrics missing $series"; exit 1; }
+for field in total done memoHits instsPerSec; do
+	grep -q "\"$field\"" /tmp/tcbench-ci-progress.json || {
+		echo "FAIL: /progress missing $field"; exit 1; }
 done
-grep -q '"total"' /tmp/tcbench-ci-progress.json || {
-	echo "FAIL: /progress missing fields"; exit 1; }
 [ -s /tmp/tcbench-ci-journal.jsonl ] || { echo "FAIL: journal empty"; exit 1; }
 /tmp/tcbench-ci -journal-report /tmp/tcbench-ci-journal.jsonl >/dev/null
 /tmp/tcbench-ci -exp all -warmup 2000 -insts 8000 -j 1 >/tmp/tcbench-ci-bare.out 2>/dev/null
 cmp /tmp/tcbench-ci-monitored.out /tmp/tcbench-ci-bare.out || {
 	echo "FAIL: monitored stdout differs from bare run"; exit 1; }
+
+echo "== monitoring example (examples/monitoring: a journaled sweep polled on /progress, self-terminating) =="
+go run ./examples/monitoring >/dev/null
 
 echo "== store smoke (a warm result store serves every executed point; stdout unchanged) =="
 rm -rf /tmp/tcbench-ci-store /tmp/tcbench-ci-store1.jsonl /tmp/tcbench-ci-store2.jsonl

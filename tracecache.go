@@ -31,7 +31,6 @@ import (
 	"tracecache/internal/core"
 	"tracecache/internal/experiments"
 	"tracecache/internal/journal"
-	"tracecache/internal/metrics"
 	"tracecache/internal/monitor"
 	"tracecache/internal/obs"
 	"tracecache/internal/program"
@@ -261,25 +260,20 @@ func NewIntervalCollector(everyCycles uint64) *IntervalCollector {
 // most maxEvents events (non-positive selects the default cap).
 func NewChromeTrace(maxEvents int) *ChromeTrace { return obs.NewChromeTrace(maxEvents) }
 
-// Fleet-level observability. A MetricsRegistry holds process-wide atomic
-// counters, gauges and histograms with Prometheus text exposition;
-// InstrumentRunner wires a Runner's lifecycle into one, RunnerMetrics.Sim
-// carries the shared simulator counters, and SweepProgress plus
-// MonitorServer expose a live sweep over HTTP (/metrics, /progress as
-// JSON or SSE, /debug/pprof). A JournalWriter persists one JSONL record
-// per simulation request. Everything here is opt-in and out-of-band: a
-// runner with nil hooks pays one nil check per site, and enabling
-// monitoring changes no simulated statistic and no experiment output.
+// Sweep observability. A Runner reports through RunEvents alone (its
+// OnRun listener): SweepProgress plus MonitorServer expose a live sweep
+// over HTTP (/progress as JSON or SSE, /debug/pprof), and a JournalWriter
+// persists one JSONL record per simulation request. Both count the same
+// events, so a finished sweep's /progress and its journal report agree.
+// Everything here is opt-in and out-of-band: a runner with no listener
+// pays one nil check per event, and enabling monitoring changes no
+// simulated statistic and no experiment output.
 type (
-	// MetricsRegistry registers and exposes process-wide metrics.
-	MetricsRegistry = metrics.Registry
-	// RunnerMetrics is the counter set a Runner feeds when instrumented.
-	RunnerMetrics = experiments.RunnerMetrics
 	// RunEvent is one run-lifecycle notification from a Runner.
 	RunEvent = experiments.RunEvent
 	// SweepProgress aggregates run events into live sweep status.
 	SweepProgress = monitor.Progress
-	// MonitorServer serves /metrics, /progress and /debug/pprof/.
+	// MonitorServer serves /progress and /debug/pprof/.
 	MonitorServer = monitor.Server
 	// JournalWriter appends one JSON line per simulation request.
 	JournalWriter = journal.Writer
@@ -287,23 +281,10 @@ type (
 	JournalRecord = journal.Record
 )
 
-// NewMetricsRegistry builds an empty metrics registry.
-func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
-
-// InstrumentRunner registers the runner counter set in the registry;
-// assign the result to Runner.Metrics before the first Run call.
-func InstrumentRunner(r *MetricsRegistry) *RunnerMetrics {
-	return experiments.InstrumentRunner(r)
-}
-
 // NewSweepProgress builds a live progress tracker; wire its Listener into
 // Runner.OnRun. workers sizes the ETA divisor (non-positive means
-// GOMAXPROCS, the Runner's default) and insts (may be nil) reads the
-// fleet committed-instruction counter, typically
-// RunnerMetrics.Sim.Insts.Value.
-func NewSweepProgress(workers int, insts func() uint64) *SweepProgress {
-	return monitor.NewProgress(workers, insts)
-}
+// GOMAXPROCS, the Runner's default).
+func NewSweepProgress(workers int) *SweepProgress { return monitor.NewProgress(workers) }
 
 // OpenJournal opens (creating if needed) a JSONL run journal for
 // appending; wire journal listeners via RunnerJournalListener.
