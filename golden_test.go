@@ -13,19 +13,22 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden summary fixtures")
 
-// Golden run modes: a fully detailed simulation, a front-end replay of a
-// stream recorded under the baseline, and a sampled estimate.
+// Golden run modes: a fully detailed simulation, a detailed simulation
+// after a functional fast-forward prefix, a front-end replay of a stream
+// recorded under the baseline, and a sampled estimate.
 const (
-	goldenDetailed = "detailed"
-	goldenReplay   = "replay"
-	goldenSampled  = "sampled"
+	goldenDetailed    = "detailed"
+	goldenFastForward = "ffwd"
+	goldenReplay      = "replay"
+	goldenSampled     = "sampled"
 )
 
 // goldenRuns pins the full output of the paper's two headline machines on
 // one benchmark at a fixed small budget, in each fidelity mode whose
 // numbers the simulator computes itself. Any change to a simulated
 // statistic — fetch, prediction, promotion, packing, execution timing,
-// replay's retire-time front-end update, the sampling schedule — shows up
+// replay's retire-time front-end update, the structures fast-forward
+// warms, the sampling schedule — shows up
 // as a diff against these fixtures; provenance metadata (wall time,
 // hostname) is stripped because it legitimately varies.
 var goldenRuns = []struct {
@@ -35,6 +38,11 @@ var goldenRuns = []struct {
 }{
 	{goldenDetailed, "baseline", "gcc"},
 	{goldenDetailed, "promo-pack-costreg", "gcc"},
+	// icache warms the hybrid predictor in fast-forward; promo-pack-costreg
+	// warms the multiple-branch predictor's pseudo fetch group, the bias
+	// table and packing.
+	{goldenFastForward, "icache", "gcc"},
+	{goldenFastForward, "promo-pack-costreg", "gcc"},
 	{goldenReplay, "baseline", "gcc"},
 	{goldenReplay, "promo-pack-costreg", "gcc"},
 	{goldenSampled, "baseline", "gcc"},
@@ -60,6 +68,9 @@ func TestGoldenSummaries(t *testing.T) {
 			switch g.mode {
 			case goldenDetailed:
 				cfg.WarmupInsts, cfg.MaxInsts = 40_000, 80_000
+				got = goldenDetailedJSON(t, cfg, prog)
+			case goldenFastForward:
+				cfg.FastForwardInsts, cfg.WarmupInsts, cfg.MaxInsts = 100_000, 20_000, 40_000
 				got = goldenDetailedJSON(t, cfg, prog)
 			case goldenReplay:
 				cfg.WarmupInsts, cfg.MaxInsts = 40_000, 80_000
@@ -90,7 +101,8 @@ func TestGoldenSummaries(t *testing.T) {
 	}
 }
 
-// goldenDetailedJSON simulates cfg fully detailed and renders its summary.
+// goldenDetailedJSON simulates cfg (fully detailed past any fast-forward
+// prefix) and renders its summary.
 func goldenDetailedJSON(t *testing.T, cfg tracecache.Config, prog *tracecache.Program) []byte {
 	t.Helper()
 	run, err := tracecache.Simulate(cfg, prog)
