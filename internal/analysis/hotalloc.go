@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/types"
 )
@@ -15,6 +16,10 @@ import (
 // stored anywhere but a plain variable (*p = T{...}, s[i] = T{...},
 // x.f = T{...}) or passed as an append element is built in a temporary
 // and block-copied into place, where an empty T{} compiles to a clear.
+// And it flags a by-value receiver, parameter or result whose type gc
+// cannot keep in registers (see unregisterable): such a value is spilled
+// field by field and then reloaded with one wide load, which the CPU
+// cannot forward from the narrower stores, so the load stalls.
 func HotAlloc() *Analyzer {
 	a := &Analyzer{
 		Name: "hotalloc",
@@ -37,6 +42,7 @@ func HotAlloc() *Analyzer {
 // checkHotFunc inspects one annotated function.
 func checkHotFunc(pass *Pass, fd *ast.FuncDecl) {
 	info := pass.Pkg.Info
+	checkByValue(pass, fd)
 
 	// Appends that reuse a persistent buffer are allowed: x = append(x, ...)
 	// grows in place, and append(buf[:0], ...) explicitly reslices existing
@@ -190,6 +196,67 @@ func copiedStructLit(info *types.Info, e ast.Expr) (*ast.CompositeLit, int64) {
 		return lit, size
 	}
 	return nil, 0
+}
+
+// maxRegFields is the most fields a struct gc keeps in registers may have.
+const maxRegFields = 4
+
+// regSizeLimit is the largest value, in bytes under gc/amd64, that gc
+// keeps in registers: four pointer words.
+const regSizeLimit = 32
+
+// checkByValue flags fd's by-value receiver, parameters and results whose
+// type gc cannot keep in registers. Without type information (a degraded
+// package) nothing is reported.
+func checkByValue(pass *Pass, fd *ast.FuncDecl) {
+	lists := []struct {
+		what string
+		fl   *ast.FieldList
+	}{{"receiver", fd.Recv}, {"parameter", fd.Type.Params}, {"result", fd.Type.Results}}
+	for _, l := range lists {
+		if l.fl == nil {
+			continue
+		}
+		for _, f := range l.fl.List {
+			t := pass.Pkg.Info.TypeOf(f.Type)
+			if t == nil {
+				continue
+			}
+			why := unregisterable(t)
+			if why == "" {
+				continue
+			}
+			name := types.ExprString(f.Type)
+			pass.Reportf(f.Type.Pos(), "by-value %s of type %s (%s) does not fit in registers and is spilled field by field, then reloaded wide, in hot path; pass a pointer", l.what, name, why)
+		}
+	}
+}
+
+// unregisterable returns why gc cannot keep a value of type t in
+// registers, or "" when it can. It mirrors gc's rule: at most
+// regSizeLimit bytes, no array of more than one element, no struct of
+// more than maxRegFields fields, recursively through fields and elements.
+func unregisterable(t types.Type) string {
+	if size := gcAMD64.Sizeof(t); size > regSizeLimit {
+		return fmt.Sprintf("%d bytes", size)
+	}
+	switch u := t.Underlying().(type) {
+	case *types.Array:
+		if u.Len() > 1 {
+			return fmt.Sprintf("array of %d", u.Len())
+		}
+		return unregisterable(u.Elem())
+	case *types.Struct:
+		if u.NumFields() > maxRegFields {
+			return fmt.Sprintf("%d fields", u.NumFields())
+		}
+		for i := 0; i < u.NumFields(); i++ {
+			if why := unregisterable(u.Field(i).Type()); why != "" {
+				return "field " + u.Field(i).Name() + ": " + why
+			}
+		}
+	}
+	return ""
 }
 
 // checkCallBoxing flags call arguments implicitly converted to interface

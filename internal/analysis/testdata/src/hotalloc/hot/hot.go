@@ -94,3 +94,46 @@ func (h *Holder) GoodCopy(v int64, s *Small) int64 {
 	*s = Small{a: v}
 	return local.a
 }
+
+// Inst has five one-byte fields and a word: 16 bytes, but more fields
+// than gc keeps in registers.
+type Inst struct {
+	op, cond, rd, rs1, rs2 uint8
+	imm                    int64
+}
+
+// Pair is two words: gc keeps it in registers.
+type Pair struct {
+	a, b int64
+}
+
+// Wide has four fields, the limit, but 40 bytes.
+type Wide struct {
+	a, b, c int64
+	d       [2]int64
+}
+
+// Packed is 24 bytes in two fields, but one of them is an array of two.
+type Packed struct {
+	p Pair
+	r [2]int32
+}
+
+// BadByValue takes and returns values gc cannot keep in registers: a
+// receiver over 32 bytes, a struct of six fields, a struct over 32 bytes,
+// an array of more than one element and a struct with such an array.
+//
+//tc:hotpath
+func (w Wide) BadByValue(in Inst, big Big, regs [2]int64) Packed {
+	var out Packed
+	out.p.a = w.a + int64(in.op) + big.a + regs[0]
+	return out
+}
+
+// GoodByRef passes the same values by reference, and small ones by value:
+// a two-word struct, a one-element array of one and a single word.
+//
+//tc:hotpath
+func (w *Wide) GoodByRef(in *Inst, big *Big, p Pair, one [1]Pair, n int64) Pair {
+	return Pair{a: w.a + int64(in.op) + big.a + p.a + one[0].b + n}
+}

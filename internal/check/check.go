@@ -283,8 +283,9 @@ func (c *Checker) structuralf(pc int, rule, format string, args ...any) {
 // reference resumed at the same PC the simulator will fetch from.
 func (c *Checker) FastForward(n uint64, simPC int) {
 	var done uint64
+	var info exec.StepInfo
 	for done < n {
-		info := c.ref.StepAt(c.refPC)
+		c.ref.StepAt(c.refPC, &info)
 		if info.Halted {
 			break
 		}
@@ -315,7 +316,8 @@ func (c *Checker) Commit(cm Commit) {
 			"committed pc %d, reference expects %d", cm.PC, c.refPC)
 		return
 	}
-	info := c.ref.StepAt(c.refPC)
+	var info exec.StepInfo
+	c.ref.StepAt(c.refPC, &info)
 	switch {
 	case cm.Halted != info.Halted:
 		c.diverged = true

@@ -138,10 +138,13 @@ type FillUnit struct {
 // analysis-only use).
 func NewFillUnit(cfg FillConfig, tc *TraceCache) *FillUnit { return RenewFillUnit(nil, cfg, tc) }
 
-// RenewFillUnit is NewFillUnit with its bias table, if the configuration
-// promotes dynamically, renewed from bias (RenewBiasTable). bias may be
-// nil; a renewed bias must not be used again.
-func RenewFillUnit(bias *BiasTable, cfg FillConfig, tc *TraceCache) *FillUnit {
+// RenewFillUnit is NewFillUnit built in old's storage: its fill and block
+// buffers, emptied (the fill buffer when its capacity is MaxInsts), and,
+// if the configuration promotes dynamically, its bias table
+// (RenewBiasTable). The statistics start at zero and the hooks and the
+// observer unset, as in a new fill unit. old may be nil; a renewed old
+// must not be used again.
+func RenewFillUnit(old *FillUnit, cfg FillConfig, tc *TraceCache) *FillUnit {
 	if cfg.MaxInsts <= 0 {
 		cfg.MaxInsts = 16
 	}
@@ -159,12 +162,18 @@ func RenewFillUnit(bias *BiasTable, cfg FillConfig, tc *TraceCache) *FillUnit {
 	if cfg.BiasMaxCount < cfg.PromoteThreshold {
 		cfg.BiasMaxCount = cfg.PromoteThreshold
 	}
-	f := &FillUnit{
-		cfg:     cfg,
-		tc:      tc,
-		pending: make([]SegInst, 0, cfg.MaxInsts),
-		block:   make([]SegInst, 0, maxBlockBuffer),
+	f := old
+	if f == nil {
+		f = new(FillUnit)
 	}
+	pending, block, bias := f.pending, f.block, f.bias
+	if cap(pending) != cfg.MaxInsts {
+		pending = make([]SegInst, 0, cfg.MaxInsts)
+	}
+	if block == nil {
+		block = make([]SegInst, 0, maxBlockBuffer)
+	}
+	*f = FillUnit{cfg: cfg, tc: tc, pending: pending[:0], block: block[:0]}
 	if cfg.PromoteThreshold > 0 && cfg.StaticPromotions == nil {
 		size := cfg.BiasTableSize
 		if size <= 0 {
@@ -189,18 +198,29 @@ func (f *FillUnit) Stats() FillStats { return f.stats }
 // carry no cycle (the fill unit has no clock); the bus stamps them.
 func (f *FillUnit) SetObserver(b *obs.Bus) { f.obs = b }
 
-// Retire feeds one retired instruction to the fill unit. taken is the
-// outcome for conditional branches.
+// Retire is RetireInst for an instruction held by value.
 //
 //tc:hotpath
-func (f *FillUnit) Retire(pc int, in isa.Inst, taken bool) {
+//tcvet:ignore hotalloc by-value isa.Inst is the signature perfbench/probes.go calls with prog.Code[pc]; the simulator calls RetireInst
+func (f *FillUnit) Retire(pc int, in isa.Inst, taken bool) { f.RetireInst(pc, &in, taken) }
+
+// RetireInst feeds one retired instruction to the fill unit. taken is the
+// outcome for conditional branches. The instruction is passed by
+// reference: gc cannot keep an isa.Inst in registers, so a by-value one
+// is spilled field by field and reloaded wide, which stalls the load.
+//
+//tc:hotpath
+func (f *FillUnit) RetireInst(pc int, in *isa.Inst, taken bool) {
 	f.stats.Retired++
-	// Fill the block's next slot in place; mergeBlock runs before the
-	// block outgrows its maxBlockBuffer capacity.
+	// Fill the block's next slot in place, field by field; mergeBlock runs
+	// before the block outgrows its maxBlockBuffer capacity.
 	n := len(f.block)
 	f.block = f.block[:n+1]
 	si := &f.block[n]
-	*si = SegInst{PC: pc, Inst: in, Taken: taken}
+	si.PC = pc
+	si.Inst = *in
+	si.Taken = taken
+	si.Promoted = false
 	switch {
 	case in.IsCondBranch() && f.cfg.StaticPromotions != nil:
 		if dir, ok := f.cfg.StaticPromotions[pc]; ok && dir == taken {
@@ -237,7 +257,7 @@ func (f *FillUnit) mergeBlock() {
 		space := f.cfg.MaxInsts - len(f.pending)
 		if len(blk) <= space {
 			f.appendInsts(blk)
-			last := blk[len(blk)-1]
+			last := &blk[len(blk)-1]
 			blk = nil
 			switch {
 			case len(f.pending) == f.cfg.MaxInsts:

@@ -40,7 +40,7 @@ func ProfileStaticPromotions(p *program.Program, cfg StaticProfileConfig) map[in
 	}
 	type tally struct{ taken, total uint64 }
 	counts := make(map[int]*tally)
-	exec.Trace(p, cfg.Budget, func(si exec.StepInfo) bool {
+	exec.Trace(p, cfg.Budget, func(si *exec.StepInfo) bool {
 		if !si.Inst.IsCondBranch() {
 			return true
 		}

@@ -10,7 +10,7 @@ import (
 // grow executes reg-writing steps until the undo log holds n records.
 func grow(s *State, p int, n int) {
 	for s.UndoLen() < n {
-		s.StepAt(p)
+		step(s, p)
 	}
 }
 
@@ -29,7 +29,7 @@ func TestCompactToReleasesOversizedLog(t *testing.T) {
 	// The state must remain fully usable: new snapshots roll back.
 	before := s.Regs[1]
 	sn2 := s.Checkpoint()
-	s.StepAt(0)
+	step(s, 0)
 	s.Rollback(sn2)
 	if s.Regs[1] != before {
 		t.Error("rollback after compaction lost register state")
@@ -54,10 +54,10 @@ func TestCompactToKeepsModestCapacity(t *testing.T) {
 func TestCompactToPartialRelease(t *testing.T) {
 	p := buildLoop(t)
 	s := NewState(p)
-	s.StepAt(0) // r1 = 5
+	step(s, 0) // r1 = 5
 	mid := s.Checkpoint()
-	s.StepAt(1) // r2 = 0
-	s.StepAt(0)
+	step(s, 1) // r2 = 0
+	step(s, 0)
 	s.CompactTo(mid)
 	if s.UndoLen() != 2 {
 		t.Fatalf("undo length = %d, want 2", s.UndoLen())
@@ -81,7 +81,7 @@ func TestCallStackCopySemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewState(p)
-	s.StepAt(0) // call
+	step(s, 0) // call
 	cs := s.CallStack()
 	if len(cs) != 1 || cs[0] != 1 {
 		t.Fatalf("call stack = %v, want [1]", cs)

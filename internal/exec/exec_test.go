@@ -28,6 +28,58 @@ func buildLoop(t *testing.T) *program.Program {
 	return p
 }
 
+// step executes the instruction at pc into a fresh StepInfo.
+func step(s *State, pc int) StepInfo {
+	var info StepInfo
+	s.StepAt(pc, &info)
+	return info
+}
+
+// TestStepAtOverwritesInfo: one StepInfo reused across steps, starting
+// dirty, equals a zero StepInfo stepped at the same PC on an identical
+// state after every step, so no field leaks from the previous step: not
+// a store's address and value, a taken branch's outcome, a halt, or an
+// off-image flag.
+func TestStepAtOverwritesInfo(t *testing.T) {
+	b := program.NewBuilder("overwrite")
+	b.Here("main")
+	b.Emit(isa.Inst{Op: isa.OpLoadI, Rd: 1, Imm: 8})
+	b.Emit(isa.Inst{Op: isa.OpLoadI, Rd: 2, Imm: 42})
+	b.Emit(isa.Inst{Op: isa.OpStore, Rs1: 1, Rs2: 2})
+	b.EmitTo(isa.Inst{Op: isa.OpBr, Cond: isa.CondEQ}, "end") // r0 == r0: taken
+	b.Emit(isa.Inst{Op: isa.OpNop})
+	b.Here("end")
+	b.Emit(isa.Inst{Op: isa.OpHalt})
+	b.Entry("main")
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reusedState, freshState := NewState(p), NewState(p)
+	reused := StepInfo{
+		PC: -7, Inst: isa.Inst{Op: isa.OpStore, Cond: isa.CondLE, Rd: 3, Rs1: 4, Rs2: 5, Imm: 6, Target: 7},
+		NextPC: -8, Taken: true, MemAddr: 9, Value: 10, Halted: true, OffImage: true,
+	}
+	// The store, the taken branch, the halt, an off-image PC, then an
+	// in-image instruction again.
+	pcs := []int{0, 1, 2, 3, 5, len(p.Code) + 3, 4}
+	fresh := make([]StepInfo, len(pcs))
+	for i, pc := range pcs {
+		reusedState.StepAt(pc, &reused)
+		freshState.StepAt(pc, &fresh[i])
+		if reused != fresh[i] {
+			t.Errorf("pc %d: reused StepInfo = %+v, want %+v", pc, reused, fresh[i])
+		}
+	}
+	// Each field that could leak was set by the step before.
+	if st := fresh[2]; st.MemAddr != 8 || st.Value != 42 {
+		t.Errorf("store stepped to %+v, want address 8 and value 42", st)
+	}
+	if !fresh[3].Taken || !fresh[4].Halted || !fresh[5].OffImage {
+		t.Errorf("branch, halt and off-image steps = %+v, %+v, %+v", fresh[3], fresh[4], fresh[5])
+	}
+}
+
 func TestRunLoopComputesSum(t *testing.T) {
 	p := buildLoop(t)
 	s := NewState(p)
@@ -203,11 +255,11 @@ func TestStepAtWrongPathSafety(t *testing.T) {
 	p := buildLoop(t)
 	s := NewState(p)
 	// Off-image PC must not panic and must fall through.
-	info := s.StepAt(len(p.Code) + 10)
+	info := step(s, len(p.Code)+10)
 	if !info.OffImage || info.NextPC != len(p.Code)+11 {
 		t.Errorf("off-image step = %+v", info)
 	}
-	info = s.StepAt(-3)
+	info = step(s, -3)
 	if !info.OffImage {
 		t.Errorf("negative step = %+v", info)
 	}
@@ -220,7 +272,7 @@ func TestStepAtWrongPathSafety(t *testing.T) {
 		t.Fatal(err)
 	}
 	rs := NewState(rp)
-	ri := rs.StepAt(0)
+	ri := step(rs, 0)
 	if ri.NextPC != 1 {
 		t.Errorf("unbalanced ret NextPC = %d, want 1", ri.NextPC)
 	}
@@ -302,9 +354,9 @@ func TestRollbackRestoresCallStack(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewState(p)
-	s.StepAt(0) // call: depth 1
+	step(s, 0) // call: depth 1
 	sn := s.Checkpoint()
-	s.StepAt(2) // ret: depth 0
+	step(s, 2) // ret: depth 0
 	if s.CallDepth() != 0 {
 		t.Fatalf("depth after ret = %d", s.CallDepth())
 	}
@@ -313,7 +365,7 @@ func TestRollbackRestoresCallStack(t *testing.T) {
 		t.Errorf("depth after rollback = %d, want 1", s.CallDepth())
 	}
 	// Re-execute the return; it must pop the restored entry.
-	info := s.StepAt(2)
+	info := step(s, 2)
 	if info.NextPC != 1 {
 		t.Errorf("ret NextPC = %d, want 1", info.NextPC)
 	}
@@ -413,11 +465,11 @@ func TestRollbackProperty(t *testing.T) {
 				touched[a] = true
 				cur.pos++
 			case what < 8:
-				s.StepAt(callPC)
+				step(s, callPC)
 				cur.calls = append(cur.calls, callPC+1)
 				cur.pos++
 			case what < 9:
-				s.StepAt(retPC)
+				step(s, retPC)
 				if n := len(cur.calls); n > 0 {
 					cur.calls = cur.calls[:n-1]
 					cur.pos++
@@ -508,7 +560,7 @@ func TestMemoryZeroWriteDoesNotAllocate(t *testing.T) {
 func TestTraceStreamsSteps(t *testing.T) {
 	p := buildLoop(t)
 	var condBranches, taken int
-	steps, halted := Trace(p, 10000, func(si StepInfo) bool {
+	steps, halted := Trace(p, 10000, func(si *StepInfo) bool {
 		if si.Inst.IsCondBranch() {
 			condBranches++
 			if si.Taken {
@@ -531,7 +583,7 @@ func TestTraceStreamsSteps(t *testing.T) {
 func TestTraceEarlyStop(t *testing.T) {
 	p := buildLoop(t)
 	n := 0
-	steps, halted := Trace(p, 10000, func(StepInfo) bool {
+	steps, halted := Trace(p, 10000, func(*StepInfo) bool {
 		n++
 		return n < 3
 	})
@@ -546,7 +598,7 @@ func TestStateAccessors(t *testing.T) {
 	if s.Program() != p {
 		t.Error("Program accessor")
 	}
-	s.StepAt(0)
+	step(s, 0)
 	if s.Steps() != 1 {
 		t.Errorf("Steps = %d", s.Steps())
 	}
@@ -589,7 +641,7 @@ func TestTraceUndoTrimming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	steps, _ := Trace(p, 400_000, func(StepInfo) bool { return true })
+	steps, _ := Trace(p, 400_000, func(*StepInfo) bool { return true })
 	if steps != 400_000 {
 		t.Errorf("steps = %d", steps)
 	}
@@ -608,7 +660,7 @@ func TestRenewStateMatchesNew(t *testing.T) {
 	old.writeMem(0x40000, 11)
 	old.writeMem(0x1010, 12)
 	old.writeReg(3, 13)
-	old.StepAt(len(a.Code)) // off-image: counts a step
+	step(old, len(a.Code)) // off-image: counts a step
 	old.callStack = append(old.callStack, 5)
 	got, want := RenewState(old, b), NewState(b)
 	if got.Regs != want.Regs || len(got.callStack) != len(want.callStack) ||

@@ -47,10 +47,10 @@ func FuzzStepAt(f *testing.F) {
 			s.Regs[r] = regVal
 		}
 		sn := s.Checkpoint()
-		info := s.StepAt(0)
+		info := step(s, 0)
 		// Off-path probes must also be safe.
-		s.StepAt(-1)
-		s.StepAt(1 << 20)
+		step(s, -1)
+		step(s, 1<<20)
 		s.Rollback(sn)
 		if in.Op == isa.OpBr && info.Taken && info.NextPC != in.Target {
 			t.Fatalf("taken branch went to %d, want %d", info.NextPC, in.Target)

@@ -109,67 +109,82 @@ func (s *State) writeMem(addr uint64, v int64) {
 }
 
 // StepAt executes the instruction at pc against the current state and
-// returns its effects. The caller decides what executes next; NextPC
-// reports where this execution path actually goes. StepAt never panics:
-// out-of-range PCs, division by zero, unmapped loads and unbalanced returns
-// are all well defined, because the timing model executes wrong-path
-// instructions.
-func (s *State) StepAt(pc int) StepInfo {
+// writes its effects to info. It sets every field of info, so a caller
+// can reuse one StepInfo for every step. The caller decides what executes
+// next; NextPC reports where this execution path actually goes. StepAt
+// never panics: out-of-range PCs, division by zero, unmapped loads and
+// unbalanced returns are all well defined, because the timing model
+// executes wrong-path instructions.
+//
+// The caller owns info rather than receiving a StepInfo, which is too
+// large for gc to return in registers: a returned one is stored field by
+// field and read back wide, and the CPU cannot forward the narrow stores
+// to the wide load.
+//
+//tc:hotpath
+func (s *State) StepAt(pc int, info *StepInfo) {
 	s.steps++
+	info.PC = pc
+	info.NextPC = pc + 1
+	info.Taken, info.Halted = false, false
+	info.MemAddr, info.Value = 0, 0
 	if pc < 0 || pc >= len(s.prog.Code) {
-		return StepInfo{PC: pc, NextPC: pc + 1, OffImage: true}
+		info.Inst = isa.Inst{}
+		info.OffImage = true
+		return
 	}
-	in := s.prog.Code[pc]
-	info := StepInfo{PC: pc, Inst: in, NextPC: pc + 1}
-	rv := func(r isa.Reg) int64 { return s.Regs[r] }
+	info.OffImage = false
+	in := &s.prog.Code[pc]
+	info.Inst = *in
+	r := &s.Regs
 	switch in.Op {
 	case isa.OpNop, isa.OpTrap:
 		// no architectural effect
 	case isa.OpAdd:
-		s.writeReg(in.Rd, rv(in.Rs1)+rv(in.Rs2))
+		s.writeReg(in.Rd, r[in.Rs1]+r[in.Rs2])
 	case isa.OpSub:
-		s.writeReg(in.Rd, rv(in.Rs1)-rv(in.Rs2))
+		s.writeReg(in.Rd, r[in.Rs1]-r[in.Rs2])
 	case isa.OpMul:
-		s.writeReg(in.Rd, rv(in.Rs1)*rv(in.Rs2))
+		s.writeReg(in.Rd, r[in.Rs1]*r[in.Rs2])
 	case isa.OpDiv:
-		d := rv(in.Rs2)
+		d := r[in.Rs2]
 		if d == 0 {
 			s.writeReg(in.Rd, 0)
 		} else {
-			s.writeReg(in.Rd, rv(in.Rs1)/d)
+			s.writeReg(in.Rd, r[in.Rs1]/d)
 		}
 	case isa.OpAnd:
-		s.writeReg(in.Rd, rv(in.Rs1)&rv(in.Rs2))
+		s.writeReg(in.Rd, r[in.Rs1]&r[in.Rs2])
 	case isa.OpOr:
-		s.writeReg(in.Rd, rv(in.Rs1)|rv(in.Rs2))
+		s.writeReg(in.Rd, r[in.Rs1]|r[in.Rs2])
 	case isa.OpXor:
-		s.writeReg(in.Rd, rv(in.Rs1)^rv(in.Rs2))
+		s.writeReg(in.Rd, r[in.Rs1]^r[in.Rs2])
 	case isa.OpShl:
-		s.writeReg(in.Rd, rv(in.Rs1)<<(uint64(rv(in.Rs2))&63))
+		s.writeReg(in.Rd, r[in.Rs1]<<(uint64(r[in.Rs2])&63))
 	case isa.OpShr:
-		s.writeReg(in.Rd, int64(uint64(rv(in.Rs1))>>(uint64(rv(in.Rs2))&63)))
+		s.writeReg(in.Rd, int64(uint64(r[in.Rs1])>>(uint64(r[in.Rs2])&63)))
 	case isa.OpAddI:
-		s.writeReg(in.Rd, rv(in.Rs1)+in.Imm)
+		s.writeReg(in.Rd, r[in.Rs1]+in.Imm)
 	case isa.OpMulI:
-		s.writeReg(in.Rd, rv(in.Rs1)*in.Imm)
+		s.writeReg(in.Rd, r[in.Rs1]*in.Imm)
 	case isa.OpAndI:
-		s.writeReg(in.Rd, rv(in.Rs1)&in.Imm)
+		s.writeReg(in.Rd, r[in.Rs1]&in.Imm)
 	case isa.OpShrI:
-		s.writeReg(in.Rd, int64(uint64(rv(in.Rs1))>>(uint64(in.Imm)&63)))
+		s.writeReg(in.Rd, int64(uint64(r[in.Rs1])>>(uint64(in.Imm)&63)))
 	case isa.OpLoadI:
 		s.writeReg(in.Rd, in.Imm)
 	case isa.OpLoad:
-		addr := uint64(rv(in.Rs1)+in.Imm) &^ 7
+		addr := uint64(r[in.Rs1]+in.Imm) &^ 7
 		v := s.mem.Read(addr)
 		s.writeReg(in.Rd, v)
 		info.MemAddr, info.Value = addr, v
 	case isa.OpStore:
-		addr := uint64(rv(in.Rs1)+in.Imm) &^ 7
-		v := rv(in.Rs2)
+		addr := uint64(r[in.Rs1]+in.Imm) &^ 7
+		v := r[in.Rs2]
 		s.writeMem(addr, v)
 		info.MemAddr, info.Value = addr, v
 	case isa.OpBr:
-		info.Taken = in.Cond.Eval(rv(in.Rs1), rv(in.Rs2))
+		info.Taken = in.Cond.Eval(r[in.Rs1], r[in.Rs2])
 		if info.Taken {
 			info.NextPC = in.Target
 		}
@@ -187,12 +202,11 @@ func (s *State) StepAt(pc int) StepInfo {
 			s.callStack = s.callStack[:n-1]
 		} // unbalanced return (wrong path): fall through
 	case isa.OpJmpInd:
-		info.NextPC = int(rv(in.Rs1))
+		info.NextPC = int(r[in.Rs1])
 	case isa.OpHalt:
 		info.Halted = true
 		info.NextPC = pc
 	}
-	return info
 }
 
 // Snapshot is a recoverable point in execution: a position in the undo
@@ -284,8 +298,9 @@ func (s *State) UndoLen() int { return len(s.undo) - s.undoDead }
 // analysis and tests.
 func (s *State) Run(limit uint64) (steps uint64, halted bool) {
 	pc := s.prog.Entry
+	var info StepInfo
 	for steps < limit {
-		info := s.StepAt(pc)
+		s.StepAt(pc, &info)
 		steps++
 		// Sequential execution never rolls back; discard undo history but
 		// keep marks monotonic.
@@ -303,18 +318,20 @@ func (s *State) Run(limit uint64) (steps uint64, halted bool) {
 // Trace executes sequentially from the program entry, invoking fn for each
 // retired instruction until fn returns false, the program halts, or limit
 // instructions have executed. It is used to analyse dynamic instruction
-// streams.
-func Trace(p *program.Program, limit uint64, fn func(StepInfo) bool) (steps uint64, halted bool) {
+// streams. fn's StepInfo is reused for the next step: fn must copy what it
+// keeps.
+func Trace(p *program.Program, limit uint64, fn func(*StepInfo) bool) (steps uint64, halted bool) {
 	s := NewState(p)
 	pc := p.Entry
+	var info StepInfo
 	for steps < limit {
-		info := s.StepAt(pc)
+		s.StepAt(pc, &info)
 		steps++
 		if len(s.undo) > 1<<16 {
 			s.undoBase += uint64(len(s.undo))
 			s.undo = s.undo[:0]
 		}
-		if !fn(info) {
+		if !fn(&info) {
 			return steps, false
 		}
 		if info.Halted {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"tracecache/internal/exec"
 	"tracecache/internal/fetch"
 	"tracecache/internal/isa"
 	"tracecache/internal/stats"
@@ -33,11 +34,16 @@ func (s *Simulator) FastForwarded() uint64 { return s.ffwdDone }
 // no run statistics. If the program halts inside the fast-forward window,
 // stepping stops at the halt instruction without consuming it, so the
 // detailed phase retires it exactly as a longer detailed run would.
+//
+//tc:hotpath
 func (s *Simulator) fastForward(n uint64) {
 	hist := s.fe.Hist()
 	pc := s.fetchPC
+	// [lineLo, lineHi) is the PC range of the L1I line last fetched, so an
+	// instruction in the same line costs two compares, not a division.
+	// Line sizes are powers of two.
 	lineInsts := s.hier.L1I.LineBytes() / isa.InstBytes
-	lastLine := -1
+	lineLo, lineHi := 0, 0
 	width := s.cfg.FetchWidth
 	if width <= 0 {
 		width = stats.MaxFetchWidth
@@ -56,24 +62,26 @@ func (s *Simulator) fastForward(n uint64) {
 		path       uint8
 	)
 	var done uint64
+	var info exec.StepInfo
+	in := &info.Inst
 	for done < n {
-		info := s.state.StepAt(pc)
+		s.state.StepAt(pc, &info)
 		if info.Halted {
 			break
 		}
 		done++
 		if s.trc != nil {
-			s.recordRetire(pc, info.Inst, info.Taken, info.NextPC, info.MemAddr)
+			s.recordRetire(pc, in, info.Taken, info.NextPC, info.MemAddr)
 		}
 		// The committed path never rolls back: run with an empty undo log.
 		s.state.CompactTo(s.state.Checkpoint())
-		if line := pc / lineInsts; line != lastLine {
+		if pc < lineLo || pc >= lineHi {
 			s.hier.FetchInst(isa.Addr(pc))
-			lastLine = line
+			lineLo = pc &^ (lineInsts - 1)
+			lineHi = lineLo + lineInsts
 		}
-		in := info.Inst
 		if s.fill != nil {
-			s.fill.Retire(pc, in, info.Taken)
+			s.fill.RetireInst(pc, in, info.Taken)
 		}
 		endGroup := false
 		switch {

@@ -50,7 +50,7 @@ func newFrontEnd(cfg Config, prog *program.Program, sp *Spare) (frontEnd, error)
 			return f, err
 		}
 		f.tc = tc
-		f.fill = core.RenewFillUnit(sp.bias, cfg.Fill, tc)
+		f.fill = core.RenewFillUnit(sp.fill, cfg.Fill, tc)
 		switch {
 		case cfg.SingleHybrid:
 			f.mbp = bpred.NewSingleHybridMBP(bpred.RenewHybrid(sp.hyb))
@@ -96,13 +96,13 @@ func (f *frontEnd) Hierarchy() *cache.Hierarchy { return f.hier }
 //
 //tc:hotpath
 func (f *frontEnd) retireUpdate(run *stats.Run, fi *fetch.FetchedInst, alignFill, taken, mispredicted bool, nextPC int, memAddr uint64, hasMem bool) {
-	in := fi.Inst
+	in := &fi.Inst
 	run.Retired++
 	if f.fill != nil {
 		if alignFill {
 			f.fill.Align()
 		}
-		f.fill.Retire(fi.PC, in, taken)
+		f.fill.RetireInst(fi.PC, in, taken)
 	}
 	switch {
 	case in.IsCondBranch():

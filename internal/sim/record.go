@@ -69,8 +69,8 @@ func RecordStream(cfg Config, prog *program.Program) (trace.Header, []trace.Rec,
 // The caller nil-checks s.trc.
 //
 //tc:hotpath
-func (s *Simulator) recordRetire(pc int, in isa.Inst, taken bool, nextPC int, memAddr uint64) {
-	r := trace.Rec{PC: pc, Kind: trace.KindOf(in)}
+func (s *Simulator) recordRetire(pc int, in *isa.Inst, taken bool, nextPC int, memAddr uint64) {
+	r := trace.Rec{PC: pc, Kind: trace.KindOf(*in)}
 	switch {
 	case in.IsCondBranch():
 		r.Taken = taken

@@ -194,7 +194,7 @@ func (r *Replayer) divergeErr(fetched, recorded int, total uint64) error {
 //
 //tc:hotpath
 func (r *Replayer) commitInst(fi *fetch.FetchedInst, rec *trace.Rec, alignFill bool) (target int, redir bool) {
-	in := fi.Inst
+	in := &fi.Inst
 	actual := rec.Taken
 	mispred := false
 	switch {

@@ -153,6 +153,7 @@ type Simulator struct {
 	srcBuf []isa.Reg
 	seqBuf []uint64
 	fiBuf  []*fetch.FetchedInst
+	step   exec.StepInfo // dispatchInst's StepAt output
 
 	// Observability (all nil/zero by default: the disabled path costs a
 	// nil check per instrumentation site).
@@ -509,7 +510,7 @@ func (s *Simulator) retire() {
 //
 //tc:hotpath
 func (s *Simulator) retireInst(d *dyn) {
-	in := d.fi.Inst
+	in := &d.fi.Inst
 	if s.chk != nil {
 		s.chk.Commit(check.Commit{
 			Cycle: s.cycle, Seq: d.seq, PC: d.fi.PC,
@@ -769,7 +770,8 @@ func (s *Simulator) dispatch() bool {
 
 //tc:hotpath
 func (s *Simulator) dispatchInst(fi *fetch.FetchedInst, recID int) {
-	info := s.state.StepAt(fi.PC)
+	info := &s.step
+	s.state.StepAt(fi.PC, info)
 	snap := s.state.Checkpoint()
 	// Rename: collect producing sequence numbers.
 	s.srcBuf = fi.Inst.SrcRegs(s.srcBuf[:0])

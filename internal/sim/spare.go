@@ -12,12 +12,13 @@ import (
 // Spare holds a finished simulator's large tables for the next simulator
 // its owner builds (Spare.New): the instruction window, the fetch-record
 // ring, the inactive-suffix free list, the engine, the caches, the
-// predictors, the trace cache, the promotion bias table and the
-// architectural state with its memory pages. The paper's machine has
-// fixed storage, and a worker that simulates one point after another
-// keeps it fixed too: a table the next configuration shares the geometry
-// of is cleared to exactly what a fresh allocation holds, so a simulator
-// built from a spare runs byte for byte as one New builds. The zero Spare is empty. A Spare is not safe for
+// predictors, the trace cache, the fill unit with its buffers and
+// promotion bias table, and the architectural state with its memory
+// pages. The paper's machine has fixed storage, and a worker that
+// simulates one point after another keeps it fixed too: a table the next
+// configuration shares the geometry of is cleared to exactly what a fresh
+// allocation holds, so a simulator built from a spare runs byte for byte
+// as one New builds. The zero Spare is empty. A Spare is not safe for
 // concurrent use; each Runner worker owns one.
 type Spare struct {
 	window     []dyn
@@ -30,7 +31,7 @@ type Spare struct {
 	split      *bpred.SplitMBP
 	hyb        *bpred.Hybrid
 	tc         *core.TraceCache
-	bias       *core.BiasTable
+	fill       *core.FillUnit
 	state      *exec.State
 }
 
@@ -46,10 +47,8 @@ func (sp *Spare) Keep(s *Simulator) {
 		ind:        s.ind,
 		hyb:        s.hyb,
 		tc:         s.tc,
+		fill:       s.fill,
 		state:      s.state,
-	}
-	if s.fill != nil {
-		sp.bias = s.fill.Bias()
 	}
 	// The suffix buffers of branches still in flight join the free list:
 	// renewing the window clears their slots.

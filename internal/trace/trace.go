@@ -221,6 +221,7 @@ func appendHeader(b []byte, h Header) []byte {
 // writer drops records silently until Close reports the cause.
 //
 //tc:hotpath
+//tcvet:ignore hotalloc by-value Rec is the signature perfbench/probes.go calls
 func (w *Writer) Append(r Rec) {
 	if w.err != nil || w.closed {
 		return

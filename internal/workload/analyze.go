@@ -55,7 +55,7 @@ func Analyze(p *program.Program, limit uint64) Analysis {
 	takenBy := map[int][2]uint64{}
 	run := uint64(0)
 	depth := 0
-	_, a.Halted = exec.Trace(p, limit, func(si exec.StepInfo) bool {
+	_, a.Halted = exec.Trace(p, limit, func(si *exec.StepInfo) bool {
 		a.Insts++
 		run++
 		if si.Inst.IsControl() {

@@ -111,8 +111,9 @@ func TestGenerateAllProfilesExecute(t *testing.T) {
 			s := exec.NewState(prog)
 			pc := prog.Entry
 			const budget = 200000
+			var info exec.StepInfo
 			for i := 0; i < budget; i++ {
-				info := s.StepAt(pc)
+				s.StepAt(pc, &info)
 				if info.OffImage {
 					t.Fatalf("execution left the code image at pc %d", info.PC)
 				}
@@ -165,7 +166,7 @@ func TestGeneratedBranchBiasMatchesClassMix(t *testing.T) {
 	p, _ := ByName("vortex")
 	prog := p.MustGenerate()
 	takenBy := map[int][2]uint64{} // pc -> [not-taken, taken]
-	exec.Trace(prog, 400000, func(si exec.StepInfo) bool {
+	exec.Trace(prog, 400000, func(si *exec.StepInfo) bool {
 		if si.Inst.IsCondBranch() {
 			c := takenBy[si.PC]
 			if si.Taken {
@@ -277,8 +278,9 @@ func TestCodeScaleGrowsFootprintAndExecutes(t *testing.T) {
 	visitedHigh := false
 	s := exec.NewState(prog)
 	pc := prog.Entry
+	var info exec.StepInfo
 	for i := 0; i < 400_000; i++ {
-		info := s.StepAt(pc)
+		s.StepAt(pc, &info)
 		if info.OffImage {
 			t.Fatalf("execution left the code image at pc %d", info.PC)
 		}
@@ -344,7 +346,7 @@ func TestMeanDynamicBlockSize(t *testing.T) {
 		prog := p.MustGenerate()
 		var insts, blocks uint64
 		run := uint64(0)
-		exec.Trace(prog, 300000, func(si exec.StepInfo) bool {
+		exec.Trace(prog, 300000, func(si *exec.StepInfo) bool {
 			insts++
 			run++
 			if si.Inst.IsControl() {
