@@ -153,11 +153,6 @@ func (c *Cache) Probe(addr uint64) bool {
 	return false
 }
 
-// LineAddr returns the line-aligned address containing addr.
-func (c *Cache) LineAddr(addr uint64) uint64 {
-	return addr >> c.lineShift << c.lineShift
-}
-
 // LineBytes returns the line size.
 func (c *Cache) LineBytes() int { return c.cfg.LineBytes }
 

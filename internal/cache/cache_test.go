@@ -100,10 +100,13 @@ func TestReset(t *testing.T) {
 	}
 }
 
+// TestLineAddr: an access fills the whole line-aligned block around its
+// address, and no byte outside it.
 func TestLineAddr(t *testing.T) {
 	c := MustNew(small())
-	if c.LineAddr(0x15) != 0 || c.LineAddr(0x3f) != 0x20 {
-		t.Error("LineAddr misaligned")
+	c.Access(0x15)
+	if !c.Probe(0) || !c.Probe(0x1f) || c.Probe(0x20) {
+		t.Error("access to 0x15 did not fill exactly the line [0, 0x20)")
 	}
 	if c.LineBytes() != 32 {
 		t.Errorf("LineBytes = %d", c.LineBytes())

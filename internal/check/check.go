@@ -285,12 +285,11 @@ func (c *Checker) FastForward(n uint64, simPC int) {
 	var done uint64
 	var info exec.StepInfo
 	for done < n {
-		c.ref.StepAt(c.refPC, &info)
+		c.ref.Commit(c.refPC, &info)
 		if info.Halted {
 			break
 		}
 		done++
-		c.ref.CompactTo(c.ref.Checkpoint())
 		c.refPC = info.NextPC
 	}
 	if c.refPC != simPC && !c.diverged {
@@ -317,7 +316,7 @@ func (c *Checker) Commit(cm Commit) {
 		return
 	}
 	var info exec.StepInfo
-	c.ref.StepAt(c.refPC, &info)
+	c.ref.Commit(c.refPC, &info)
 	switch {
 	case cm.Halted != info.Halted:
 		c.diverged = true
@@ -345,8 +344,6 @@ func (c *Checker) Commit(cm Commit) {
 			"committed r%d=%d, reference r%d=%d",
 			cm.DestReg, cm.DestVal, cm.DestReg, c.ref.Regs[cm.DestReg])
 	}
-	// The committed path never rolls back: run with an empty undo log.
-	c.ref.CompactTo(c.ref.Checkpoint())
 	c.refPC = info.NextPC
 }
 

@@ -333,7 +333,7 @@ func retireLoop(f *FillUnit, trips, extra int) {
 // observer behaves exactly as a new one: the same retired stream builds
 // the same segments through the same packing splits, with the same
 // statistics, and the old hooks and observer see none of it. The renewed
-// unit keeps the old one's buffers.
+// unit keeps the old one's fill buffer.
 func TestRenewFillUnitMatchesNew(t *testing.T) {
 	cfg := DefaultFillConfig(PackCostRegulated, 2)
 	old := NewFillUnit(cfg, nil)
@@ -344,11 +344,11 @@ func TestRenewFillUnitMatchesNew(t *testing.T) {
 	bus.Attach(obs.FuncSink(func(obs.Event) { oldSeen++ }))
 	old.SetObserver(bus)
 	retireLoop(old, 7, 5)
-	if old.Pending() == 0 || len(old.block) == 0 || old.Stats().Promotions == 0 {
+	if old.Pending() == 0 || len(old.buf) == old.Pending() || old.Stats().Promotions == 0 {
 		t.Fatalf("old fill unit holds %d pending and %d block instructions, %d promotions; want all non-zero",
-			old.Pending(), len(old.block), old.Stats().Promotions)
+			old.Pending(), len(old.buf)-old.Pending(), old.Stats().Promotions)
 	}
-	oldBlock, oldPending := &old.block[0], &old.pending[:1][0]
+	oldBuf := &old.buf[0]
 
 	type result struct {
 		segs  []*Segment
@@ -367,8 +367,8 @@ func TestRenewFillUnitMatchesNew(t *testing.T) {
 	}
 	seen := oldSeen
 	renewed := RenewFillUnit(old, cfg, nil)
-	if &renewed.block[:1][0] != oldBlock || &renewed.pending[:1][0] != oldPending {
-		t.Error("renewed fill unit does not reuse the old one's buffers")
+	if &renewed.buf[:1][0] != oldBuf {
+		t.Error("renewed fill unit does not reuse the old one's fill buffer")
 	}
 	if renewed.OnSegment != nil || renewed.OnPack != nil {
 		t.Error("renewed fill unit keeps the old one's hooks")
@@ -567,5 +567,44 @@ func TestFillCostRegulatedTightLoopDisplacementBoundary(t *testing.T) {
 		if !tc.wantSplit && (splits != 0 || len(segs) != 1 || segs[0].Len() != 12) {
 			t.Errorf("disp=%d: splits=%d segs=%d, want no packing", tc.disp, splits, len(segs))
 		}
+	}
+}
+
+// TestFillLinesSizedMaxInsts: after a packing-heavy fill (unregulated
+// packing, blocks longer than the free slots, Align between them), every
+// resident trace-cache line's instruction array has capacity exactly
+// MaxInsts. The fill buffer behind the segment view is MaxInsts+256
+// instructions long; a line sized from all of it would be 17 times too
+// large.
+func TestFillLinesSizedMaxInsts(t *testing.T) {
+	cfg := DefaultFillConfig(PackUnregulated, 0)
+	tc := MustNewTraceCache(TraceCacheConfig{Entries: 64, Assoc: 4})
+	fd := &feeder{f: NewFillUnit(cfg, tc)}
+	for i := 0; i < 200; i++ {
+		fd.block(5+i*7%31, i%2 == 0)
+		if i%5 == 4 {
+			fd.f.Align()
+		}
+	}
+	fd.run(300, isa.OpRet) // longer than the block buffer: force-broken
+	fd.f.Align()
+	st := fd.f.Stats()
+	if st.Splits == 0 || st.Reasons[FinalAtomic] == 0 || st.Reasons[FinalMaxSize] == 0 {
+		t.Fatalf("fill stats %+v: want packing splits, atomic and max-size finalizes", st)
+	}
+	resident := 0
+	for _, set := range tc.sets {
+		for i := range set {
+			if !set[i].valid {
+				continue
+			}
+			resident++
+			if c := cap(set[i].seg.Insts); c != cfg.MaxInsts {
+				t.Errorf("line for segment@%d has capacity %d, want %d", set[i].seg.Start, c, cfg.MaxInsts)
+			}
+		}
+	}
+	if resident < 32 {
+		t.Errorf("%d resident lines, want at least 32", resident)
 	}
 }

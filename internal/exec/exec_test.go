@@ -35,11 +35,45 @@ func step(s *State, pc int) StepInfo {
 	return info
 }
 
+// addrReg and valReg are the operand registers of writesProg's
+// instructions, which the tests poke directly before stepping one.
+const addrReg, valReg = isa.NumRegs - 2, isa.NumRegs - 1
+
+// writesProg builds a program whose instructions make logged writes:
+// pc 0 stores valReg at the address in addrReg, and pc 1+r copies valReg
+// into register r, for every r below addrReg.
+func writesProg(t *testing.T) *program.Program {
+	t.Helper()
+	b := program.NewBuilder("writes")
+	b.Emit(isa.Inst{Op: isa.OpStore, Rs1: addrReg, Rs2: valReg})
+	for r := isa.Reg(0); r < addrReg; r++ {
+		b.Emit(isa.Inst{Op: isa.OpAdd, Rd: r, Rs1: valReg})
+	}
+	b.Emit(isa.Inst{Op: isa.OpHalt})
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// stepReg sets register r to v through StepAt on a writesProg state.
+func stepReg(s *State, r isa.Reg, v int64) {
+	s.Regs[valReg] = v
+	step(s, 1+int(r))
+}
+
+// stepStore stores v at addr through StepAt on a writesProg state.
+func stepStore(s *State, addr uint64, v int64) {
+	s.Regs[addrReg], s.Regs[valReg] = int64(addr), v
+	step(s, 0)
+}
+
 // TestStepAtOverwritesInfo: one StepInfo reused across steps, starting
 // dirty, equals a zero StepInfo stepped at the same PC on an identical
 // state after every step, so no field leaks from the previous step: not
 // a store's address and value, a taken branch's outcome, a halt, or an
-// off-image flag.
+// off-image flag. The same holds for Commit.
 func TestStepAtOverwritesInfo(t *testing.T) {
 	b := program.NewBuilder("overwrite")
 	b.Here("main")
@@ -55,11 +89,12 @@ func TestStepAtOverwritesInfo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reusedState, freshState := NewState(p), NewState(p)
+	reusedState, freshState, committedState := NewState(p), NewState(p), NewState(p)
 	reused := StepInfo{
 		PC: -7, Inst: isa.Inst{Op: isa.OpStore, Cond: isa.CondLE, Rd: 3, Rs1: 4, Rs2: 5, Imm: 6, Target: 7},
 		NextPC: -8, Taken: true, MemAddr: 9, Value: 10, Halted: true, OffImage: true,
 	}
+	committed := reused
 	// The store, the taken branch, the halt, an off-image PC, then an
 	// in-image instruction again.
 	pcs := []int{0, 1, 2, 3, 5, len(p.Code) + 3, 4}
@@ -67,8 +102,12 @@ func TestStepAtOverwritesInfo(t *testing.T) {
 	for i, pc := range pcs {
 		reusedState.StepAt(pc, &reused)
 		freshState.StepAt(pc, &fresh[i])
+		committedState.Commit(pc, &committed)
 		if reused != fresh[i] {
 			t.Errorf("pc %d: reused StepInfo = %+v, want %+v", pc, reused, fresh[i])
+		}
+		if committed != fresh[i] {
+			t.Errorf("pc %d: reused committed StepInfo = %+v, want %+v", pc, committed, fresh[i])
 		}
 	}
 	// Each field that could leak was set by the step before.
@@ -279,36 +318,33 @@ func TestStepAtWrongPathSafety(t *testing.T) {
 }
 
 func TestCheckpointRollbackRegisters(t *testing.T) {
-	p := buildLoop(t)
-	s := NewState(p)
-	s.writeReg(1, 100)
+	s := NewState(writesProg(t))
+	stepReg(s, 1, 100)
 	sn := s.Checkpoint()
-	s.writeReg(1, 200)
-	s.writeReg(2, 300)
+	stepReg(s, 1, 200)
+	stepReg(s, 2, 300)
 	s.Rollback(sn)
 	if s.Regs[1] != 100 || s.Regs[2] != 0 {
 		t.Errorf("after rollback r1=%d r2=%d", s.Regs[1], s.Regs[2])
 	}
 	// Writes to r0 are discarded and not logged.
-	s.writeReg(0, 7)
+	undo := s.UndoLen()
+	stepReg(s, 0, 7)
 	if s.Regs[0] != 0 {
 		t.Error("r0 written")
+	}
+	if s.UndoLen() != undo {
+		t.Errorf("write to r0 logged: undo length %d, want %d", s.UndoLen(), undo)
 	}
 }
 
 func TestCheckpointRollbackMemory(t *testing.T) {
-	b := program.NewBuilder("m")
-	b.Emit(isa.Inst{Op: isa.OpHalt})
-	p, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewState(p)
-	s.writeMem(0x100, 1)
+	s := NewState(writesProg(t))
+	stepStore(s, 0x100, 1)
 	sn := s.Checkpoint()
-	s.writeMem(0x100, 2)
-	s.writeMem(0x108, 3)
-	s.writeMem(0x100, 4)
+	stepStore(s, 0x100, 2)
+	stepStore(s, 0x108, 3)
+	stepStore(s, 0x100, 4)
 	s.Rollback(sn)
 	if got := s.Mem().Read(0x100); got != 1 {
 		t.Errorf("mem[0x100] = %d, want 1", got)
@@ -319,18 +355,12 @@ func TestCheckpointRollbackMemory(t *testing.T) {
 }
 
 func TestNestedCheckpoints(t *testing.T) {
-	b := program.NewBuilder("m")
-	b.Emit(isa.Inst{Op: isa.OpHalt})
-	p, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewState(p)
-	s.writeMem(0x0, 1)
+	s := NewState(writesProg(t))
+	stepStore(s, 0x0, 1)
 	sn1 := s.Checkpoint()
-	s.writeMem(0x0, 2)
+	stepStore(s, 0x0, 2)
 	sn2 := s.Checkpoint()
-	s.writeMem(0x0, 3)
+	stepStore(s, 0x0, 3)
 	s.Rollback(sn2)
 	if got := s.Mem().Read(0); got != 2 {
 		t.Errorf("after inner rollback mem = %d, want 2", got)
@@ -371,19 +401,37 @@ func TestRollbackRestoresCallStack(t *testing.T) {
 	}
 }
 
-func TestReleaseBeforeTrimsUndo(t *testing.T) {
-	b := program.NewBuilder("m")
+func TestCallStackCopySemantics(t *testing.T) {
+	b := program.NewBuilder("call")
+	b.Here("main")
+	b.EmitTo(isa.Inst{Op: isa.OpCall}, "fn")
 	b.Emit(isa.Inst{Op: isa.OpHalt})
+	b.Here("fn")
+	b.Emit(isa.Inst{Op: isa.OpRet})
+	b.Entry("main")
 	p, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := NewState(p)
+	step(s, 0) // call
+	cs := s.CallStack()
+	if len(cs) != 1 || cs[0] != 1 {
+		t.Fatalf("call stack = %v, want [1]", cs)
+	}
+	cs[0] = 99 // mutating the copy must not touch the state
+	if got := s.CallStack(); got[0] != 1 {
+		t.Errorf("CallStack aliased internal storage: %v", got)
+	}
+}
+
+func TestReleaseBeforeTrimsUndo(t *testing.T) {
+	s := NewState(writesProg(t))
 	for i := 0; i < 100; i++ {
-		s.writeMem(uint64(i*8), int64(i))
+		stepStore(s, uint64(i*8), int64(i))
 	}
 	sn := s.Checkpoint()
-	s.writeMem(0x5000, 1)
+	stepStore(s, 0x5000, 1)
 	s.ReleaseBefore(sn)
 	if s.UndoLen() != 1 {
 		t.Errorf("undo len = %d, want 1", s.UndoLen())
@@ -418,13 +466,13 @@ func (m *modelSnap) clone() *modelSnap {
 	return &c
 }
 
-// Property: over arbitrary interleavings of register, memory, call and
-// return steps with Checkpoint, ReleaseBefore, CompactTo and Rollback (to
-// live and to released snapshots), the state matches a model that keeps a
-// full-state copy per snapshot. Rolling back below the release mark
-// restores the state at the mark; UndoLen counts the records written since
-// it. Logs grow to hundreds of records, so releases both leave a dead prefix
-// in place and cross the point where it is compacted away.
+// Property: over arbitrary interleavings of StepAt steps (register writes,
+// loads, stores, calls and returns) with Checkpoint, ReleaseBefore and
+// Rollback (to live and to released snapshots), the state matches a model
+// that keeps a full-state copy per snapshot. Rolling back below the release
+// mark restores the state at the mark; UndoLen counts the records written
+// since it. Logs grow to hundreds of records, so releases both leave a dead
+// prefix in place and cross the point where it is compacted away.
 func TestRollbackProperty(t *testing.T) {
 	b := program.NewBuilder("m")
 	b.Here("main")
@@ -432,12 +480,26 @@ func TestRollbackProperty(t *testing.T) {
 	b.Emit(isa.Inst{Op: isa.OpHalt})
 	b.Here("fn")
 	b.Emit(isa.Inst{Op: isa.OpRet}) // pc 2: return
+	// pc 3 on: register writes, loads and stores on 64 words, r0 included.
+	gen := rand.New(rand.NewSource(1))
+	for i := 0; i < 192; i++ {
+		rd, rs := isa.Reg(gen.Intn(isa.NumRegs)), isa.Reg(gen.Intn(isa.NumRegs))
+		addr := int64(gen.Intn(64)) * 8
+		switch i % 3 {
+		case 0:
+			b.Emit(isa.Inst{Op: isa.OpAddI, Rd: rd, Rs1: rs, Imm: gen.Int63()})
+		case 1:
+			b.Emit(isa.Inst{Op: isa.OpLoad, Rd: rd, Imm: addr})
+		default:
+			b.Emit(isa.Inst{Op: isa.OpStore, Rs2: rs, Imm: addr})
+		}
+	}
 	b.Entry("main")
 	p, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	const callPC, retPC = 0, 2
+	const callPC, retPC, writesPC = 0, 2, 3
 	var sawDead, sawCompact bool
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -449,21 +511,24 @@ func TestRollbackProperty(t *testing.T) {
 		for op := 0; op < 3000; op++ {
 			what := rng.Intn(16)
 			switch {
-			case what < 4:
-				r := isa.Reg(rng.Intn(isa.NumRegs))
-				v := rng.Int63()
-				s.writeReg(r, v)
-				if r != isa.ZeroReg {
-					cur.regs[r] = v
+			case what < 7:
+				pc := writesPC + rng.Intn(len(p.Code)-writesPC)
+				step(s, pc)
+				in := p.Code[pc]
+				switch addr := uint64(in.Imm); {
+				case in.Op == isa.OpStore:
+					cur.mem[addr] = cur.regs[in.Rs2]
+					touched[addr] = true
+					cur.pos++
+				case in.Rd == isa.ZeroReg:
+					// discarded and not logged
+				case in.Op == isa.OpLoad:
+					cur.regs[in.Rd] = cur.mem[addr]
+					cur.pos++
+				default:
+					cur.regs[in.Rd] = cur.regs[in.Rs1] + in.Imm
 					cur.pos++
 				}
-			case what < 7:
-				a := uint64(rng.Intn(64)) * 8
-				v := rng.Int63n(1000)
-				s.writeMem(a, v)
-				cur.mem[a] = v
-				touched[a] = true
-				cur.pos++
 			case what < 8:
 				step(s, callPC)
 				cur.calls = append(cur.calls, callPC+1)
@@ -481,11 +546,7 @@ func TestRollbackProperty(t *testing.T) {
 				// Release mostly recent snapshots, as retirement does.
 				i := len(snaps) - 1 - rng.Intn(min(len(snaps), 8))
 				base := s.undoBase
-				if rng.Intn(4) == 0 {
-					s.CompactTo(snaps[i].sn)
-				} else {
-					s.ReleaseBefore(snaps[i].sn)
-				}
+				s.ReleaseBefore(snaps[i].sn)
 				if snaps[i].pos > released.pos {
 					released = snaps[i].clone()
 				}
@@ -508,7 +569,7 @@ func TestRollbackProperty(t *testing.T) {
 				snaps = keep
 			default:
 				cur.sn = s.Checkpoint()
-				s.CompactTo(cur.sn)
+				s.ReleaseBefore(cur.sn)
 				released = cur.clone()
 				snaps = append(snaps, cur.clone())
 			}
@@ -605,11 +666,10 @@ func TestStateAccessors(t *testing.T) {
 }
 
 func TestRollbackBelowReleaseMarkClamps(t *testing.T) {
-	p := buildLoop(t)
-	s := NewState(p)
-	s.writeMem(0, 1)
+	s := NewState(writesProg(t))
+	stepStore(s, 0, 1)
 	early := s.Checkpoint()
-	s.writeMem(0, 2)
+	stepStore(s, 0, 2)
 	late := s.Checkpoint()
 	s.ReleaseBefore(late)
 	// Rolling back to a released snapshot clamps at the release point
@@ -619,31 +679,10 @@ func TestRollbackBelowReleaseMarkClamps(t *testing.T) {
 		t.Errorf("mem = %d, want 2 (history released)", got)
 	}
 	// ReleaseBefore past the end is also safe.
-	s.writeMem(0, 3)
+	stepStore(s, 0, 3)
 	s.ReleaseBefore(Snapshot{undoMark: 1 << 40})
 	if s.UndoLen() != 0 {
 		t.Errorf("undo = %d", s.UndoLen())
-	}
-}
-
-func TestTraceUndoTrimming(t *testing.T) {
-	// A long trace must not accumulate unbounded undo history.
-	b := program.NewBuilder("longstore")
-	b.Here("main")
-	b.Emit(isa.Inst{Op: isa.OpLoadI, Rd: 1, Imm: 1 << 20})
-	b.Here("loop")
-	b.Emit(isa.Inst{Op: isa.OpStore, Rs1: 2, Rs2: 1})
-	b.Emit(isa.Inst{Op: isa.OpAddI, Rd: 1, Rs1: 1, Imm: -1})
-	b.EmitTo(isa.Inst{Op: isa.OpBr, Cond: isa.CondGT, Rs1: 1, Rs2: 0}, "loop")
-	b.Emit(isa.Inst{Op: isa.OpHalt})
-	b.Entry("main")
-	p, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	steps, _ := Trace(p, 400_000, func(*StepInfo) bool { return true })
-	if steps != 400_000 {
-		t.Errorf("steps = %d", steps)
 	}
 }
 
@@ -652,14 +691,14 @@ func TestTraceUndoTrimming(t *testing.T) {
 // page both map, registers, a call stack and a live undo log — equals the
 // next program's new state, page for page and word for word.
 func TestRenewStateMatchesNew(t *testing.T) {
-	a, b := buildLoop(t), buildLoop(t)
+	a, b := writesProg(t), buildLoop(t)
 	a.Data = map[uint64]int64{0x1000: 7, 0x9000: 8}
 	b.Data = map[uint64]int64{0x1008: 9, 0x20000: 10}
 	old := NewState(a)
 	old.Run(100)
-	old.writeMem(0x40000, 11)
-	old.writeMem(0x1010, 12)
-	old.writeReg(3, 13)
+	stepStore(old, 0x40000, 11)
+	stepStore(old, 0x1010, 12)
+	stepReg(old, 3, 13)
 	step(old, len(a.Code)) // off-image: counts a step
 	old.callStack = append(old.callStack, 5)
 	got, want := RenewState(old, b), NewState(b)

@@ -174,15 +174,6 @@ func (i Inst) IsStore() bool { return i.Op == OpStore }
 // IsMem reports whether the instruction accesses memory.
 func (i Inst) IsMem() bool { return i.IsLoad() || i.IsStore() }
 
-// EndsFetchBlock reports whether the instruction terminates a fetch block.
-// Conditional branches end fetch blocks (a fetch block runs from the
-// current fetch address to the next control instruction). Unconditional
-// direct jumps and calls also end the *contiguous* run of instructions but,
-// within trace segments, do not count toward the three-branch limit and do
-// not terminate the segment. Returns, indirect jumps, traps and halts
-// terminate the segment itself; see TerminatesSegment.
-func (i Inst) EndsFetchBlock() bool { return i.IsControl() }
-
 // TerminatesSegment reports whether the instruction forces the fill unit to
 // finalize the pending trace segment (returns, indirect jumps, and
 // serializing instructions, per Section 3 of the paper).

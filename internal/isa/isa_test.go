@@ -67,22 +67,21 @@ func TestCondComplementProperty(t *testing.T) {
 
 func TestClassification(t *testing.T) {
 	cases := []struct {
-		in        Inst
-		control   bool
-		condBr    bool
-		uncond    bool
-		termSeg   bool
-		endsBlock bool
+		in      Inst
+		control bool
+		condBr  bool
+		uncond  bool
+		termSeg bool
 	}{
-		{Inst{Op: OpAdd}, false, false, false, false, false},
-		{Inst{Op: OpLoad}, false, false, false, false, false},
-		{Inst{Op: OpBr}, true, true, false, false, true},
-		{Inst{Op: OpJmp}, true, false, true, false, true},
-		{Inst{Op: OpCall}, true, false, true, false, true},
-		{Inst{Op: OpRet}, true, false, false, true, true},
-		{Inst{Op: OpJmpInd}, true, false, false, true, true},
-		{Inst{Op: OpTrap}, true, false, false, true, true},
-		{Inst{Op: OpHalt}, true, false, false, true, true},
+		{Inst{Op: OpAdd}, false, false, false, false},
+		{Inst{Op: OpLoad}, false, false, false, false},
+		{Inst{Op: OpBr}, true, true, false, false},
+		{Inst{Op: OpJmp}, true, false, true, false},
+		{Inst{Op: OpCall}, true, false, true, false},
+		{Inst{Op: OpRet}, true, false, false, true},
+		{Inst{Op: OpJmpInd}, true, false, false, true},
+		{Inst{Op: OpTrap}, true, false, false, true},
+		{Inst{Op: OpHalt}, true, false, false, true},
 	}
 	for _, c := range cases {
 		if got := c.in.IsControl(); got != c.control {
@@ -96,9 +95,6 @@ func TestClassification(t *testing.T) {
 		}
 		if got := c.in.TerminatesSegment(); got != c.termSeg {
 			t.Errorf("%v TerminatesSegment = %v, want %v", c.in.Op, got, c.termSeg)
-		}
-		if got := c.in.EndsFetchBlock(); got != c.endsBlock {
-			t.Errorf("%v EndsFetchBlock = %v, want %v", c.in.Op, got, c.endsBlock)
 		}
 	}
 }

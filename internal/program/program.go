@@ -194,17 +194,3 @@ func (s StaticStats) MeanBlockSize() float64 {
 	}
 	return float64(total) / float64(len(s.BlockSizes))
 }
-
-// SortedSymbols returns symbols ordered by address, for stable listings.
-func (p *Program) SortedSymbols() []string {
-	pcs := make([]int, 0, len(p.Symbols))
-	for pc := range p.Symbols {
-		pcs = append(pcs, pc)
-	}
-	sort.Ints(pcs)
-	out := make([]string, 0, len(pcs))
-	for _, pc := range pcs {
-		out = append(out, fmt.Sprintf("%6d %s", pc, p.Symbols[pc]))
-	}
-	return out
-}

@@ -152,11 +152,3 @@ func TestMeanBlockSizeEmpty(t *testing.T) {
 		t.Error("empty mean should be 0")
 	}
 }
-
-func TestSortedSymbols(t *testing.T) {
-	p := tiny(t)
-	syms := p.SortedSymbols()
-	if len(syms) != 2 || !strings.Contains(syms[0], "main") || !strings.Contains(syms[1], "loop") {
-		t.Errorf("symbols = %v", syms)
-	}
-}

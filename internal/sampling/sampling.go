@@ -31,9 +31,6 @@ package sampling
 
 import (
 	"fmt"
-	"os"
-	"runtime"
-	"time"
 
 	"tracecache/internal/check"
 	"tracecache/internal/sim"
@@ -105,8 +102,7 @@ type Result struct {
 // mode (each window carries its own warmup). The simulator must be
 // fresh.
 func Run(s *sim.Simulator) (*Result, error) {
-	//tcvet:ignore determinism wall-clock provenance only: run start time for stats.Meta, never simulated state
-	start := time.Now()
+	start := stats.MetaStart()
 	cfg := s.Config()
 	p := cfg.Sampling
 	if !p.Enabled() {
@@ -239,20 +235,12 @@ func Run(s *sim.Simulator) (*Result, error) {
 	sampled.Aggregate()
 	vs := audit.Finalize(s.CommittedInsts(), sampled.MeasuredInsts)
 
-	//tcvet:ignore determinism wall-clock provenance only: feeds stats.Meta wall time, never simulated state
-	wall := time.Since(start)
-	host, _ := os.Hostname()
-	meta := &stats.Meta{
+	meta := stats.NewMeta(start, stats.Meta{
 		ConfigHash:       cfg.Hash(),
 		WarmupInsts:      p.WarmupInsts,
 		MaxInsts:         cfg.MaxInsts,
 		FastForwardInsts: cfg.FastForwardInsts,
 		Provenance:       stats.ProvSampled,
-		WallMillis:       float64(wall.Microseconds()) / 1000,
-		GoVersion:        runtime.Version(),
-		Hostname:         host,
-		//tcvet:ignore determinism wall-clock provenance only: stats.Meta timestamp, never simulated state
-		StartedAt: start.UTC().Format(time.RFC3339),
 		Sampling: &stats.SamplingMeta{
 			WindowInsts: p.WindowInsts,
 			PeriodInsts: p.PeriodInsts,
@@ -260,7 +248,7 @@ func Run(s *sim.Simulator) (*Result, error) {
 			Seed:        p.Seed,
 			Windows:     len(sampled.Windows),
 		},
-	}
+	})
 	sampled.Meta = meta
 	pooled.Meta = meta
 

@@ -65,7 +65,7 @@ func (s *Simulator) fastForward(n uint64) {
 	var info exec.StepInfo
 	in := &info.Inst
 	for done < n {
-		s.state.StepAt(pc, &info)
+		s.state.Commit(pc, &info)
 		if info.Halted {
 			break
 		}
@@ -73,8 +73,6 @@ func (s *Simulator) fastForward(n uint64) {
 		if s.trc != nil {
 			s.recordRetire(pc, in, info.Taken, info.NextPC, info.MemAddr)
 		}
-		// The committed path never rolls back: run with an empty undo log.
-		s.state.CompactTo(s.state.Checkpoint())
 		if pc < lineLo || pc >= lineHi {
 			s.hier.FetchInst(isa.Addr(pc))
 			lineLo = pc &^ (lineInsts - 1)

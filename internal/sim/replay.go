@@ -2,9 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"os"
-	"runtime"
-	"time"
 
 	"tracecache/internal/fetch"
 	"tracecache/internal/program"
@@ -78,8 +75,7 @@ func (r *Replayer) Stats() *stats.Run { return &r.run }
 // Decoding once and replaying the records many times is the fast path
 // for sweeps (experiments.Runner does this internally).
 func (r *Replayer) ReplayRecords(h trace.Header, recs []trace.Rec) (*stats.Run, error) {
-	//tcvet:ignore determinism wall-clock provenance only: run start time for stats.Meta, never simulated state
-	start := time.Now()
+	start := stats.MetaStart()
 	if err := h.Matches(r.traceWant()); err != nil {
 		return nil, fmt.Errorf("sim: replay %q/%q: %w", r.cfg.Name, r.prog.Name, err)
 	}
@@ -159,8 +155,13 @@ func (r *Replayer) ReplayRecords(h trace.Header, recs []trace.Rec) (*stats.Run, 
 			addFetch(&r.run, consumed, b.Reason, mispredBR, b.PredsUsed)
 		}
 	}
-	//tcvet:ignore determinism wall-clock provenance only: feeds stats.Meta wall time, never simulated state
-	r.run.Meta = r.buildMeta(start, time.Since(start))
+	r.run.Meta = stats.NewMeta(start, stats.Meta{
+		ConfigHash:       r.cfg.Hash(),
+		WarmupInsts:      r.cfg.WarmupInsts,
+		MaxInsts:         r.cfg.MaxInsts,
+		FastForwardInsts: r.cfg.FastForwardInsts,
+		Provenance:       stats.ProvReplay,
+	})
 	run := r.run
 	return &run, nil
 }
@@ -260,20 +261,4 @@ func (r *Replayer) inject(suffix []fetch.FetchedInst) (int, int, bool, error) {
 		}
 	}
 	return n, resume, false, nil
-}
-
-// buildMeta records the replayed run's provenance.
-func (r *Replayer) buildMeta(start time.Time, wall time.Duration) *stats.Meta {
-	host, _ := os.Hostname()
-	return &stats.Meta{
-		ConfigHash:       r.cfg.Hash(),
-		WarmupInsts:      r.cfg.WarmupInsts,
-		MaxInsts:         r.cfg.MaxInsts,
-		FastForwardInsts: r.cfg.FastForwardInsts,
-		Provenance:       stats.ProvReplay,
-		WallMillis:       float64(wall.Microseconds()) / 1000,
-		GoVersion:        runtime.Version(),
-		Hostname:         host,
-		StartedAt:        start.UTC().Format(time.RFC3339),
-	}
 }

@@ -1,6 +1,11 @@
 package stats
 
-import "fmt"
+import (
+	"fmt"
+	"os"
+	"runtime"
+	"time"
+)
 
 // Result provenance values (Meta.Provenance and journal records).
 const (
@@ -94,4 +99,25 @@ type Meta struct {
 	// Sampling is the sampling schedule of a ProvSampled run; nil on
 	// every other provenance.
 	Sampling *SamplingMeta `json:"sampling,omitempty"`
+}
+
+// MetaStart reads the wall clock for a run's Meta: at the run's start,
+// and again in NewMeta for its wall time. No other code reads the wall
+// clock for a run's provenance.
+func MetaStart() time.Time {
+	//tcvet:ignore determinism wall-clock provenance only: a run's start and wall time for Meta, never simulated state
+	return time.Now()
+}
+
+// NewMeta returns m with the host provenance of a run that began at start
+// (a MetaStart reading): the wall time since then, the Go runtime, the
+// hostname and the RFC 3339 start stamp. The caller sets the fields that
+// depend on the run mode: configuration hash, budgets, fast-forward count,
+// provenance and sampling schedule.
+func NewMeta(start time.Time, m Meta) *Meta {
+	m.WallMillis = float64(MetaStart().Sub(start).Microseconds()) / 1000
+	m.GoVersion = runtime.Version()
+	m.Hostname, _ = os.Hostname()
+	m.StartedAt = start.UTC().Format(time.RFC3339)
+	return &m
 }

@@ -211,12 +211,3 @@ func invertEstimate(e Estimate) Estimate {
 func (s *Sampled) JSON() ([]byte, error) {
 	return json.MarshalIndent(s, "", "  ")
 }
-
-// ParseSampled parses the JSON produced by JSON.
-func ParseSampled(b []byte) (*Sampled, error) {
-	var s Sampled
-	if err := json.Unmarshal(b, &s); err != nil {
-		return nil, err
-	}
-	return &s, nil
-}

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"encoding/json"
 	"math"
 	"reflect"
 	"testing"
@@ -118,9 +119,9 @@ func TestSampledAggregateAndJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("JSON: %v", err)
 	}
-	got, err := ParseSampled(b)
-	if err != nil {
-		t.Fatalf("ParseSampled: %v", err)
+	got := new(Sampled)
+	if err := json.Unmarshal(b, got); err != nil {
+		t.Fatalf("Unmarshal: %v", err)
 	}
 	if !reflect.DeepEqual(s, got) {
 		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", got, s)

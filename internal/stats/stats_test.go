@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestFetchEndNames(t *testing.T) {
@@ -249,5 +251,24 @@ func TestSummaryEmptyRun(t *testing.T) {
 	}
 	if !reflect.DeepEqual(s, back) {
 		t.Fatalf("empty round trip mismatch:\n%+v\nvs\n%+v", s, back)
+	}
+}
+
+// TestNewMeta: NewMeta keeps the fields the caller set and adds the host
+// provenance of a run that began at start.
+func TestNewMeta(t *testing.T) {
+	start := MetaStart()
+	in := Meta{ConfigHash: "abc", WarmupInsts: 1, MaxInsts: 2, FastForwardInsts: 3,
+		Provenance: ProvSampled, Sampling: &SamplingMeta{Windows: 4}}
+	m := NewMeta(start, in)
+	if m.ConfigHash != in.ConfigHash || m.WarmupInsts != 1 || m.MaxInsts != 2 ||
+		m.FastForwardInsts != 3 || m.Provenance != ProvSampled || m.Sampling != in.Sampling {
+		t.Errorf("NewMeta changed the caller's fields: %+v", m)
+	}
+	if m.GoVersion != runtime.Version() || m.WallMillis < 0 {
+		t.Errorf("host provenance: Go %q, wall %v ms", m.GoVersion, m.WallMillis)
+	}
+	if at, err := time.Parse(time.RFC3339, m.StartedAt); err != nil || !at.Equal(start.UTC().Truncate(time.Second)) {
+		t.Errorf("StartedAt = %q (%v), want %v", m.StartedAt, err, start.UTC().Truncate(time.Second))
 	}
 }

@@ -160,16 +160,3 @@ func (a Analysis) String() string {
 	fmt.Fprintf(&b, "loads %d, stores %d\n", a.Loads, a.Stores)
 	return b.String()
 }
-
-// SuiteSummary analyses every benchmark with the given budget and returns
-// rows (benchmark, mean block size, branch %, biased %) in paper order —
-// the dynamic counterpart of Table 1.
-func SuiteSummary(limit uint64) []string {
-	rows := make([]string, 0, 15)
-	for _, prof := range Profiles() {
-		a := Analyze(prof.MustGenerate(), limit)
-		rows = append(rows, fmt.Sprintf("%-14s blk %.2f  br %.1f%%  biased %.1f%%",
-			prof.Name, a.MeanBlockSize(), 100*a.BranchFraction(), 100*a.BiasedDynShare))
-	}
-	return rows
-}

@@ -113,7 +113,7 @@ func TestGenerateAllProfilesExecute(t *testing.T) {
 			const budget = 200000
 			var info exec.StepInfo
 			for i := 0; i < budget; i++ {
-				s.StepAt(pc, &info)
+				s.Commit(pc, &info)
 				if info.OffImage {
 					t.Fatalf("execution left the code image at pc %d", info.PC)
 				}
@@ -280,7 +280,7 @@ func TestCodeScaleGrowsFootprintAndExecutes(t *testing.T) {
 	pc := prog.Entry
 	var info exec.StepInfo
 	for i := 0; i < 400_000; i++ {
-		s.StepAt(pc, &info)
+		s.Commit(pc, &info)
 		if info.OffImage {
 			t.Fatalf("execution left the code image at pc %d", info.PC)
 		}
@@ -408,16 +408,6 @@ func TestAnalyzeZeroSafe(t *testing.T) {
 	var a Analysis
 	if a.MeanBlockSize() != 0 || a.BranchFraction() != 0 || a.TakenFraction() != 0 {
 		t.Error("zero analysis not safe")
-	}
-}
-
-func TestSuiteSummary(t *testing.T) {
-	rows := SuiteSummary(30_000)
-	if len(rows) != 15 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	if !strings.Contains(rows[0], "compress") || !strings.Contains(rows[14], "tex") {
-		t.Errorf("order wrong: %v", rows)
 	}
 }
 

@@ -1,7 +1,9 @@
 #!/bin/sh
 # CI for the tracecache repo: tier-1 build+test, vet+gofmt+tcvet static
-# gates, a race pass over the observability layer, the simulator, and the
-# parallel sweep engine, a fast-forward agreement+accuracy step (tcbench
+# gates, 15 seconds of fuzzing each for the interpreter step (FuzzStepAt:
+# StepAt and Commit) and the fill unit (FuzzFillUnit), a race pass over
+# the observability layer, the simulator, and the parallel sweep engine,
+# a fast-forward agreement+accuracy step (tcbench
 # -ffwd and tcsim -ffwd must print the same mean fetch size), a
 # monitoring smoke (/progress and /debug/pprof/ of a live tcbench -http
 # -store sweep) and a run of examples/monitoring, a warm result-store
@@ -34,6 +36,10 @@ go run ./cmd/tcvet ./...
 
 echo "== go test =="
 go test ./...
+
+echo "== fuzz (StepAt/Commit and the fill unit, 15s each) =="
+go test -run '^$' -fuzz '^FuzzStepAt$' -fuzztime 15s ./internal/exec/
+go test -run '^$' -fuzz '^FuzzFillUnit$' -fuzztime 15s ./internal/core/
 
 echo "== go test -race (obs, sim, monitor, journal, resultstore, atomicfile) =="
 go test -race ./internal/obs/... ./internal/sim/... \
