@@ -26,7 +26,6 @@ func main() {
 		doStat  = flag.Bool("stats", true, "print static and dynamic statistics")
 		limit   = flag.Uint64("limit", 500_000, "dynamic-analysis instruction budget")
 		list    = flag.Bool("list", false, "list benchmarks")
-		save    = flag.String("save", "", "write the program image to this file")
 		scale   = flag.Int("scale", 0, "replicate the code footprint this many times (power of two <= 64) for paper-scale runs; 0 or 1 generate the standard program")
 		version = flag.Bool("version", false, "print version and exit")
 	)
@@ -55,13 +54,6 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *save != "" {
-		if err := prog.SaveFile(*save); err != nil {
-			fmt.Fprintf(os.Stderr, "tcgen: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s (%d instructions)\n", *save, len(prog.Code))
-	}
 	if *disasm {
 		fmt.Print(prog.Disassemble())
 		return

@@ -5,6 +5,7 @@
 // Usage:
 //
 //	tcsim -bench gcc -config baseline -warmup 400000 -insts 1000000
+//	tcsim -bench gcc -scale 8 -config promo-pack-costreg
 //	tcsim -bench gcc -config best -ffwd 10000000 -warmup 400000 -insts 1000000
 //	tcsim -bench gcc -config promote -interval 10000 -timeseries ts.json -trace tr.json
 //	tcsim -bench gcc -journal runs.jsonl
@@ -26,7 +27,6 @@ import (
 	"tracecache/internal/journal"
 	"tracecache/internal/obs"
 	"tracecache/internal/profiler"
-	"tracecache/internal/program"
 	"tracecache/internal/sim"
 	"tracecache/internal/stats"
 	"tracecache/internal/textplot"
@@ -41,7 +41,7 @@ func main() {
 		insts    = flag.Uint64("insts", 1_000_000, "measured instructions")
 		list     = flag.Bool("list", false, "list benchmarks and configurations")
 		asJSON   = flag.Bool("json", false, "emit a JSON summary instead of the report")
-		progFile = flag.String("prog", "", "run a saved program image (tcgen -save) instead of -bench")
+		scale    = flag.Int("scale", 0, "replicate the benchmark's code footprint this many times (power of two <= 64), as tcgen -scale does; 0 or 1 run the standard program")
 		version  = flag.Bool("version", false, "print version and exit")
 		interval = flag.Uint64("interval", 10_000, "time-series interval length in cycles")
 		tsOut    = flag.String("timeseries", "", "write windowed time-series telemetry to this file (.csv for CSV, JSON otherwise)")
@@ -76,15 +76,14 @@ func main() {
 	cfg.MaxInsts = *insts
 	cfg.Check = *check
 
-	var prog *tracecache.Program
-	var err error
-	if *progFile != "" {
-		prog, err = program.LoadFile(*progFile)
-	} else {
-		prog, err = tracecache.BenchmarkProgram(*bench)
+	profile, ok := tracecache.BenchmarkProfile(*bench)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "tcsim: unknown benchmark %q (try -list)\n", *bench)
+		os.Exit(1)
 	}
+	prog, err := profile.Scaled(*scale).Generate()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "tcsim: %v (try -list)\n", err)
+		fmt.Fprintf(os.Stderr, "tcsim: %v\n", err)
 		os.Exit(1)
 	}
 
@@ -154,7 +153,7 @@ func main() {
 	if out == nil {
 		return // -replay-verify printed its comparison
 	}
-	stampMeta(out.run.Meta, *bench, *progFile)
+	stampMeta(out.run.Meta, profile.Seed)
 
 	if *jPath != "" {
 		if err := appendJournal(*jPath, out.run, wall); err != nil {
@@ -238,19 +237,14 @@ func runDetailed(cfg tracecache.Config, prog *tracecache.Program, coll *obs.Coll
 	}}, nil
 }
 
-// stampMeta records the tool and, for a named benchmark, the workload
-// seed in a run's provenance; detailed, sampled and replayed runs all
-// stamp here.
-func stampMeta(m *stats.Meta, bench, progFile string) {
+// stampMeta records the tool and the workload seed in a run's
+// provenance; detailed, sampled and replayed runs all stamp here.
+func stampMeta(m *stats.Meta, seed int64) {
 	if m == nil {
 		return
 	}
 	m.Tool = "tcsim " + buildinfo.Version()
-	if progFile == "" {
-		if p, ok := tracecache.BenchmarkProfile(bench); ok {
-			m.Seed = p.Seed
-		}
-	}
+	m.Seed = seed
 }
 
 // appendJournal appends this run's record to the journal file.

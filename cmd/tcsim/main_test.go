@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 
 	"tracecache/internal/journal"
 	"tracecache/internal/stats"
+	"tracecache/internal/workload"
 )
 
 // buildBinary compiles tcsim into a temp dir.
@@ -75,6 +77,32 @@ func TestModesShareTail(t *testing.T) {
 				t.Errorf("journal record not stamped with the tool: meta %+v", m)
 			}
 		})
+	}
+}
+
+// TestScaleRunsScaledProgram: -scale N runs the benchmark's profile
+// scaled N times, as tcgen -scale generates it, under its scaled name and
+// with the profile's seed in the provenance.
+func TestScaleRunsScaledProgram(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	bin := buildBinary(t)
+	args := []string{"-bench", "gcc", "-scale", "8", "-warmup", "2000", "-insts", "8000", "-json"}
+	var stderr bytes.Buffer
+	cmd := exec.Command(bin, args...)
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("tcsim %v: %v\n%s", args, err, stderr.String())
+	}
+	var sum stats.Summary
+	if err := json.Unmarshal(out, &sum); err != nil {
+		t.Fatalf("-json printed %q: %v", out, err)
+	}
+	gcc, _ := workload.ByName("gcc")
+	if sum.Benchmark != "gccx8" || sum.Meta == nil || sum.Meta.Seed != gcc.Seed {
+		t.Errorf("summary benchmark %q, meta %+v; want gccx8 with seed %d", sum.Benchmark, sum.Meta, gcc.Seed)
 	}
 }
 

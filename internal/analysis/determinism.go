@@ -12,7 +12,7 @@ import (
 var resultAffectingPkgs = map[string]bool{
 	"sim": true, "engine": true, "core": true, "fetch": true, "bpred": true,
 	"cache": true, "exec": true, "experiments": true, "stats": true, "workload": true,
-	"trace": true, "sampling": true, "resultstore": true,
+	"trace": true, "sampling": true, "resultstore": true, "program": true,
 }
 
 // Determinism flags nondeterminism sources in result-affecting packages:

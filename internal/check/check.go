@@ -27,7 +27,7 @@
 //
 // Violations are recorded as structured Violation values and emitted on
 // the observability bus (obs.KindCheckViolation); the checker never
-// panics. The simulator exposes them via Simulator.CheckViolations.
+// panics. The simulator exposes its checker via Simulator.Checker.
 //
 // # Documented approximations
 //
@@ -196,27 +196,20 @@ type Checker struct {
 
 	violations []Violation
 	total      int
-	suppressed map[string]bool
 }
 
 // New builds a checker with a fresh reference model at the program entry.
 func New(p Params) *Checker {
 	return &Checker{
-		p:          p,
-		ref:        exec.NewState(p.Prog),
-		refPC:      p.Prog.Entry,
-		suppressed: map[string]bool{},
+		p:     p,
+		ref:   exec.NewState(p.Prog),
+		refPC: p.Prog.Entry,
 	}
 }
 
 // SetObserver attaches an event bus; every recorded violation is also
 // emitted as an obs.KindCheckViolation event (V1 = layer).
 func (c *Checker) SetObserver(b *obs.Bus) { c.bus = b }
-
-// Suppress disables one rule (by its stable identifier). Used by harnesses
-// exploring configurations where a documented approximation is expected to
-// be exceeded.
-func (c *Checker) Suppress(rule string) { c.suppressed[rule] = true }
 
 // Violations returns the recorded violations (capped; see Total).
 func (c *Checker) Violations() []Violation { return c.violations }
@@ -246,9 +239,6 @@ func (c *Checker) Report() string {
 }
 
 func (c *Checker) record(v Violation) {
-	if c.suppressed[v.Rule] {
-		return
-	}
 	c.total++
 	if len(c.violations) < maxViolations {
 		c.violations = append(c.violations, v)

@@ -365,15 +365,6 @@ func TestFinalizeConservation(t *testing.T) {
 	}
 }
 
-func TestSuppress(t *testing.T) {
-	c := testChecker(t, core.DefaultFillConfig(core.PackAtomic, 0))
-	c.Suppress("structural/segment-size")
-	c.OnSegment(&core.Segment{})
-	if c.Total() != 0 {
-		t.Errorf("suppressed rule still recorded: %s", c.Report())
-	}
-}
-
 func TestViolationCapAndReport(t *testing.T) {
 	c := testChecker(t, core.DefaultFillConfig(core.PackAtomic, 0))
 	for i := 0; i < 80; i++ {

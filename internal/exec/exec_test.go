@@ -9,9 +9,19 @@ import (
 	"tracecache/internal/program"
 )
 
-func buildLoop(t *testing.T) *program.Program {
+// dataWord is one word of a test program's initial data image.
+type dataWord struct {
+	addr uint64
+	v    int64
+}
+
+// buildLoop builds a summing loop whose initial data image holds data.
+func buildLoop(t *testing.T, data ...dataWord) *program.Program {
 	t.Helper()
 	b := program.NewBuilder("loop")
+	for _, w := range data {
+		b.Word(w.addr, w.v)
+	}
 	b.Here("main")
 	b.Emit(isa.Inst{Op: isa.OpLoadI, Rd: 1, Imm: 5}) // r1 = 5
 	b.Emit(isa.Inst{Op: isa.OpLoadI, Rd: 2, Imm: 0}) // r2 = 0
@@ -41,10 +51,14 @@ const addrReg, valReg = isa.NumRegs - 2, isa.NumRegs - 1
 
 // writesProg builds a program whose instructions make logged writes:
 // pc 0 stores valReg at the address in addrReg, and pc 1+r copies valReg
-// into register r, for every r below addrReg.
-func writesProg(t *testing.T) *program.Program {
+// into register r, for every r below addrReg. Its initial data image
+// holds data.
+func writesProg(t *testing.T, data ...dataWord) *program.Program {
 	t.Helper()
 	b := program.NewBuilder("writes")
+	for _, w := range data {
+		b.Word(w.addr, w.v)
+	}
 	b.Emit(isa.Inst{Op: isa.OpStore, Rs1: addrReg, Rs2: valReg})
 	for r := isa.Reg(0); r < addrReg; r++ {
 		b.Emit(isa.Inst{Op: isa.OpAdd, Rd: r, Rs1: valReg})
@@ -91,7 +105,7 @@ func TestStepAtOverwritesInfo(t *testing.T) {
 	}
 	reusedState, freshState, committedState := NewState(p), NewState(p), NewState(p)
 	reused := StepInfo{
-		PC: -7, Inst: isa.Inst{Op: isa.OpStore, Cond: isa.CondLE, Rd: 3, Rs1: 4, Rs2: 5, Imm: 6, Target: 7},
+		PC: -7, Inst: &isa.Inst{Op: isa.OpStore, Cond: isa.CondLE, Rd: 3, Rs1: 4, Rs2: 5, Imm: 6, Target: 7},
 		NextPC: -8, Taken: true, MemAddr: 9, Value: 10, Halted: true, OffImage: true,
 	}
 	committed := reused
@@ -689,11 +703,11 @@ func TestRollbackBelowReleaseMarkClamps(t *testing.T) {
 // TestRenewStateMatchesNew: state renewed from a used one — a page
 // outside the next program's image, a stale word beside that image on a
 // page both map, registers, a call stack and a live undo log — equals the
-// next program's new state, page for page and word for word.
+// next program's new state, page for page and word for word, also after
+// a write maps a page outside the image (taking back the stale page).
 func TestRenewStateMatchesNew(t *testing.T) {
-	a, b := writesProg(t), buildLoop(t)
-	a.Data = map[uint64]int64{0x1000: 7, 0x9000: 8}
-	b.Data = map[uint64]int64{0x1008: 9, 0x20000: 10}
+	a := writesProg(t, dataWord{0x1000, 7}, dataWord{0x9000, 8})
+	b := buildLoop(t, dataWord{0x1008, 9}, dataWord{0x20000, 10})
 	old := NewState(a)
 	old.Run(100)
 	stepStore(old, 0x40000, 11)
@@ -709,12 +723,19 @@ func TestRenewStateMatchesNew(t *testing.T) {
 			got.Regs, got.callStack, got.UndoLen(), got.Steps(), got.Checkpoint(),
 			want.Regs, want.callStack, want.UndoLen(), want.Steps(), want.Checkpoint())
 	}
-	if got.Mem().Pages() != want.Mem().Pages() {
-		t.Fatalf("renewed state maps %d pages, new state %d", got.Mem().Pages(), want.Mem().Pages())
-	}
-	for pg, wp := range want.mem.pages {
-		if gp := got.mem.pages[pg]; gp == nil || *gp != *wp {
-			t.Errorf("page %d differs from the new state's", pg)
+	samePages := func(when string) {
+		t.Helper()
+		if got.Mem().Pages() != want.Mem().Pages() {
+			t.Fatalf("%s: renewed state maps %d pages, new state %d", when, got.Mem().Pages(), want.Mem().Pages())
+		}
+		for pg, wp := range want.mem.pages {
+			if gp := got.mem.pages[pg]; gp == nil || *gp != *wp {
+				t.Errorf("%s: page %d differs from the new state's", when, pg)
+			}
 		}
 	}
+	samePages("renewed")
+	got.mem.Write(0x80008, 14)
+	want.mem.Write(0x80008, 14)
+	samePages("after a write off the image")
 }

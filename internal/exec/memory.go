@@ -4,11 +4,10 @@
 // path included) and recover on mispredictions and promoted-branch faults.
 package exec
 
-// pageWords is the number of 8-byte words per memory page.
-const pageWords = 512
+import "tracecache/internal/program"
 
-// pageShift converts a word index to a page number.
-const pageShift = 9 // log2(pageWords)
+// page is one page of memory, in the program image's page format.
+type page = [program.PageWords]int64
 
 // Memory is a sparse, paged, word-granular data memory. Addresses are byte
 // addresses; accesses are 8-byte words and are aligned down to 8 bytes.
@@ -16,33 +15,36 @@ const pageShift = 9 // log2(pageWords)
 // page cache short-circuits the map lookup for consecutive accesses to the
 // same page — the common case in the simulator's load/store stream.
 type Memory struct {
-	pages    map[uint64]*[pageWords]int64
+	pages    map[uint64]*page
 	lastPage uint64
-	lastPtr  *[pageWords]int64
+	lastPtr  *page
 	// owned lists every page this memory has allocated, in allocation
-	// order; the first used of them are mapped. reset unmaps them all,
-	// and later writes to unmapped pages take them back, cleared, before
-	// allocating.
-	owned []*[pageWords]int64
+	// order; the first used of them are mapped. load unmaps them all, and
+	// mapping a page, for the image or for a write to unmapped memory,
+	// takes the next unmapped one before allocating.
+	owned []*page
 	used  int
 }
 
 // NewMemory returns an empty memory image.
 func NewMemory() *Memory {
-	return &Memory{pages: make(map[uint64]*[pageWords]int64)}
+	return &Memory{pages: make(map[uint64]*page)}
 }
 
-// reset empties the memory to what NewMemory returns, keeping its pages
-// for later writes to reuse.
-func (m *Memory) reset() {
+// load empties the memory and maps a copy of each page of a program's
+// data image, reusing the pages the memory owns.
+func (m *Memory) load(image []program.Page) {
 	clear(m.pages)
 	m.lastPage, m.lastPtr = 0, nil
 	m.used = 0
+	for i := range image {
+		*m.mapPage(image[i].Num) = image[i].Words
+	}
 }
 
-func split(addr uint64) (page, offset uint64) {
+func split(addr uint64) (pg, off uint64) {
 	w := addr >> 3 // word index
-	return w >> pageShift, w & (pageWords - 1)
+	return w >> program.PageShift, w & (program.PageWords - 1)
 }
 
 // Read returns the word at addr (aligned down to 8 bytes).
@@ -75,23 +77,23 @@ func (m *Memory) Write(addr uint64, v int64) {
 		if v == 0 {
 			return // writing zero to unmapped memory is a no-op
 		}
-		p = m.newPage()
-		m.pages[pg] = p
+		p = m.mapPage(pg)
+		clear(p[:])
 	}
 	m.lastPage, m.lastPtr = pg, p
 	p[off] = v
 }
 
-// newPage returns a zeroed page: the next one reset unmapped, or a new
-// one.
-func (m *Memory) newPage() *[pageWords]int64 {
+// mapPage maps page number pg to the next page load unmapped, or to a
+// new one, and returns it as it is: the caller fills it.
+func (m *Memory) mapPage(pg uint64) *page {
 	if m.used == len(m.owned) {
-		m.owned = append(m.owned, new([pageWords]int64))
-	} else {
-		clear(m.owned[m.used][:])
+		m.owned = append(m.owned, new(page))
 	}
+	p := m.owned[m.used]
 	m.used++
-	return m.owned[m.used-1]
+	m.pages[pg] = p
+	return p
 }
 
 // Pages returns the number of allocated pages (for footprint diagnostics).

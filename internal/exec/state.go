@@ -7,8 +7,10 @@ import (
 
 // StepInfo records the architectural effects of executing one instruction.
 type StepInfo struct {
-	PC      int
-	Inst    isa.Inst
+	PC int
+	// Inst points at the executed instruction in the program's code, or
+	// at offImageInst for a PC outside it. Read it; never write through it.
+	Inst    *isa.Inst
 	NextPC  int    // actual next PC on this execution path
 	Taken   bool   // conditional branch outcome
 	MemAddr uint64 // effective address for loads and stores
@@ -18,6 +20,10 @@ type StepInfo struct {
 	// on the wrong path); the step is then a no-op falling through.
 	OffImage bool
 }
+
+// offImageInst is the instruction a step outside the code segment
+// reports: a nop.
+var offImageInst isa.Inst
 
 // undo record kinds.
 const (
@@ -60,20 +66,16 @@ type State struct {
 func NewState(p *program.Program) *State { return RenewState(nil, p) }
 
 // RenewState is NewState built in old's storage: its memory pages
-// (emptied, then refilled from the program's data image), undo log and
+// (refilled with copies of the program's data image pages), undo log and
 // call stack. old may be nil; a renewed old must not be used again.
 func RenewState(old *State, p *program.Program) *State {
 	s := &State{prog: p}
 	if old != nil {
 		s.mem, s.undo, s.callStack = old.mem, old.undo[:0], old.callStack[:0]
-		s.mem.reset()
 	} else {
 		s.mem = NewMemory()
 	}
-	//tcvet:ignore determinism disjoint writes: each data word lands at its own address, final image is order-independent
-	for addr, v := range p.Data {
-		s.mem.Write(addr, v)
-	}
+	s.mem.load(p.Data)
 	return s
 }
 
@@ -147,13 +149,13 @@ func (s *State) Commit(pc int, info *StepInfo) {
 	info.Taken, info.Halted = false, false
 	info.MemAddr, info.Value = 0, 0
 	if pc < 0 || pc >= len(s.prog.Code) {
-		info.Inst = isa.Inst{}
+		info.Inst = &offImageInst
 		info.OffImage = true
 		return
 	}
 	info.OffImage = false
 	in := &s.prog.Code[pc]
-	info.Inst = *in
+	info.Inst = in
 	r := &s.Regs
 	switch in.Op {
 	case isa.OpNop, isa.OpTrap:

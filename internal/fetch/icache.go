@@ -124,23 +124,23 @@ type ICacheConfig struct {
 	Hybrid   *bpred.Hybrid
 	Indirect *bpred.IndirectPredictor
 	MaxWidth int // default 16
-	HistBits uint
 }
+
+// icacheHistBits is the reference front end's global history length, the
+// hybrid predictor's 15-bit gshare history.
+const icacheHistBits = 15
 
 // NewICacheEngine builds the reference front end.
 func NewICacheEngine(cfg ICacheConfig) *ICacheEngine {
 	if cfg.MaxWidth <= 0 {
 		cfg.MaxWidth = stats.MaxFetchWidth
 	}
-	if cfg.HistBits == 0 {
-		cfg.HistBits = 15
-	}
 	e := &ICacheEngine{
 		icf:    newICacheFetcher(cfg.Prog, cfg.Hier, cfg.MaxWidth),
 		hybrid: cfg.Hybrid,
 		ind:    cfg.Indirect,
 	}
-	e.hist.Bits = cfg.HistBits
+	e.hist.Bits = icacheHistBits
 	e.bundle.Insts = make([]FetchedInst, 0, cfg.MaxWidth)
 	return e
 }

@@ -18,7 +18,6 @@ type TraceConfig struct {
 	Indirect *bpred.IndirectPredictor
 	Hier     *cache.Hierarchy // L1I is the small supporting icache
 	MaxWidth int              // default 16
-	HistBits uint             // default 14 (16K-entry gshare)
 	// PathAssoc selects among same-start segments by predicted path
 	// (requires a path-associative trace cache).
 	PathAssoc bool
@@ -26,6 +25,10 @@ type TraceConfig struct {
 	// instructions past the predicted path are not issued at all.
 	DisableInactiveIssue bool
 }
+
+// traceHistBits is the trace-cache front end's global history length,
+// which indexes the multiple branch predictor (a 16K-entry gshare).
+const traceHistBits = 14
 
 // TraceEngine is the trace-cache fetch mechanism: a trace cache lookup per
 // cycle, sequenced by a multiple branch predictor, with inactive issue
@@ -43,14 +46,11 @@ func NewTraceEngine(cfg TraceConfig) *TraceEngine {
 	if cfg.MaxWidth <= 0 {
 		cfg.MaxWidth = stats.MaxFetchWidth
 	}
-	if cfg.HistBits == 0 {
-		cfg.HistBits = 14
-	}
 	e := &TraceEngine{
 		cfg: cfg,
 		icf: newICacheFetcher(cfg.Prog, cfg.Hier, cfg.MaxWidth),
 	}
-	e.hist.Bits = cfg.HistBits
+	e.hist.Bits = traceHistBits
 	e.bundle.Insts = make([]FetchedInst, 0, cfg.MaxWidth)
 	return e
 }

@@ -29,7 +29,7 @@ const forkLine = `{"time":"2026-08-08T10:00:01Z","config":"baseline","benchmark"
 	`"meta":{"warmupInsts":1000,"maxInsts":3000,"fastForwardInsts":100000,` +
 	`"checkpointShared":true,"provenance":"checkpoint-fork","wallMillis":38.2}}`
 
-func sampleRecords(t *testing.T) []Record {
+func sampleRecords(t testing.TB) []Record {
 	t.Helper()
 	fork, truncated, err := Read(strings.NewReader(forkLine + "\n"))
 	if err != nil || truncated || len(fork) != 1 || fork[0].Meta == nil ||

@@ -2,6 +2,8 @@ package program
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 
 	"tracecache/internal/isa"
 )
@@ -60,8 +62,23 @@ func (b *Builder) EmitTo(in isa.Inst, label string) int {
 	return pc
 }
 
-// Word sets an initial data word at the given byte address.
-func (b *Builder) Word(addr uint64, v int64) { b.prog.Data[addr] = v }
+// Word sets the initial data word at the given byte address (aligned
+// down to 8 bytes); a later write to the same word wins. A zero written
+// outside the image's pages maps no page, since unmapped memory reads
+// zero.
+func (b *Builder) Word(addr uint64, v int64) {
+	w := addr >> 3
+	num := w >> PageShift
+	data := b.prog.Data
+	i := sort.Search(len(data), func(i int) bool { return data[i].Num >= num })
+	if i == len(data) || data[i].Num != num {
+		if v == 0 {
+			return
+		}
+		b.prog.Data = slices.Insert(data, i, Page{Num: num})
+	}
+	b.prog.Data[i].Words[w&(PageWords-1)] = v
+}
 
 // Entry marks the program entry point at the given label.
 func (b *Builder) Entry(label string) {

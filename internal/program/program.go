@@ -1,16 +1,30 @@
 // Package program defines the executable image consumed by the simulator:
-// a code segment of decoded instructions, an initial data image, and
-// optional symbol information for diagnostics.
+// a code segment of decoded instructions, an initial data image of
+// memory pages, and optional symbol information for diagnostics.
 package program
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
 	"tracecache/internal/isa"
 )
+
+// The page format of data memory, shared by the initial image and the
+// executing memory (exec.Memory): a page holds PageWords 8-byte words,
+// and a word index (byte address >> 3) shifted right by PageShift is its
+// page number.
+const (
+	PageShift = 9
+	PageWords = 1 << PageShift
+)
+
+// Page is one page of the initial data image.
+type Page struct {
+	Num   uint64 // page number: byte address >> (3 + PageShift)
+	Words [PageWords]int64
+}
 
 // Program is a complete executable image. The PC space is the index space
 // of Code; data addresses live in a separate byte-addressed space whose
@@ -19,9 +33,10 @@ type Program struct {
 	Name  string
 	Code  []isa.Inst
 	Entry int
-	// Data holds the initial memory image as 8-byte words keyed by byte
-	// address (addresses are 8-byte aligned by construction).
-	Data map[uint64]int64
+	// Data is the initial memory image: every page a nonzero word was
+	// written to, sorted by page number, each once. Memory outside them
+	// reads zero. Builder.Word is its writer.
+	Data []Page
 	// Symbols maps instruction indices to labels (function entries, loop
 	// heads) for disassembly output.
 	Symbols map[int]string
@@ -33,11 +48,10 @@ type Program struct {
 	hashVal  uint64
 }
 
-// New returns an empty program with initialized maps.
+// New returns an empty program with an initialized symbol map.
 func New(name string) *Program {
 	return &Program{
 		Name:    name,
-		Data:    make(map[uint64]int64),
 		Symbols: make(map[int]string),
 	}
 }
@@ -98,14 +112,12 @@ func (p *Program) hashContent() uint64 {
 		mix(uint64(in.Imm))
 		mix(uint64(in.Target))
 	}
-	addrs := make([]uint64, 0, len(p.Data))
-	for a := range p.Data {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, a := range addrs {
-		mix(a)
-		mix(uint64(p.Data[a]))
+	for i := range p.Data {
+		pg := &p.Data[i]
+		mix(pg.Num)
+		for _, w := range pg.Words {
+			mix(uint64(w))
+		}
 	}
 	return h
 }

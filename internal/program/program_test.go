@@ -1,6 +1,7 @@
 package program
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -91,17 +92,57 @@ func TestValidateRejectsEmptyAndNoHalt(t *testing.T) {
 	}
 }
 
+// TestBuilderDataWords: Word builds the image as pages sorted by number,
+// each once, whatever order the words come in; a later write to a word
+// wins; words on either side of a page boundary land on their own pages
+// at their own addresses; and a zero written off the image maps no page.
 func TestBuilderDataWords(t *testing.T) {
+	const pageBytes = PageWords * 8
+	boundary := uint64(5 * pageBytes)
+	words := []struct {
+		addr uint64
+		v    int64
+	}{
+		{0x1000, 42},       // page 1
+		{boundary, 3},      // first word of page 5
+		{0x1008, -7},       // page 1 again, after page 5
+		{boundary - 8, -1}, // last word of page 4
+		{0x1000, 43},       // overwrites 42
+		{0x20000, 0},       // zero on an unmapped page
+		{0x1012, 9},        // unaligned: lands at 0x1010
+	}
 	b := NewBuilder("data")
-	b.Word(0x1000, 42)
-	b.Word(0x1008, -7)
+	for _, w := range words {
+		b.Word(w.addr, w.v)
+	}
 	b.Emit(isa.Inst{Op: isa.OpHalt})
 	p, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Data[0x1000] != 42 || p.Data[0x1008] != -7 {
-		t.Errorf("data image = %v", p.Data)
+	var nums []uint64
+	for _, pg := range p.Data {
+		nums = append(nums, pg.Num)
+	}
+	if want := []uint64{1, 4, 5}; !slices.Equal(nums, want) {
+		t.Fatalf("image pages %v, want %v", nums, want)
+	}
+	// word reads the image at a byte address, zero off its pages.
+	word := func(addr uint64) int64 {
+		for _, pg := range p.Data {
+			if pg.Num == addr/pageBytes {
+				return pg.Words[addr%pageBytes/8]
+			}
+		}
+		return 0
+	}
+	for addr, want := range map[uint64]int64{
+		0x1000: 43, 0x1008: -7, 0x1010: 9, 0x1018: 0,
+		boundary - 8: -1, boundary: 3, boundary + 8: 0, 0x20000: 0,
+	} {
+		if got := word(addr); got != want {
+			t.Errorf("word %#x = %d, want %d", addr, got, want)
+		}
 	}
 }
 

@@ -34,7 +34,7 @@ func sampleEntry() *resultstore.Entry {
 	}
 }
 
-func openStore(t *testing.T, dir string) *resultstore.Store {
+func openStore(t testing.TB, dir string) *resultstore.Store {
 	t.Helper()
 	s, err := resultstore.Open(dir)
 	if err != nil {

@@ -90,7 +90,7 @@ type Result struct {
 	Sampled *stats.Sampled
 	// Violations collects sampling-audit findings (and, when the
 	// simulator runs with Config.Check, the lockstep/structural layers'
-	// findings surface via sim.CheckViolations as usual).
+	// findings surface via Simulator.Checker as usual).
 	Violations []check.Violation
 }
 

@@ -45,8 +45,8 @@ func runSampled(t *testing.T, cfg sim.Config, bench string) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vs := s.CheckViolations(); len(vs) != 0 {
-		t.Fatalf("simulator self-check violations: %v", vs)
+	if chk := s.Checker(); chk != nil && len(chk.Violations()) != 0 {
+		t.Fatalf("simulator self-check violations: %v", chk.Violations())
 	}
 	return res
 }

@@ -98,7 +98,7 @@ type Config struct {
 	// engine, structural invariants are asserted on every segment and
 	// fetch bundle, and conservation identities are verified at the end
 	// of the run. No simulated statistic changes; violations are reported
-	// via Simulator.CheckViolations. Excluded from Hash so a checked run
+	// via Simulator.Checker. Excluded from Hash so a checked run
 	// is attributable to the same machine as its unchecked twin.
 	Check bool
 }

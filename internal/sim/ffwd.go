@@ -63,12 +63,12 @@ func (s *Simulator) fastForward(n uint64) {
 	)
 	var done uint64
 	var info exec.StepInfo
-	in := &info.Inst
 	for done < n {
 		s.state.Commit(pc, &info)
 		if info.Halted {
 			break
 		}
+		in := info.Inst
 		done++
 		if s.trc != nil {
 			s.recordRetire(pc, in, info.Taken, info.NextPC, info.MemAddr)

@@ -260,15 +260,6 @@ func (s *Simulator) attachChecker() {
 // Checker returns the self-verification layer (nil unless Config.Check).
 func (s *Simulator) Checker() *check.Checker { return s.chk }
 
-// CheckViolations returns the violations the self-check layer recorded,
-// or nil when checking is disabled or the run was clean.
-func (s *Simulator) CheckViolations() []check.Violation {
-	if s.chk == nil {
-		return nil
-	}
-	return s.chk.Violations()
-}
-
 // liveRecordCount counts fetch records that are still live and
 // unclassified; the conservation identities allow each to own one cycle.
 func (s *Simulator) liveRecordCount() int {

@@ -6,6 +6,7 @@ import (
 
 	"tracecache/internal/exec"
 	"tracecache/internal/isa"
+	"tracecache/internal/program"
 )
 
 func TestProfilesAreValidAndDistinct(t *testing.T) {
@@ -237,11 +238,11 @@ func TestCodeScaleZeroIsByteIdentical(t *testing.T) {
 				}
 			}
 			if len(got.Data) != len(ref.Data) {
-				t.Fatalf("%s scale %d: data size %d != %d", name, scale, len(got.Data), len(ref.Data))
+				t.Fatalf("%s scale %d: data pages %d != %d", name, scale, len(got.Data), len(ref.Data))
 			}
-			for addr, v := range ref.Data {
-				if got.Data[addr] != v {
-					t.Fatalf("%s scale %d: data word %#x differs", name, scale, addr)
+			for i := range ref.Data {
+				if got.Data[i] != ref.Data[i] {
+					t.Fatalf("%s scale %d: data page %d differs", name, scale, ref.Data[i].Num)
 				}
 			}
 		}
@@ -325,11 +326,14 @@ func TestSwitchTablesResolve(t *testing.T) {
 	// via execution in TestGenerateAllProfilesExecute); here we verify the
 	// static tables point into the image.
 	n := 0
-	for addr, v := range prog.Data {
-		if addr >= tableBase {
-			n++
-			if v < 0 || v >= int64(len(prog.Code)) {
-				t.Fatalf("jump table entry at %#x = %d out of range", addr, v)
+	for _, pg := range prog.Data {
+		for i, v := range pg.Words {
+			addr := (pg.Num<<program.PageShift + uint64(i)) * 8
+			if addr >= tableBase && v != 0 {
+				n++
+				if v < 0 || v >= int64(len(prog.Code)) {
+					t.Fatalf("jump table entry at %#x = %d out of range", addr, v)
+				}
 			}
 		}
 	}

@@ -1,7 +1,9 @@
 #!/bin/sh
 # CI for the tracecache repo: tier-1 build+test, vet+gofmt+tcvet static
 # gates, 15 seconds of fuzzing each for the interpreter step (FuzzStepAt:
-# StepAt and Commit) and the fill unit (FuzzFillUnit), a race pass over
+# StepAt and Commit), the fill unit (FuzzFillUnit) and the two on-disk
+# decoders (FuzzStoreEntry: result-store entries; FuzzJournalRead:
+# journals), a race pass over
 # the observability layer, the simulator, and the parallel sweep engine,
 # a fast-forward agreement+accuracy step (tcbench
 # -ffwd and tcsim -ffwd must print the same mean fetch size), a
@@ -37,9 +39,11 @@ go run ./cmd/tcvet ./...
 echo "== go test =="
 go test ./...
 
-echo "== fuzz (StepAt/Commit and the fill unit, 15s each) =="
+echo "== fuzz (StepAt/Commit, the fill unit, store entries and journals, 15s each) =="
 go test -run '^$' -fuzz '^FuzzStepAt$' -fuzztime 15s ./internal/exec/
 go test -run '^$' -fuzz '^FuzzFillUnit$' -fuzztime 15s ./internal/core/
+go test -run '^$' -fuzz '^FuzzStoreEntry$' -fuzztime 15s ./internal/resultstore/
+go test -run '^$' -fuzz '^FuzzJournalRead$' -fuzztime 15s ./internal/journal/
 
 echo "== go test -race (obs, sim, monitor, journal, resultstore, atomicfile) =="
 go test -race ./internal/obs/... ./internal/sim/... \
