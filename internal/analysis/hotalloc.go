@@ -15,7 +15,8 @@ import (
 // costs: a non-empty struct literal over literalCopyLimit bytes that is
 // stored anywhere but a plain variable (*p = T{...}, s[i] = T{...},
 // x.f = T{...}) or passed as an append element is built in a temporary
-// and block-copied into place, where an empty T{} compiles to a clear.
+// and block-copied into place; a reused slot is instead filled by
+// assigning every field in place, which a poisoned-slot test covers.
 // And it flags a by-value receiver, parameter or result whose type gc
 // cannot keep in registers (see unregisterable): such a value is spilled
 // field by field and then reloaded with one wide load, which the CPU
@@ -113,7 +114,7 @@ func checkHotFunc(pass *Pass, fd *ast.FuncDecl) {
 					for _, arg := range n.Args[1:] {
 						if lit, size := copiedStructLit(info, arg); lit != nil {
 							name := types.ExprString(lit.Type)
-							pass.Reportf(lit.Pos(), "append element %s literal (%d bytes) is built in a temporary and block-copied in hot path; append %s{} and fill the slot in place", name, size, name)
+							pass.Reportf(lit.Pos(), "append element %s literal (%d bytes) is built in a temporary and block-copied in hot path; %s", name, size, fillAdvice)
 						}
 					}
 				}
@@ -139,7 +140,7 @@ func checkHotFunc(pass *Pass, fd *ast.FuncDecl) {
 				}
 				if lit, size := copiedStructLit(info, n.Rhs[i]); lit != nil {
 					name := types.ExprString(lit.Type)
-					pass.Reportf(lit.Pos(), "%s literal (%d bytes) is built in a temporary and block-copied in hot path; clear the destination with %s{} and assign fields in place", name, size, name)
+					pass.Reportf(lit.Pos(), "%s literal (%d bytes) is built in a temporary and block-copied in hot path; %s", name, size, fillAdvice)
 				}
 			}
 		case *ast.ValueSpec:
@@ -169,6 +170,9 @@ func checkHotFunc(pass *Pass, fd *ast.FuncDecl) {
 		return true
 	})
 }
+
+// fillAdvice is the remedy for a block-copied struct literal.
+const fillAdvice = "fill a reused slot by assigning every field in place, covered by a poisoned-slot test"
 
 // literalCopyLimit is the size in bytes, under the gc/amd64 layout, above
 // which a copied struct literal is reported; fixing the layout keeps the

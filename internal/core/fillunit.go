@@ -125,6 +125,7 @@ type FillUnit struct {
 	buf             []SegInst
 	blockStart      int
 	pendingBranches int
+	pendingPromoted int
 	seg             Segment // finalize's view of the pending segment
 	stats           FillStats
 	obs             *obs.Bus
@@ -354,6 +355,7 @@ func (f *FillUnit) extendPending(n int) {
 		f.stats.Branches++
 		if last.Promoted {
 			f.stats.Promotions++
+			f.pendingPromoted++
 		} else {
 			f.pendingBranches++
 		}
@@ -375,8 +377,8 @@ func (f *FillUnit) finalize(reason FinalizeReason) {
 	seg.Start = f.buf[0].PC
 	seg.Insts = f.buf[:n:f.cfg.MaxInsts]
 	seg.Reason = reason
-	seg.branches = f.pendingBranches
-	f.pendingBranches = 0
+	seg.branches, seg.promoted = f.pendingBranches, f.pendingPromoted
+	f.pendingBranches, f.pendingPromoted = 0, 0
 	f.stats.Segments++
 	f.stats.InstsWritten += uint64(n)
 	f.stats.Reasons[reason]++

@@ -68,6 +68,7 @@ type Segment struct {
 	Insts    []SegInst
 	Reason   FinalizeReason
 	branches int
+	promoted int
 }
 
 // Len returns the number of instructions in the segment.
@@ -94,16 +95,9 @@ func (s *Segment) PathSig() (sig uint8, n int) {
 	return sig, n
 }
 
-// NumPromoted returns the number of promoted branches in the segment.
-func (s *Segment) NumPromoted() int {
-	n := 0
-	for _, si := range s.Insts {
-		if si.Promoted {
-			n++
-		}
-	}
-	return n
-}
+// NumPromoted returns the number of promoted branches, as the fill unit
+// counted them when it built the segment.
+func (s *Segment) NumPromoted() int { return s.promoted }
 
 // ContainsPromoted reports whether the segment holds a promoted branch at
 // pc.
@@ -188,13 +182,11 @@ type tcWay struct {
 	seg   Segment
 	valid bool
 	lru   uint64
-	// sig/nsig cache seg.PathSig() under path associativity and promoted
-	// caches seg.NumPromoted(): a resident segment is immutable (demotion
-	// invalidates whole lines), so what Insert computes stays valid for
-	// the line's lifetime.
-	sig      uint8
-	nsig     int
-	promoted int
+	// sig/nsig cache seg.PathSig() under path associativity: a resident
+	// segment is immutable (demotion invalidates whole lines), so what
+	// Insert computes stays valid for the line's lifetime.
+	sig  uint8
+	nsig int
 }
 
 // fill copies seg into the way and stamps its cached summary. seg may be
@@ -202,7 +194,7 @@ type tcWay struct {
 // the copy is a no-op.
 //
 //tc:hotpath
-func (w *tcWay) fill(seg *Segment, lru uint64, sig uint8, nsig, promoted int) {
+func (w *tcWay) fill(seg *Segment, lru uint64, sig uint8, nsig int) {
 	n := len(seg.Insts)
 	if cap(w.seg.Insts) < n {
 		// First fill (or a segment longer than any this way held): size the
@@ -217,7 +209,6 @@ func (w *tcWay) fill(seg *Segment, lru uint64, sig uint8, nsig, promoted int) {
 	w.valid = true
 	w.lru = lru
 	w.sig, w.nsig = sig, nsig
-	w.promoted = promoted
 }
 
 // TraceCache stores trace segments indexed by starting fetch address. In
@@ -283,14 +274,20 @@ func (t *TraceCache) Stats() TraceCacheStats { return t.stats }
 func (t *TraceCache) LivePromoted() int { return t.livePromoted }
 
 // ResidentPromoted recounts the promoted branch instances embedded in
-// resident segments by walking the whole cache. It exists for the
-// self-check layer, which verifies it against LivePromoted.
+// resident segments by walking the whole cache and counting the flags,
+// not the segments' stamped counts. It exists for the self-check layer,
+// which verifies it against LivePromoted.
 func (t *TraceCache) ResidentPromoted() int {
 	n := 0
 	for _, set := range t.sets {
 		for i := range set {
-			if set[i].valid {
-				n += set[i].seg.NumPromoted()
+			if !set[i].valid {
+				continue
+			}
+			for _, si := range set[i].seg.Insts {
+				if si.Promoted {
+					n++
+				}
 			}
 		}
 	}
@@ -334,7 +331,6 @@ func (t *TraceCache) Insert(seg *Segment) {
 		// computed once here and cached in the way for LookupPath.
 		sig, nsig = seg.PathSig()
 	}
-	promoted := seg.NumPromoted()
 	victim := 0
 	for i := range set {
 		w := &set[i]
@@ -345,8 +341,8 @@ func (t *TraceCache) Insert(seg *Segment) {
 			if seg != &w.seg {
 				t.stats.Overwrites++
 			}
-			t.livePromoted += promoted - w.promoted
-			w.fill(seg, t.clock, sig, nsig, promoted)
+			t.livePromoted += seg.promoted - w.seg.promoted
+			w.fill(seg, t.clock, sig, nsig)
 			return
 		}
 		if !w.valid {
@@ -357,10 +353,10 @@ func (t *TraceCache) Insert(seg *Segment) {
 	}
 	if set[victim].valid {
 		t.stats.Evictions++
-		t.livePromoted -= set[victim].promoted
+		t.livePromoted -= set[victim].seg.promoted
 	}
-	t.livePromoted += promoted
-	set[victim].fill(seg, t.clock, sig, nsig, promoted)
+	t.livePromoted += seg.promoted
+	set[victim].fill(seg, t.clock, sig, nsig)
 }
 
 // LookupPath returns the resident segment starting at start whose embedded
@@ -412,8 +408,8 @@ func (t *TraceCache) InvalidatePromoted(pc int) int {
 	for _, set := range t.sets {
 		for i := range set {
 			w := &set[i]
-			if w.valid && w.promoted > 0 && w.seg.ContainsPromoted(pc) {
-				t.livePromoted -= w.promoted
+			if w.valid && w.seg.promoted > 0 && w.seg.ContainsPromoted(pc) {
+				t.livePromoted -= w.seg.promoted
 				w.valid = false
 				n++
 			}

@@ -42,7 +42,7 @@ func TestSegInstNextPC(t *testing.T) {
 func TestSegmentCounters(t *testing.T) {
 	p := br(5, 2, true)
 	p.Promoted = true
-	s := &Segment{Insts: []SegInst{alu(0), p, br(6, 0, false)}, branches: 1}
+	s := &Segment{Insts: []SegInst{alu(0), p, br(6, 0, false)}, branches: 1, promoted: 1}
 	if s.Len() != 3 || s.NumBranches() != 1 || s.NumPromoted() != 1 {
 		t.Errorf("len=%d br=%d promo=%d", s.Len(), s.NumBranches(), s.NumPromoted())
 	}
@@ -85,11 +85,19 @@ func TestTraceCacheConfigValidate(t *testing.T) {
 	}
 }
 
+// seg builds a segment as the fill unit would finalize it, its promoted
+// branches counted.
 func seg(start int, insts ...SegInst) *Segment {
 	if len(insts) == 0 {
 		insts = []SegInst{alu(start)}
 	}
-	return &Segment{Start: start, Insts: insts}
+	s := &Segment{Start: start, Insts: insts}
+	for _, si := range insts {
+		if si.Promoted {
+			s.promoted++
+		}
+	}
+	return s
 }
 
 // sameSegment reports whether a cached segment holds exactly want's

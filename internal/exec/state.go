@@ -98,33 +98,13 @@ func (s *State) CallStack() []int {
 	return append([]int(nil), s.callStack...)
 }
 
-// StepAt is Commit for a path that may be rolled back: it first logs what
-// the instruction will overwrite, so that Rollback can undo it, namely the
+// StepAt is Commit for a path that may be rolled back: it also logs what
+// the instruction overwrites, so that Rollback can undo it, namely the
 // destination register, a store's old word, a call's push or a return's
 // popped entry.
 //
 //tc:hotpath
-func (s *State) StepAt(pc int, info *StepInfo) {
-	if pc >= 0 && pc < len(s.prog.Code) {
-		in := &s.prog.Code[pc]
-		switch in.Op {
-		case isa.OpStore:
-			addr := s.effAddr(in)
-			s.undo = append(s.undo, undoRec{kind: undoMem, addr: addr, old: s.mem.Read(addr)})
-		case isa.OpCall:
-			s.undo = append(s.undo, undoRec{kind: undoPush})
-		case isa.OpRet:
-			if n := len(s.callStack); n > 0 {
-				s.undo = append(s.undo, undoRec{kind: undoPop, old: int64(s.callStack[n-1])})
-			}
-		default:
-			if rd, ok := in.WritesReg(); ok {
-				s.undo = append(s.undo, undoRec{kind: undoReg, reg: rd, old: s.Regs[rd]})
-			}
-		}
-	}
-	s.Commit(pc, info)
-}
+func (s *State) StepAt(pc int, info *StepInfo) { s.step(pc, info, true) }
 
 // Commit executes the instruction at pc against the current state and
 // writes its effects to info. It sets every field of info, so a caller
@@ -142,7 +122,14 @@ func (s *State) StepAt(pc int, info *StepInfo) {
 // to the wide load.
 //
 //tc:hotpath
-func (s *State) Commit(pc int, info *StepInfo) {
+func (s *State) Commit(pc int, info *StepInfo) { s.step(pc, info, false) }
+
+// step is StepAt when log is set and Commit otherwise. One switch
+// classifies the instruction, executes it and, under log, records what it
+// overwrites just before overwriting it.
+//
+//tc:hotpath
+func (s *State) step(pc int, info *StepInfo, log bool) {
 	s.steps++
 	info.PC = pc
 	info.NextPC = pc + 1
@@ -157,73 +144,93 @@ func (s *State) Commit(pc int, info *StepInfo) {
 	in := &s.prog.Code[pc]
 	info.Inst = in
 	r := &s.Regs
+	var v int64 // what an ALU operation or a load writes to in.Rd
 	switch in.Op {
-	case isa.OpNop, isa.OpTrap:
-		// no architectural effect
 	case isa.OpAdd:
-		r[in.Rd] = r[in.Rs1] + r[in.Rs2]
+		v = r[in.Rs1] + r[in.Rs2]
 	case isa.OpSub:
-		r[in.Rd] = r[in.Rs1] - r[in.Rs2]
+		v = r[in.Rs1] - r[in.Rs2]
 	case isa.OpMul:
-		r[in.Rd] = r[in.Rs1] * r[in.Rs2]
+		v = r[in.Rs1] * r[in.Rs2]
 	case isa.OpDiv:
-		if d := r[in.Rs2]; d == 0 {
-			r[in.Rd] = 0
-		} else {
-			r[in.Rd] = r[in.Rs1] / d
+		if d := r[in.Rs2]; d != 0 {
+			v = r[in.Rs1] / d
 		}
 	case isa.OpAnd:
-		r[in.Rd] = r[in.Rs1] & r[in.Rs2]
+		v = r[in.Rs1] & r[in.Rs2]
 	case isa.OpOr:
-		r[in.Rd] = r[in.Rs1] | r[in.Rs2]
+		v = r[in.Rs1] | r[in.Rs2]
 	case isa.OpXor:
-		r[in.Rd] = r[in.Rs1] ^ r[in.Rs2]
+		v = r[in.Rs1] ^ r[in.Rs2]
 	case isa.OpShl:
-		r[in.Rd] = r[in.Rs1] << (uint64(r[in.Rs2]) & 63)
+		v = r[in.Rs1] << (uint64(r[in.Rs2]) & 63)
 	case isa.OpShr:
-		r[in.Rd] = int64(uint64(r[in.Rs1]) >> (uint64(r[in.Rs2]) & 63))
+		v = int64(uint64(r[in.Rs1]) >> (uint64(r[in.Rs2]) & 63))
 	case isa.OpAddI:
-		r[in.Rd] = r[in.Rs1] + in.Imm
+		v = r[in.Rs1] + in.Imm
 	case isa.OpMulI:
-		r[in.Rd] = r[in.Rs1] * in.Imm
+		v = r[in.Rs1] * in.Imm
 	case isa.OpAndI:
-		r[in.Rd] = r[in.Rs1] & in.Imm
+		v = r[in.Rs1] & in.Imm
 	case isa.OpShrI:
-		r[in.Rd] = int64(uint64(r[in.Rs1]) >> (uint64(in.Imm) & 63))
+		v = int64(uint64(r[in.Rs1]) >> (uint64(in.Imm) & 63))
 	case isa.OpLoadI:
-		r[in.Rd] = in.Imm
+		v = in.Imm
 	case isa.OpLoad:
 		addr := s.effAddr(in)
-		v := s.mem.Read(addr)
-		r[in.Rd] = v
+		v = s.mem.Read(addr)
 		info.MemAddr, info.Value = addr, v
 	case isa.OpStore:
 		addr := s.effAddr(in)
-		v := r[in.Rs2]
+		v = r[in.Rs2]
+		if log {
+			s.undo = append(s.undo, undoRec{kind: undoMem, addr: addr, old: s.mem.Read(addr)})
+		}
 		s.mem.Write(addr, v)
 		info.MemAddr, info.Value = addr, v
+		return
 	case isa.OpBr:
 		info.Taken = in.Cond.Eval(r[in.Rs1], r[in.Rs2])
 		if info.Taken {
 			info.NextPC = in.Target
 		}
+		return
 	case isa.OpJmp:
 		info.NextPC = in.Target
+		return
 	case isa.OpCall:
+		if log {
+			s.undo = append(s.undo, undoRec{kind: undoPush})
+		}
 		s.callStack = append(s.callStack, pc+1)
 		info.NextPC = in.Target
+		return
 	case isa.OpRet:
 		if n := len(s.callStack); n > 0 {
+			if log {
+				s.undo = append(s.undo, undoRec{kind: undoPop, old: int64(s.callStack[n-1])})
+			}
 			info.NextPC = s.callStack[n-1]
 			s.callStack = s.callStack[:n-1]
 		} // unbalanced return (wrong path): fall through
+		return
 	case isa.OpJmpInd:
 		info.NextPC = int(r[in.Rs1])
+		return
 	case isa.OpHalt:
 		info.Halted = true
 		info.NextPC = pc
+		return
+	default:
+		return // nop and trap have no architectural effect
 	}
-	r[isa.ZeroReg] = 0 // r0 is constant: a write to it is discarded
+	if in.Rd == isa.ZeroReg {
+		return // r0 is constant: a write to it is discarded
+	}
+	if log {
+		s.undo = append(s.undo, undoRec{kind: undoReg, reg: in.Rd, old: r[in.Rd]})
+	}
+	r[in.Rd] = v
 }
 
 // effAddr returns a load's or store's effective address, aligned down to

@@ -55,14 +55,8 @@ func (f *icacheFetcher) fetchBlock(b *Bundle, pc int, fs *frontState, predictBr 
 			f.hier.FetchInst(isa.Addr(pc)) // hit; refresh LRU
 			line, crossed = l, true
 		}
-		in := code[pc]
-		// Construct in place: the bundle slice is the instruction's only
-		// home, so the hot loop never copies a FetchedInst by value.
-		fi := b.next()
-		fi.PC, fi.Inst = pc, in
-		fi.BlockStart = len(b.Insts) == 1
-		fi.HistBefore, fi.RASBefore = fs.hist.Reg, fs.ras
-		fi.PredTarget = pc + 1
+		in := &code[pc]
+		fi := b.next(pc, in, fs, len(b.Insts) == 0, false)
 		stop := false
 		switch {
 		case in.IsCondBranch():

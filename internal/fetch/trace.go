@@ -142,13 +142,7 @@ func (e *TraceEngine) walkSegment(b *Bundle, seg *core.Segment) {
 		if diverged && e.cfg.DisableInactiveIssue {
 			break
 		}
-		// Construct in place: the bundle slice is the instruction's only
-		// home, so the hot loop never copies a FetchedInst by value.
-		fi := b.next()
-		fi.PC, fi.Inst = si.PC, si.Inst
-		fi.BlockStart, fi.Inactive = blockStart, diverged
-		fi.HistBefore, fi.RASBefore = e.hist.Reg, e.ras
-		fi.PredTarget = si.PC + 1
+		fi := b.next(si.PC, &si.Inst, &e.frontState, blockStart, diverged)
 		blockStart = false
 		switch {
 		case si.Inst.IsCondBranch() && !si.Promoted:

@@ -199,32 +199,17 @@ func (i Inst) WritesReg() (Reg, bool) {
 	return 0, false
 }
 
-// SrcRegs appends the source registers read by the instruction to dst and
-// returns the extended slice. Register 0 is never reported (it is constant).
-func (i Inst) SrcRegs(dst []Reg) []Reg {
-	add := func(r Reg) {
-		if r != ZeroReg {
-			dst = append(dst, r)
-		}
-	}
+// Srcs returns the at most two source registers the instruction reads,
+// ZeroReg for an operand it does not read (r0 is constant, so it is never
+// a dependence either).
+func (i Inst) Srcs() (Reg, Reg) {
 	switch i.Op {
-	case OpAdd, OpSub, OpMul, OpDiv, OpAnd, OpOr, OpXor, OpShl, OpShr:
-		add(i.Rs1)
-		add(i.Rs2)
-	case OpAddI, OpMulI, OpAndI, OpShrI:
-		add(i.Rs1)
-	case OpLoad:
-		add(i.Rs1)
-	case OpStore:
-		add(i.Rs1)
-		add(i.Rs2)
-	case OpBr:
-		add(i.Rs1)
-		add(i.Rs2)
-	case OpJmpInd:
-		add(i.Rs1)
+	case OpAdd, OpSub, OpMul, OpDiv, OpAnd, OpOr, OpXor, OpShl, OpShr, OpStore, OpBr:
+		return i.Rs1, i.Rs2
+	case OpAddI, OpMulI, OpAndI, OpShrI, OpLoad, OpJmpInd:
+		return i.Rs1, ZeroReg
 	}
-	return dst
+	return ZeroReg, ZeroReg
 }
 
 // Latency returns the execution latency in cycles for the instruction,

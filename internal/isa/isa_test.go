@@ -117,41 +117,26 @@ func TestWritesReg(t *testing.T) {
 	}
 }
 
-func TestSrcRegs(t *testing.T) {
+func TestSrcs(t *testing.T) {
 	cases := []struct {
-		in   Inst
-		want []Reg
+		in       Inst
+		rs1, rs2 Reg
 	}{
-		{Inst{Op: OpAdd, Rs1: 1, Rs2: 2}, []Reg{1, 2}},
-		{Inst{Op: OpAdd, Rs1: 0, Rs2: 2}, []Reg{2}},
-		{Inst{Op: OpAddI, Rs1: 3}, []Reg{3}},
-		{Inst{Op: OpLoadI}, nil},
-		{Inst{Op: OpLoad, Rs1: 4}, []Reg{4}},
-		{Inst{Op: OpStore, Rs1: 4, Rs2: 5}, []Reg{4, 5}},
-		{Inst{Op: OpBr, Rs1: 6, Rs2: 7}, []Reg{6, 7}},
-		{Inst{Op: OpJmpInd, Rs1: 8}, []Reg{8}},
-		{Inst{Op: OpJmp}, nil},
-		{Inst{Op: OpRet}, nil},
+		{Inst{Op: OpAdd, Rs1: 1, Rs2: 2}, 1, 2},
+		{Inst{Op: OpAdd, Rs1: 0, Rs2: 2}, 0, 2},
+		{Inst{Op: OpAddI, Rs1: 3, Rs2: 9}, 3, 0},
+		{Inst{Op: OpLoadI, Rs1: 3}, 0, 0},
+		{Inst{Op: OpLoad, Rs1: 4, Rs2: 9}, 4, 0},
+		{Inst{Op: OpStore, Rs1: 4, Rs2: 5}, 4, 5},
+		{Inst{Op: OpBr, Rs1: 6, Rs2: 7}, 6, 7},
+		{Inst{Op: OpJmpInd, Rs1: 8}, 8, 0},
+		{Inst{Op: OpJmp, Rs1: 8}, 0, 0},
+		{Inst{Op: OpRet, Rs1: 8}, 0, 0},
 	}
 	for _, c := range cases {
-		got := c.in.SrcRegs(nil)
-		if len(got) != len(c.want) {
-			t.Errorf("%v SrcRegs = %v, want %v", c.in, got, c.want)
-			continue
+		if rs1, rs2 := c.in.Srcs(); rs1 != c.rs1 || rs2 != c.rs2 {
+			t.Errorf("%v Srcs = (%d, %d), want (%d, %d)", c.in, rs1, rs2, c.rs1, c.rs2)
 		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Errorf("%v SrcRegs = %v, want %v", c.in, got, c.want)
-			}
-		}
-	}
-}
-
-func TestSrcRegsAppends(t *testing.T) {
-	base := []Reg{9}
-	got := (Inst{Op: OpAdd, Rs1: 1, Rs2: 2}).SrcRegs(base)
-	if len(got) != 3 || got[0] != 9 || got[1] != 1 || got[2] != 2 {
-		t.Errorf("SrcRegs append = %v", got)
 	}
 }
 
@@ -253,8 +238,7 @@ func TestShrISemantics(t *testing.T) {
 	if r, ok := in.WritesReg(); !ok || r != 1 {
 		t.Error("shri WritesReg")
 	}
-	srcs := in.SrcRegs(nil)
-	if len(srcs) != 1 || srcs[0] != 2 {
-		t.Errorf("shri srcs = %v", srcs)
+	if rs1, rs2 := in.Srcs(); rs1 != 2 || rs2 != ZeroReg {
+		t.Errorf("shri srcs = (%d, %d)", rs1, rs2)
 	}
 }
