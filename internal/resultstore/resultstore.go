@@ -7,8 +7,9 @@
 // point, so repeated sweeps cost zero simulation (journal provenance
 // "store"; see DESIGN.md §11 for the keying and fidelity contract).
 //
-// Durability: entries are installed atomically (temp file + rename via
-// internal/atomicfile, EXDEV-safe) and carry a CRC-32 of their payload.
+// Durability: entries are installed atomically (a temporary in the
+// store directory, synced and renamed into place) and carry a CRC-32 of
+// their payload.
 // A truncated, corrupt, or mismatched entry is never fatal: Get
 // quarantines the file (renamed aside with a ".quarantined" suffix for
 // post-mortem) and reports a miss, so the point is simply re-simulated
@@ -31,7 +32,6 @@ import (
 	"path/filepath"
 	"strings"
 
-	"tracecache/internal/atomicfile"
 	"tracecache/internal/stats"
 )
 
@@ -232,8 +232,11 @@ func (s *Store) quarantine(path string) {
 }
 
 // Put persists an entry under its key, atomically, overwriting any
-// previous entry for the key. The entry must carry a Run (Sampled is
-// optional and accompanies ModeSampled entries).
+// previous entry for the key: it writes a "<entry>.tmp*" temporary in the
+// store directory, syncs it and renames it into place, so a reader sees
+// the previous entry or the new one, never part of one. On any error the
+// temporary is removed and the previous entry stays. The entry must
+// carry a Run (Sampled is optional and accompanies ModeSampled entries).
 func (s *Store) Put(e *Entry) error {
 	if err := e.Key.Validate(); err != nil {
 		return err
@@ -245,9 +248,31 @@ func (s *Store) Put(e *Entry) error {
 	if err != nil {
 		return err
 	}
-	path := filepath.Join(s.dir, e.Key.FileName())
-	if err := atomicfile.WriteFile(path, data, 0o644); err != nil {
+	name := e.Key.FileName()
+	tmp, err := os.CreateTemp(s.dir, name+".tmp*")
+	if err != nil {
 		return fmt.Errorf("resultstore: %w", err)
+	}
+	// fail removes the temporary; closing it a second time is harmless.
+	fail := func(err error) error {
+		tmp.Close()
+		os.Remove(tmp.Name())
+		return fmt.Errorf("resultstore: %w", err)
+	}
+	if _, err := tmp.Write(data); err != nil {
+		return fail(err)
+	}
+	if err := tmp.Sync(); err != nil {
+		return fail(err)
+	}
+	if err := tmp.Chmod(0o644); err != nil {
+		return fail(err)
+	}
+	if err := tmp.Close(); err != nil {
+		return fail(err)
+	}
+	if err := os.Rename(tmp.Name(), filepath.Join(s.dir, name)); err != nil {
+		return fail(err)
 	}
 	return nil
 }

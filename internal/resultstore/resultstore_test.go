@@ -98,6 +98,34 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPutOverwrites: a second Put of a key replaces its entry in place
+// and leaves no temporary behind.
+func TestPutOverwrites(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, dir)
+	first, second := sampleEntry(), sampleEntry()
+	second.Run.Retired = 3001
+	for _, e := range []*resultstore.Entry{first, second} {
+		if err := s.Put(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := s.Get(first.Key)
+	if err != nil || got == nil {
+		t.Fatalf("Get after overwrite = (%v, %v)", got, err)
+	}
+	if got.Run.Retired != 3001 {
+		t.Errorf("served Retired %d, want the second Put's 3001", got.Run.Retired)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 {
+		t.Errorf("store directory holds %d files, want 1 (no stray temporaries)", len(ents))
+	}
+}
+
 func TestMissingKeyIsPlainMiss(t *testing.T) {
 	s := openStore(t, t.TempDir())
 	e, err := s.Get(sampleEntry().Key)
