@@ -47,7 +47,8 @@ type dyn struct {
 	mispredicted bool
 	resolution   uint64 // cycles from fetch to redirect
 	// inactiveSuffix holds the inactive instructions issued with this
-	// (diverging) branch; they are injected if the branch mispredicts.
+	// (diverging) branch when they will be injected: the branch carried a
+	// real prediction and mispredicts.
 	// The buffer comes from Simulator.suffixFree and returns to it when
 	// the branch retires or is squashed.
 	inactiveSuffix []fetch.FetchedInst
@@ -103,7 +104,8 @@ type Simulator struct {
 	deliverAt    uint64 // cycle the pending bundle is delivered (icache miss)
 	pendingBrIdx int    // position of the diverging branch, -1 if none
 	// pendingSuffix is the bundle's inactive suffix, a window on pending
-	// until the diverging branch dispatches and copies it.
+	// until the diverging branch dispatches and, if it will inject the
+	// suffix, copies it.
 	pendingSuffix []fetch.FetchedInst
 	// suffixFree recycles the inactive-suffix buffers of retired and
 	// squashed diverging branches.
@@ -559,14 +561,16 @@ func (s *Simulator) recoverBranch(d *dyn) {
 	}
 	suffix := d.inactiveSuffix
 	s.recover(d, stats.CycleBranchMiss, d.nextPC)
-	if len(suffix) > 0 && d.fi.UsedSlot {
+	if len(suffix) > 0 {
 		// Inactive issue: the suffix follows the segment's embedded path.
 		// It is correct-path only when the diverging branch carried a real
 		// prediction (UsedSlot) that disagreed with the embedded outcome —
-		// a mispredict then means the embedded path was right. A branch
-		// past the predictor's bandwidth instead used the embedded outcome
-		// as its prediction, so its mispredict means the embedded path
-		// (and the suffix) is wrong: plain recovery, no injection.
+		// a mispredict then means the embedded path was right — so
+		// dispatch hands the suffix only to such a branch that
+		// mispredicts. A branch past the predictor's bandwidth instead
+		// used the embedded outcome as its prediction, so its mispredict
+		// means the embedded path (and the suffix) is wrong: it holds no
+		// suffix, and recovery injects nothing.
 		s.injectBuf = append(s.injectBuf[:0], suffix...)
 		s.injectQueue = s.injectBuf
 		s.injectRec = d.fetchID
@@ -713,9 +717,14 @@ func (s *Simulator) dispatch() bool {
 		s.dispatchInst(fi, s.pendingRec)
 		if s.pendingPos == s.pendingBrIdx && s.pendingSuffix != nil {
 			// The diverging branch carries its inactive suffix, copied out
-			// of the bundle, which the next fetch refills.
+			// of the bundle (which the next fetch refills), only when
+			// recoverBranch will inject it: the branch has executed, so
+			// whether its real (UsedSlot) prediction is wrong is known.
+			// A diverging branch is never promoted.
 			last := &s.window[(s.eng.NextSeq()-1)&s.mask]
-			last.inactiveSuffix = s.holdSuffix(s.pendingSuffix)
+			if last.fi.UsedSlot && last.taken != last.fi.Predicted {
+				last.inactiveSuffix = s.holdSuffix(s.pendingSuffix)
+			}
 			s.pendingSuffix = nil
 			s.pendingBrIdx = -1
 		}
@@ -865,9 +874,10 @@ func (s *Simulator) fetch(deliveredThisCycle bool) {
 		rec.delivered = true
 	}
 	// Dispatch reads the fetch engine's bundle in place and copies each
-	// instruction into the window, and the diverging branch copies its
-	// inactive suffix (holdSuffix), so nothing references the bundle once
-	// it drains. Locate the diverging branch for inactive-issue injection.
+	// instruction into the window, and a diverging branch that will inject
+	// its inactive suffix copies it (holdSuffix), so nothing references
+	// the bundle once it drains. Locate the diverging branch for
+	// inactive-issue injection.
 	s.pending = b.Insts
 	s.pendingRec = recID
 	s.pendingPos = 0
@@ -884,8 +894,9 @@ func (s *Simulator) fetch(deliveredThisCycle bool) {
 // attachInactive locates the divergence point; the inactive suffix is
 // attached to the diverging branch when it dispatches. Until then it
 // aliases the pending bundle: only fetch refills the bundle, and fetch
-// waits until the bundle has drained (the branch has dispatched and
-// copied the suffix) or been discarded (the suffix with it).
+// waits until the bundle has drained (the branch has dispatched and, if
+// it will inject the suffix, copied it) or been discarded (the suffix
+// with it).
 //
 //tc:hotpath
 func (s *Simulator) attachInactive(insts []fetch.FetchedInst) {
