@@ -266,6 +266,43 @@ func TestSquashThenRedispatchSameSeq(t *testing.T) {
 	}
 }
 
+// TestStaleReferencesSkipRedispatchedSlot: a squashed instruction's
+// sequence number goes to the next dispatch, into the same slot, while a
+// completion event and a producer's wake-up reference to the squashed
+// instruction may still be queued. Only the slot's epoch, which Dispatch
+// advances, keeps them from acting on the new occupant.
+func TestStaleReferencesSkipRedispatchedSlot(t *testing.T) {
+	// A queued completion: a starts at cycle 1 and would complete at 5.
+	e := newEngine(false)
+	e.Tick(0)
+	a := e.Dispatch(nil, false, false, 0, 4)
+	e.Tick(1)
+	e.Squash(a)
+	a2 := e.Dispatch(nil, false, false, 0, 12)
+	if a2 != a {
+		t.Fatalf("expected seq reuse: %d vs %d", a2, a)
+	}
+	if got := runUntilDone(t, e, a2, 2, 30); got != 14 {
+		t.Errorf("redispatched inst done at %d, want 14 (squashed inst's completion applied?)", got)
+	}
+
+	// A queued wake-up: p (done at 5) would wake c; c's successor waits
+	// on q (done at 13) instead.
+	e = newEngine(false)
+	e.Tick(0)
+	p := e.Dispatch(nil, false, false, 0, 4)
+	q := e.Dispatch(nil, false, false, 0, 12)
+	c := e.Dispatch([]uint64{p}, false, false, 0, 1)
+	e.Squash(c)
+	c2 := e.Dispatch([]uint64{q}, false, false, 0, 1)
+	if c2 != c {
+		t.Fatalf("expected seq reuse: %d vs %d", c2, c)
+	}
+	if got := runUntilDone(t, e, c2, 1, 30); got != 15 {
+		t.Errorf("redispatched inst done at %d, want 15 (squashed inst's wake-up applied?)", got)
+	}
+}
+
 func TestSquashedStoreUnblocksLoads(t *testing.T) {
 	e := newEngine(false)
 	e.hier.AccessData(0x100)
