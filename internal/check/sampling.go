@@ -187,8 +187,8 @@ type SampledTolerance struct {
 }
 
 // DefaultSampledTolerance is the committed fidelity envelope, set from
-// measurement (TestRunMatchesDetailedTruth in internal/sampling logs the
-// observed deviations; DESIGN.md §10 states the contract).
+// measurement (TestFidelity's sampled rows in internal/experiments log
+// the observed deviations; DESIGN.md §10 states the contract).
 func DefaultSampledTolerance() SampledTolerance {
 	return SampledTolerance{
 		IPCRelPct:     8,

@@ -81,82 +81,6 @@ func TestSweepOrder(t *testing.T) {
 	}
 }
 
-func TestTable1Smoke(t *testing.T) {
-	out := outT(t, Table1, testRunner())
-	for _, want := range []string{"compress", "tex", "95M", "jump.i"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("table1 missing %q", want)
-		}
-	}
-}
-
-func TestFig4Fig6Smoke(t *testing.T) {
-	r := testRunner()
-	for _, f := range []func(*Runner) (string, error){Fig4, Fig6} {
-		out := outT(t, f, r)
-		for _, want := range []string{"gcc", "Ave fetch size", "PartialMatch", "MaximumBRs"} {
-			if !strings.Contains(out, want) {
-				t.Errorf("breakdown missing %q:\n%s", want, out)
-			}
-		}
-	}
-}
-
-func TestTable2Smoke(t *testing.T) {
-	out := outT(t, Table2, testRunner())
-	for _, want := range []string{"icache", "baseline", "threshold = 8", "threshold = 256"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("table2 missing %q", want)
-		}
-	}
-}
-
-func TestTable3Smoke(t *testing.T) {
-	out := outT(t, Table3, testRunner())
-	if !strings.Contains(out, "0 or 1 predictions") || !strings.Contains(out, "threshold = 64") {
-		t.Errorf("table3:\n%s", out)
-	}
-}
-
-func TestTable4Smoke(t *testing.T) {
-	out := outT(t, Table4, testRunner())
-	for _, want := range []string{"tex", "unreg", "cost-reg", "n=2", "n=4", "Ave Eff Fetch Rate"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("table4 missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestFiguresSmoke(t *testing.T) {
-	r := testRunner()
-	cases := map[string][]string{
-		"fig7":  {"threshold=64", "plot"},
-		"fig9":  {"baseline", "packing", "Average"},
-		"fig10": {"promotion+packing", "over baseline"},
-		"fig11": {"icache", "promo+pack", "Overall"},
-		"fig12": {"Useful Fetch", "Branch Misses", "Misfetches"},
-		"fig13": {"%"},
-		"fig14": {"%"},
-		"fig15": {"Average change"},
-		"fig16": {"Overall"},
-	}
-	for id, wants := range cases {
-		e, ok := ByID(id)
-		if !ok {
-			t.Fatalf("missing %s", id)
-		}
-		out, err := e.Run(r)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		for _, w := range wants {
-			if !strings.Contains(out, w) {
-				t.Errorf("%s missing %q", id, w)
-			}
-		}
-	}
-}
-
 func TestFig10ConfigsAreTheFive(t *testing.T) {
 	cfgs := Fig10Configs()
 	if len(cfgs) != 5 {

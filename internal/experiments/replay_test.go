@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -41,8 +40,9 @@ func withoutMeta(run *stats.Run) stats.Run {
 }
 
 // TestRunnerReplaySweep drives a front-end sweep through a replaying
-// runner: every point replays, the first one included, and replayed
-// statistics stay within the fidelity envelope of a detailed twin.
+// runner: every point replays, the first one included, with undefined
+// cycle-domain statistics and its full budget measured. TestFidelity
+// holds replayed statistics to detailed runs.
 func TestRunnerReplaySweep(t *testing.T) {
 	r := replayRunner()
 	log := &eventLog{}
@@ -77,21 +77,6 @@ func TestRunnerReplaySweep(t *testing.T) {
 	}
 	if replays != 4 {
 		t.Errorf("%d RunDone events with replay provenance, want 4", replays)
-	}
-
-	// Fidelity: a detailed runner with the same budgets must agree on the
-	// effective fetch rate within the documented envelope.
-	det := NewRunner(r.Warmup, r.Budget)
-	det.Workers = 1
-	for _, cfg := range frontEndSweep() {
-		dRun, err := det.RunE(cfg, bench)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dr, rr := dRun.EffFetchRate(), runs[cfg.Name].EffFetchRate()
-		if delta := math.Abs(rr-dr) / dr * 100; delta > 8 {
-			t.Errorf("%s: eff rate detailed=%.4f replayed=%.4f (%.2f%% apart)", cfg.Name, dr, rr, delta)
-		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"tracecache/internal/check"
 	"tracecache/internal/config"
 	"tracecache/internal/sim"
 	"tracecache/internal/stats"
@@ -183,47 +182,6 @@ func TestRunWithChecker(t *testing.T) {
 	res := runSampled(t, cfg, "go")
 	if len(res.Violations) != 0 {
 		t.Fatalf("sampling audit violations: %v", res.Violations)
-	}
-}
-
-// TestRunMatchesDetailedTruth: on a budget where fully detailed
-// execution is feasible, the sampled interval estimates cover the
-// detailed truth within the committed tolerance — the fidelity contract
-// of DESIGN.md §10, as enforced by the ci.sh sampling smoke.
-func TestRunMatchesDetailedTruth(t *testing.T) {
-	for _, bench := range []string{"gcc", "compress"} {
-		cfg := sampledConfig(t)
-		res := runSampled(t, cfg, bench)
-
-		dcfg := config.Baseline()
-		dcfg.MaxInsts = cfg.MaxInsts
-		dcfg.WarmupInsts = 0
-		prog, err := workload.SharedProgram(bench)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ds, err := sim.New(dcfg, prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		truth := ds.Run()
-		tc := ds.TraceCacheStats()
-		sm := res.Sampled
-		t.Logf("%s: IPC delta %+.2f%% (detailed %.3f, sampled %.3f, 95%% CI half-width %.3f)", bench,
-			100*(sm.IPC.Mean-truth.IPC())/truth.IPC(), truth.IPC(), sm.IPC.Mean, sm.IPC.HalfWidth())
-		t.Logf("%s: eff-fetch-rate delta %+.2f%% (detailed %.2f, sampled %.2f)", bench,
-			100*(sm.EffFetchRate.Mean-truth.EffFetchRate())/truth.EffFetchRate(),
-			truth.EffFetchRate(), sm.EffFetchRate.Mean)
-		t.Logf("%s: mispredict-rate delta %+.2fpp (detailed %.2f%%, sampled %.2f%%)", bench,
-			100*(sm.MispredictRate.Mean-truth.CondMispredictRate()),
-			100*truth.CondMispredictRate(), 100*sm.MispredictRate.Mean)
-
-		vs := check.CompareSampled(
-			check.GroundTruth{Run: truth, TCLookups: tc.Lookups, TCHits: tc.Hits},
-			res.Sampled, check.DefaultSampledTolerance())
-		if len(vs) != 0 {
-			t.Errorf("%s: sampled estimates outside fidelity envelope: %v", bench, vs)
-		}
 	}
 }
 

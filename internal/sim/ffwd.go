@@ -21,8 +21,8 @@ import (
 // wrong-path training cannot be reproduced without the pipeline, so
 // fast-forward trains them on the committed path using a pseudo fetch
 // group (reset at taken control flow, the predictor's slot budget, or the
-// fetch width) — TestFastForwardAccuracy logs the measured accuracy
-// deltas.
+// fetch width) — TestFidelity's ffwd rows (internal/experiments) log the
+// measured accuracy deltas.
 
 // FastForwarded returns the number of committed instructions executed
 // functionally (the fast-forward prefix plus any sampling gaps).

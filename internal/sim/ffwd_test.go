@@ -100,53 +100,3 @@ func TestFastForwardRunsWithEmptyUndoLog(t *testing.T) {
 		t.Errorf("undo length after fast-forward = %d, want 0", n)
 	}
 }
-
-// TestFastForwardAccuracy bounds the approximation error of warming the
-// fetch-time predictors from the committed stream: replacing two thirds of
-// a detailed warmup with fast-forward must measure the identical committed
-// region and keep IPC and misprediction rate close to the all-detailed
-// run. The bounds are loose (the runs are deterministic; these catch
-// regressions in the warming model, not noise).
-func TestFastForwardAccuracy(t *testing.T) {
-	p := ffwdProg(t, "gcc")
-	const prefix, keepWarm, measured = 100_000, 50_000, 60_000
-
-	det := DefaultConfig()
-	det.WarmupInsts, det.MaxInsts = prefix+keepWarm, measured
-	sd := mustSim(t, det, p)
-	rd := sd.Run()
-
-	ff := DefaultConfig()
-	ff.FastForwardInsts, ff.WarmupInsts, ff.MaxInsts = prefix, keepWarm, measured
-	sf := mustSim(t, ff, p)
-	rf := sf.Run()
-
-	if rd.Retired != rf.Retired || rd.CondBranches != rf.CondBranches {
-		t.Fatalf("measured regions differ: retired %d/%d, branches %d/%d",
-			rd.Retired, rf.Retired, rd.CondBranches, rf.CondBranches)
-	}
-	t.Logf("IPC delta %+.2f%% (detailed %.3f, ffwd %.3f)",
-		100*(rf.IPC()-rd.IPC())/rd.IPC(), rd.IPC(), rf.IPC())
-	t.Logf("eff-fetch-rate delta %+.2f%% (detailed %.2f, ffwd %.2f)",
-		100*(rf.EffFetchRate()-rd.EffFetchRate())/rd.EffFetchRate(), rd.EffFetchRate(), rf.EffFetchRate())
-	t.Logf("mispredict-rate delta %+.2fpp (detailed %.2f%%, ffwd %.2f%%)",
-		100*(rf.CondMispredictRate()-rd.CondMispredictRate()), 100*rd.CondMispredictRate(), 100*rf.CondMispredictRate())
-	if d := relDelta(rf.IPC(), rd.IPC()); d > 0.10 {
-		t.Errorf("IPC delta %.1f%% (detailed %.3f, ffwd %.3f), want <= 10%%", 100*d, rd.IPC(), rf.IPC())
-	}
-	if d := rf.CondMispredictRate() - rd.CondMispredictRate(); d > 0.03 || d < -0.03 {
-		t.Errorf("mispredict-rate delta %.2fpp (detailed %.2f%%, ffwd %.2f%%), want within 3pp",
-			100*d, 100*rd.CondMispredictRate(), 100*rf.CondMispredictRate())
-	}
-}
-
-func relDelta(a, b float64) float64 {
-	d := a - b
-	if d < 0 {
-		d = -d
-	}
-	if b == 0 {
-		return 0
-	}
-	return d / b
-}

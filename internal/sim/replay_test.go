@@ -4,11 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"testing"
 
-	"tracecache/internal/check"
-	"tracecache/internal/core"
 	"tracecache/internal/program"
 	"tracecache/internal/stats"
 	"tracecache/internal/trace"
@@ -52,98 +49,6 @@ func replayStream(t testing.TB, cfg Config, p *program.Program, data []byte) (*s
 		t.Fatal(err)
 	}
 	return run, r
-}
-
-// replayConfigs mirrors the named front-end configurations of
-// internal/config (which cannot be imported here without a cycle).
-func replayConfigs() []Config {
-	base := DefaultConfig()
-	promo := DefaultConfig()
-	promo.Name = "promo-t64"
-	promo.Fill = core.DefaultFillConfig(core.PackAtomic, 64)
-	promo.SplitMBP = true
-	pack := DefaultConfig()
-	pack.Name = "packing"
-	pack.Fill = core.DefaultFillConfig(core.PackUnregulated, 0)
-	best := DefaultConfig()
-	best.Name = "promo-pack-costreg"
-	best.Fill = core.DefaultFillConfig(core.PackCostRegulated, 64)
-	best.SplitMBP = true
-	hybrid8 := DefaultConfig()
-	hybrid8.Name = "8wide-promo-hybrid"
-	hybrid8.FetchWidth = 8
-	hybrid8.Fill = core.DefaultFillConfig(core.PackAtomic, 64)
-	hybrid8.Fill.MaxInsts = 8
-	hybrid8.SingleHybrid = true
-	return []Config{base, promo, pack, best, hybrid8, ICacheConfig()}
-}
-
-func replayStatsOf(run *stats.Run, tc *core.TraceCache) check.ReplayStats {
-	rs := check.ReplayStats{Run: run}
-	if tc != nil {
-		st := tc.Stats()
-		rs.TCLookups, rs.TCHits = st.Lookups, st.Hits
-	}
-	return rs
-}
-
-// TestReplayFidelity records one stream per benchmark and replays it
-// under every standard front-end configuration, requiring the replayed
-// statistics to tie out with the detailed run under the committed
-// fidelity envelope (check.CompareReplay).
-func TestReplayFidelity(t *testing.T) {
-	for _, bench := range []string{"gcc", "compress"} {
-		prof, ok := workload.ByName(bench)
-		if !ok {
-			t.Fatalf("missing workload %s", bench)
-		}
-		prog := prof.MustGenerate()
-		for _, cfg := range replayConfigs() {
-			cfg := cfg
-			t.Run(fmt.Sprintf("%s/%s", bench, cfg.Name), func(t *testing.T) {
-				cfg.WarmupInsts = 20_000
-				cfg.MaxInsts = 60_000
-				data, det, ds := recordDetailed(t, cfg, prog)
-				rep, rr := replayStream(t, cfg, prog, data)
-				t.Logf("eff-fetch-rate delta %+.2f%% (detailed %.2f, replay %.2f), mispredict-rate delta %+.2fpp (detailed %.2f%%, replay %.2f%%)",
-					100*(rep.EffFetchRate()-det.EffFetchRate())/det.EffFetchRate(), det.EffFetchRate(), rep.EffFetchRate(),
-					100*(rep.CondMispredictRate()-det.CondMispredictRate()),
-					100*det.CondMispredictRate(), 100*rep.CondMispredictRate())
-				vs := check.CompareReplay(replayStatsOf(det, ds.tc), replayStatsOf(rep, rr.TraceCache()),
-					check.DefaultReplayTolerance())
-				for _, v := range vs {
-					t.Errorf("%s", v)
-				}
-			})
-		}
-	}
-}
-
-// TestReplayCrossConfig replays a stream recorded under one configuration
-// through a different front end (the one-recording-many-replays
-// workflow): the stream is config-independent, so replay must accept it
-// and still tie out against that front end's own detailed run.
-func TestReplayCrossConfig(t *testing.T) {
-	prof, _ := workload.ByName("go")
-	prog := prof.MustGenerate()
-	recCfg := DefaultConfig()
-	recCfg.WarmupInsts = 20_000
-	recCfg.MaxInsts = 60_000
-	data, _, _ := recordDetailed(t, recCfg, prog)
-	for _, cfg := range replayConfigs()[1:] { // skip the recording config itself
-		cfg := cfg
-		t.Run(cfg.Name, func(t *testing.T) {
-			cfg.WarmupInsts = recCfg.WarmupInsts
-			cfg.MaxInsts = recCfg.MaxInsts
-			rep, rr := replayStream(t, cfg, prog, data)
-			_, det, ds := recordDetailed(t, cfg, prog)
-			vs := check.CompareReplay(replayStatsOf(det, ds.tc), replayStatsOf(rep, rr.TraceCache()),
-				check.DefaultReplayTolerance())
-			for _, v := range vs {
-				t.Errorf("%s", v)
-			}
-		})
-	}
 }
 
 // TestReplayDeterminism requires two replays of the same stream to be

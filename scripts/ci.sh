@@ -3,23 +3,25 @@
 # gates, 15 seconds of fuzzing each for the interpreter step (FuzzStepAt:
 # StepAt and Commit), the fill unit (FuzzFillUnit) and the two on-disk
 # decoders (FuzzStoreEntry: result-store entries; FuzzJournalRead:
-# journals), a race pass over
-# the observability layer, the simulator, and the parallel sweep engine,
-# a fast-forward agreement+accuracy step (tcbench
-# -ffwd and tcsim -ffwd must print the same mean fetch size), a
-# monitoring smoke (/progress and /debug/pprof/ of a live tcbench -http
-# -store sweep) and a run of examples/monitoring, a warm result-store
-# smoke, an interrupt smoke (a tcbench -store -journal sweep killed by
-# SIGTERM or SIGKILL leaves only whole entries and a readable journal,
-# and its rerun simulates only the missing points), a replay-determinism
-# smoke (tcbench -replay stdout must not depend on -j, on which
-# experiments run with it, or on what a detailed run left in the store),
-# a replay smoke (tcsim -replay must print tcbench -replay's numbers for
-# a point, and -replay-verify must hold the fidelity envelope in its
-# calibrated domain and report a shorter run as out of domain), a smoke
-# run of the throughput benchmarks (BenchmarkSimulatorThroughput and its
-# -check twin), and vet + tests of the perfbench module, which ./...
-# skips because it is its own module.
+# journals), a race pass over the observability layer, the simulator,
+# the result store and the parallel sweep engine, a fast-forward
+# agreement step (tcbench -ffwd and tcsim -ffwd must print the same mean
+# fetch size), a self-check smoke (tcsim -check), a monitoring smoke
+# (/progress and /debug/pprof/ of a live tcbench -http -store sweep) and
+# a run of examples/monitoring, a warm result-store smoke, an interrupt
+# smoke (a tcbench -store -journal sweep killed by SIGTERM or SIGKILL
+# leaves only whole entries and a readable journal, and its rerun
+# simulates only the missing points), a replay-determinism smoke
+# (tcbench -replay stdout must not depend on -j, on which experiments
+# run with it, or on what a detailed run left in the store), a replay
+# smoke (tcsim -replay must print tcbench -replay's numbers for a point,
+# and -replay-verify must hold the fidelity envelope in its calibrated
+# domain and report a shorter run as out of domain), a sampling smoke
+# (tcsim -sample, plain and -check), a smoke run of the throughput
+# benchmarks (BenchmarkSimulatorThroughput and its -check twin), and vet
+# + tests of the perfbench module, which ./... skips because it is its
+# own module. The fidelity checks (TestFidelity in internal/experiments)
+# run in go test ./...; no later step re-runs them.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -45,10 +47,10 @@ go test -run '^$' -fuzz '^FuzzFillUnit$' -fuzztime 15s ./internal/core/
 go test -run '^$' -fuzz '^FuzzStoreEntry$' -fuzztime 15s ./internal/resultstore/
 go test -run '^$' -fuzz '^FuzzJournalRead$' -fuzztime 15s ./internal/journal/
 
-echo "== go test -race (obs, sim, monitor, journal, resultstore, atomicfile) =="
+echo "== go test -race (obs, sim, monitor, journal, resultstore) =="
 go test -race ./internal/obs/... ./internal/sim/... \
 	./internal/monitor/... ./internal/journal/... \
-	./internal/resultstore/... ./internal/atomicfile/...
+	./internal/resultstore/...
 
 echo "== go test -race (sweep engine: worker pool + singleflight + executor in every mode + spare reuse + program cache) =="
 go test -race -run 'Parallel|Singleflight|RunE|SweepE|RunAll|Shared|FastForward|Sampled|Store|Replay|Memoizes|Reuse' \
@@ -62,18 +64,11 @@ FF_SIM=$(go run ./cmd/tcsim -bench gcc -config baseline -ffwd 100000 -warmup 200
 [ -n "$FF_BENCH" ] && [ "$FF_BENCH" = "$FF_SIM" ] || {
 	echo "FAIL: fig4 mean fetch size under -ffwd: tcbench '$FF_BENCH', tcsim '$FF_SIM'"; exit 1; }
 
-echo "== fast-forward accuracy assert =="
-go test -run 'TestFastForwardAccuracy|TestFastForwardDeterminism' \
-	./internal/sim/
-
 echo "== self-check smoke (lockstep + invariants on both headline configs) =="
 go run ./cmd/tcsim -check -bench gcc -config baseline \
 	-warmup 40000 -insts 80000 -json >/dev/null
 go run ./cmd/tcsim -check -bench gcc -config promo-pack-costreg \
 	-warmup 40000 -insts 80000 -json >/dev/null
-
-echo "== differential fuzz seeds (replay only, no fuzzing) =="
-go test -run 'FuzzDifferential' ./internal/check/
 
 echo "== monitoring smoke (live /progress + /debug/pprof/ during a -j N sweep, stdout purity) =="
 go build -o /tmp/tcbench-ci ./cmd/tcbench
@@ -228,21 +223,11 @@ grep -q 'outside the calibrated domain' /tmp/tcsim-ci-ood.out &&
 	! grep -q 'passed' /tmp/tcsim-ci-ood.out || {
 	echo "FAIL: -replay-verify at 2k+8k did not report an out-of-domain comparison:"
 	cat /tmp/tcsim-ci-ood.out; exit 1; }
-echo "== replay tests (stream format, fidelity, determinism, runner fast path) =="
-go test ./internal/trace/
-go test -run 'TestReplay|TestRecord|TestRunnerReplay|TestCompareReplay' \
-	./internal/sim/ ./internal/experiments/ ./internal/check/
-
-echo "== sampling smoke (schedule audit + CI-vs-truth fidelity on both headline configs) =="
+echo "== sampling smoke (tcsim -sample on both headline configs, the second self-checked) =="
 go run ./cmd/tcsim -bench gcc -config baseline \
 	-sample 1000:20000:1000 -insts 200000 -json >/dev/null
 go run ./cmd/tcsim -bench gcc -config promo-pack-costreg -check \
 	-sample 1000:20000:1000 -insts 100000 -json >/dev/null
-# CompareSampled (internal/check) asserts the sampled estimates cover a
-# fully detailed run of the same extent within the committed tolerance.
-go test -run 'TestRunMatchesDetailedTruth|TestRunAuditAndShape|TestRunDeterminism' \
-	./internal/sampling/
-go test -run 'TestCompareSampled|TestSamplingAudit' ./internal/check/
 
 echo "== throughput benchmark smoke (BenchmarkSimulatorThroughput, plain and -check) =="
 go test -run xxx -bench=SimulatorThroughput -benchtime=1x -benchmem .
