@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"tracecache/internal/check"
@@ -142,6 +143,10 @@ type stream struct {
 // second Runner on the same store must serve it verbatim: the
 // store-served mode. A row in knownBreaks must fail exactly its known
 // rules; the test fails if one of them holds, or if any other row breaks.
+//
+// A row runs as TestFidelity/<mode>/<bench>/<front end>, one subtest per
+// name element, so each mode and each mode's benchmark is a test of its
+// own.
 func TestFidelity(t *testing.T) {
 	store, err := resultstore.Open(t.TempDir())
 	if err != nil {
@@ -162,6 +167,7 @@ func TestFidelity(t *testing.T) {
 	// recording per benchmark and prefix.
 	runners := make(map[string]*experiments.Runner)
 	streams := make(map[string]stream)
+	var cases []nestedCase
 	for _, row := range rows {
 		group := fmt.Sprintf("%s/%d+%d+%d", row.mode, row.ffwd, row.warmup, row.insts)
 		if runners[group] == nil {
@@ -183,8 +189,7 @@ func TestFidelity(t *testing.T) {
 				streams[key] = st
 			}
 		}
-		t.Run(row.name(), func(t *testing.T) {
-			t.Parallel()
+		cases = append(cases, nestedCase{strings.Split(row.name(), "/"), func(t *testing.T) {
 			got, err := request(r, row)
 			if err != nil {
 				t.Fatal(err)
@@ -201,6 +206,37 @@ func TestFidelity(t *testing.T) {
 			}
 			judge(t, row, vs)
 			checkStoreServed(t, row, store, got)
+		}})
+	}
+	runNested(t, cases)
+}
+
+// nestedCase is a test at a slash-separated path below the running test.
+type nestedCase struct {
+	path []string
+	run  func(*testing.T)
+}
+
+// runNested runs each case as a parallel subtest of t, one level per
+// path element, in the order the cases first name each element.
+func runNested(t *testing.T, cases []nestedCase) {
+	var heads []string
+	below := make(map[string][]nestedCase)
+	for _, c := range cases {
+		if _, ok := below[c.path[0]]; !ok {
+			heads = append(heads, c.path[0])
+		}
+		below[c.path[0]] = append(below[c.path[0]], nestedCase{c.path[1:], c.run})
+	}
+	for _, head := range heads {
+		cs := below[head]
+		t.Run(head, func(t *testing.T) {
+			t.Parallel()
+			if len(cs) == 1 && len(cs[0].path) == 0 {
+				cs[0].run(t)
+				return
+			}
+			runNested(t, cs)
 		})
 	}
 }
