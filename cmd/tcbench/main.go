@@ -9,16 +9,17 @@
 //	tcbench -j 1            # sequential (same output, more wall-clock)
 //	tcbench -ffwd 10000000 -warmup 400000   # warm a functional prefix per point
 //	tcbench -list
-//	tcbench -warmup 400000 -insts 1000000 -progress
+//	tcbench -warmup 400000 -insts 1000000 -progress   # one stderr line per simulation request
 //	tcbench -exp fig11 -cpuprofile cpu.pprof -memprofile mem.pprof
-//	tcbench -http 127.0.0.1:8080        # live /progress /debug/pprof
-//	tcbench -journal runs.jsonl         # persist one record per simulation
+//	tcbench -journal runs.jsonl         # persist one record per simulation request
 //	tcbench -journal-report runs.jsonl  # summarize a journal, no simulation
 //	tcbench -journal-report old.jsonl,new.jsonl   # diff two journals
 //	tcbench -replay                     # front-end replay fast path (see DESIGN.md §9)
 //
-// Monitoring and journaling are opt-in, write only to stderr, files and
-// HTTP, and never change the experiment output on stdout.
+// -progress and -journal are opt-in, write only to stderr and files, and
+// never change the experiment output on stdout. Both listen to the
+// runner's RunEvents and report the same requests, result-store errors
+// included.
 package main
 
 import (
@@ -26,12 +27,12 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"time"
 
 	"tracecache"
 	"tracecache/internal/buildinfo"
 	"tracecache/internal/experiments"
 	"tracecache/internal/journal"
-	"tracecache/internal/monitor"
 	"tracecache/internal/profiler"
 	"tracecache/internal/resultstore"
 	"tracecache/internal/sim"
@@ -45,12 +46,11 @@ func main() {
 		insts    = flag.Uint64("insts", 600_000, "measured instructions per run")
 		workers  = flag.Int("j", 0, "max concurrent simulations (1 = sequential; default GOMAXPROCS)")
 		list     = flag.Bool("list", false, "list experiments")
-		progress = flag.Bool("progress", false, "log each simulation to stderr")
+		progress = flag.Bool("progress", false, "print one stderr line per resolved simulation request: label, provenance, wall time, errors")
 		version  = flag.Bool("version", false, "print version and exit")
 		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
 		check    = flag.Bool("check", false, "run every simulation with the self-verification layer; violations fail the experiment")
-		httpAddr = flag.String("http", "", "serve live monitoring on this address (/progress, /debug/pprof), e.g. 127.0.0.1:8080")
 		jPath    = flag.String("journal", "", "append one JSONL record per simulation to this file")
 		jReport  = flag.String("journal-report", "", "summarize a journal file and exit (two comma-separated files: diff them)")
 		replay   = flag.Bool("replay", false, "record each benchmark's committed stream functionally once and replay it for every front-end-equivalent point (cycle-domain statistics undefined on replayed points; see DESIGN.md §9)")
@@ -118,9 +118,6 @@ func main() {
 		}
 		r.Store = store
 	}
-	if *progress {
-		r.Log = os.Stderr
-	}
 	if *sample != "" {
 		if *replay {
 			fmt.Fprintln(os.Stderr, "tcbench: -sample cannot be combined with -replay (sampled runs need the full machine)")
@@ -140,11 +137,9 @@ func main() {
 		}}
 	}
 
-	// Monitoring and journaling listen to the runner's RunEvents; with
-	// both flags absent OnRun stays nil.
+	// Progress lines and the journal listen to the runner's RunEvents;
+	// with both flags absent OnRun stays nil.
 	var (
-		prog      *monitor.Progress
-		monSrv    *monitor.Server
 		jw        *journal.Writer
 		listeners []func(experiments.RunEvent)
 	)
@@ -158,16 +153,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "tcbench: journal: %v\n", err)
 		}))
 	}
-	if *httpAddr != "" {
-		prog = monitor.NewProgress(r.Workers)
-		listeners = append(listeners, prog.Listener())
-		monSrv = &monitor.Server{Progress: prog}
-		addr, err := monSrv.Start(*httpAddr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tcbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "tcbench: monitoring on http://%s (/progress /debug/pprof)\n", addr)
+	if *progress {
+		listeners = append(listeners, printProgress)
 	}
 	r.OnRun = experiments.MultiListener(listeners...)
 
@@ -178,12 +165,6 @@ func main() {
 		fmt.Printf("------------------------------------------------------------------\n")
 		fmt.Println(out)
 	})
-	if prog != nil {
-		prog.Finish()
-	}
-	if monSrv != nil {
-		_ = monSrv.Close()
-	}
 	if jw != nil {
 		if err := jw.Close(); err != nil {
 			fmt.Fprintf(os.Stderr, "tcbench: journal: %v\n", err)
@@ -197,6 +178,26 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tcbench: %v\n", runErr)
 		os.Exit(1)
 	}
+}
+
+// printProgress prints one stderr line per resolved request (RunDone):
+// its label, provenance ("failed" for a failed request), slot wall time,
+// and any error, the request's own or the result store's, quoted so that
+// a multi-line error stays on its line. Each line is one Fprintf to
+// os.Stderr, whose writes do not interleave, so concurrent workers need
+// no lock.
+func printProgress(ev experiments.RunEvent) {
+	if ev.Phase != experiments.RunDone {
+		return
+	}
+	prov, errs := ev.Provenance, ""
+	if ev.Err != nil {
+		prov, errs = "failed", fmt.Sprintf(" error=%q", ev.Err)
+	}
+	if ev.StoreErr != nil {
+		errs += fmt.Sprintf(" storeError=%q", ev.StoreErr)
+	}
+	fmt.Fprintf(os.Stderr, "tcbench: done %s %s %v%s\n", ev.Key, prov, ev.Wall.Round(time.Millisecond), errs)
 }
 
 // journalReport renders a journal summary (one path) or a journal diff

@@ -35,9 +35,9 @@ func run(t *testing.T, bin string, args ...string) (stdout, stderr string) {
 }
 
 // TestMonitoredStdoutByteIdentical is the stdout-purity regression test:
-// a parallel tcbench with monitoring and journaling enabled must write
-// byte-identical experiment output to a bare sequential run — all
-// monitoring output goes to stderr, files and HTTP only.
+// a parallel tcbench with progress lines and the journal enabled must
+// write byte-identical experiment output to a bare sequential run — both
+// go to stderr and files only, one progress line per journal record.
 func TestMonitoredStdoutByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the binary")
@@ -48,14 +48,11 @@ func TestMonitoredStdoutByteIdentical(t *testing.T) {
 
 	bare, _ := run(t, bin, append([]string{"-j", "1"}, budgets...)...)
 	monitored, stderr := run(t, bin,
-		append([]string{"-j", "4", "-http", "127.0.0.1:0", "-journal", jPath}, budgets...)...)
+		append([]string{"-j", "4", "-progress", "-journal", jPath}, budgets...)...)
 
 	if bare != monitored {
 		t.Errorf("monitored stdout differs from bare run:\n--- bare ---\n%s\n--- monitored ---\n%s",
 			bare, monitored)
-	}
-	if !strings.Contains(stderr, "monitoring on http://") {
-		t.Errorf("monitoring announce missing from stderr: %q", stderr)
 	}
 
 	recs, truncated, err := journal.ReadFile(jPath)
@@ -65,8 +62,17 @@ func TestMonitoredStdoutByteIdentical(t *testing.T) {
 	if len(recs) == 0 {
 		t.Fatal("journal is empty")
 	}
+	lines := strings.Split(strings.TrimSuffix(stderr, "\n"), "\n")
+	if len(lines) != len(recs) {
+		t.Errorf("stderr holds %d lines for %d journal records:\n%s", len(lines), len(recs), stderr)
+	}
+	for _, line := range lines {
+		if !strings.HasPrefix(line, "tcbench: done ") {
+			t.Errorf("stderr line %q is not a progress line", line)
+		}
+	}
 	for _, rec := range recs {
-		if rec.Error != "" {
+		if rec.Error != "" || rec.StoreError != "" {
 			t.Errorf("failed record: %+v", rec)
 		}
 		if rec.Provenance != stats.ProvCold && rec.Provenance != stats.ProvMemoized {

@@ -37,9 +37,9 @@ func (p RunPhase) String() string {
 // executing request emits it with its result's provenance
 // (stats.ProvCold, ProvReplay, ProvSampled or ProvStore), and every
 // memo-sharing request emits one with Memoized set and
-// stats.ProvMemoized — so the journal and the live progress tracker,
-// both built on these events, count the same sweep. Key is the point's
-// display label (stats.PointLabel), not its memo identity.
+// stats.ProvMemoized — so the journal and tcbench -progress, both built
+// on these events, count the same sweep. Key is the point's display label
+// (stats.PointLabel), not its memo identity.
 type RunEvent struct {
 	Phase                  RunPhase
 	Key, Config, Benchmark string
@@ -55,6 +55,11 @@ type RunEvent struct {
 	// acquisition (also carried by RunStarted); Wall is the time the slot
 	// was held, simulation included.
 	QueueWait, Wall time.Duration
+	// StoreErr joins the result-store errors the executing request met: a
+	// Get that quarantined an entry, after which the point re-simulated,
+	// and a Put that failed, which leaves the point unstored. Neither
+	// fails the request. Nil without a store and on memoized events.
+	StoreErr error
 }
 
 // MultiListener fans one RunEvent to every non-nil listener, in order.

@@ -57,27 +57,14 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 }
 
-// countingLog counts "running" progress lines, i.e. actual simulations.
-type countingLog struct {
-	mu sync.Mutex
-	n  int
-}
-
-func (c *countingLog) Write(p []byte) (int, error) {
-	c.mu.Lock()
-	c.n += strings.Count(string(p), "running ")
-	c.mu.Unlock()
-	return len(p), nil
-}
-
 // TestSingleflightStress hammers one Runner from many goroutines with
 // overlapping configuration×benchmark keys (run under -race in CI) and
-// checks every key was simulated exactly once and all callers share the
-// memoized result.
+// checks every key was simulated exactly once (one cold RunDone each)
+// and all callers share the memoized result.
 func TestSingleflightStress(t *testing.T) {
 	r := parallelBudgetRunner(8)
-	log := &countingLog{}
-	r.Log = log
+	log := &eventLog{}
+	r.OnRun = log.listen
 
 	cfgs := []string{"baseline", "icache"}
 	benches := []string{"compress", "go", "li"}
@@ -106,8 +93,14 @@ func TestSingleflightStress(t *testing.T) {
 	}
 	wg.Wait()
 
-	if want := len(cfgs) * len(benches); log.n != want {
-		t.Errorf("simulations = %d, want %d (singleflight dedup failed)", log.n, want)
+	cold := 0
+	for _, ev := range log.byPhase(RunDone) {
+		if ev.Provenance == stats.ProvCold {
+			cold++
+		}
+	}
+	if want := len(cfgs) * len(benches); cold != want {
+		t.Errorf("simulations = %d, want %d (singleflight dedup failed)", cold, want)
 	}
 	if keys := r.CachedKeys(); len(keys) != len(cfgs)*len(benches) {
 		t.Errorf("cached keys = %v", keys)

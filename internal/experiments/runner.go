@@ -35,7 +35,7 @@
 // as wall time necessarily differs; no simulated statistic does). Sweep,
 // SweepE and RunAll fan work across the pool while returning or emitting
 // results in paper order; with Workers == 1 they degrade to strictly
-// sequential execution, which also makes the Log line order deterministic.
+// sequential execution, which also makes the RunEvent order deterministic.
 //
 // # Storage
 //
@@ -53,7 +53,6 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"io"
 	"runtime"
 	"sort"
 	"sync"
@@ -82,10 +81,6 @@ type Runner struct {
 	// predictors, bias table and trace cache on the way, so a point's
 	// result equals tcsim -ffwd on the same configuration.
 	FastForward uint64
-	// Log, when non-nil, receives progress lines. Writes are serialized by
-	// the runner, but their order under Workers > 1 follows completion
-	// order, not paper order.
-	Log io.Writer
 	// Workers bounds concurrently executing simulations; non-positive
 	// selects GOMAXPROCS. It must be set before the first Run/Sweep call;
 	// later changes have no effect.
@@ -128,14 +123,12 @@ type Runner struct {
 	// carries its own warmup). The detailed path (RunE, SweepE) ignores
 	// this field entirely. Set before the first RunSampledE call.
 	Sampling sim.SamplingParams
-	// OnRun, when non-nil, receives run-lifecycle events (see RunEvent).
-	// It is called from the goroutines executing or awaiting runs, so it
-	// may be called concurrently; listeners serialize internally (see
-	// MultiListener, journal.RunnerListener, monitor.Progress.Listener).
+	// OnRun, when non-nil, receives run-lifecycle events (see RunEvent),
+	// result-store errors included. It is called from the goroutines
+	// executing or awaiting runs, so it may be called concurrently, and
+	// it must serialize whatever it shares (journal.RunnerListener does).
 	// Set before the first Run call.
 	OnRun func(RunEvent)
-
-	logMu sync.Mutex
 
 	mu sync.Mutex
 	// slots holds the free worker slots, each one worker's spare machine;
@@ -193,15 +186,6 @@ func (r *Runner) emit(ev RunEvent) {
 	if r.OnRun != nil {
 		r.OnRun(ev)
 	}
-}
-
-func (r *Runner) logf(format string, args ...any) {
-	if r.Log == nil {
-		return
-	}
-	r.logMu.Lock()
-	defer r.logMu.Unlock()
-	fmt.Fprintf(r.Log, format, args...)
 }
 
 // Benchmarks returns the benchmark names in paper order.
@@ -314,8 +298,8 @@ func (r *Runner) do(q request) *runEntry {
 	r.emit(RunEvent{
 		Phase: RunDone, Key: label, Config: q.cfg.Name, Benchmark: q.bench,
 		Run: e.run, Err: e.err,
-		Provenance: e.provenance,
-		QueueWait:  e.queueWait, Wall: e.wall,
+		Provenance: e.provenance, StoreErr: e.storeErr,
+		QueueWait: e.queueWait, Wall: e.wall,
 	})
 	close(e.done)
 	return e
@@ -330,8 +314,10 @@ type result struct {
 	sampled    *stats.Sampled
 	err        error
 	provenance string
-	queueWait  time.Duration
-	wall       time.Duration
+	// storeErr joins the result-store errors the request met.
+	storeErr  error
+	queueWait time.Duration
+	wall      time.Duration
 }
 
 // execute resolves one request under a worker slot, trying in order the
@@ -339,14 +325,16 @@ type result struct {
 // detailed or sampled simulation. It converts panics from configuration
 // or simulator internals into errors, so a bad config in a parallel sweep
 // fails that sweep instead of the process, and persists every result it
-// computed.
+// computed. Result-store errors do not fail the request: they ride on
+// its result as storeErr.
 func (r *Runner) execute(q request, key string) (res result) {
 	cfg := q.cfg
+	var getErr error
 	// Registered before the recover defer, so it runs after it (LIFO) and
 	// observes the final result — including panics converted to errors,
 	// which it must not persist. cfg is read after prep has run.
 	defer func() {
-		r.storePut(cfg, q.bench, res)
+		res.storeErr = errors.Join(getErr, r.storePut(cfg, q.bench, res))
 	}()
 	defer func() {
 		if p := recover(); p != nil {
@@ -386,11 +374,13 @@ func (r *Runner) execute(q request, key string) (res result) {
 	// fidelity mode — left its result on disk; serve it verbatim. Checked
 	// runs must actually simulate, so Check bypasses the store.
 	if r.Store != nil && !r.Check {
-		if e := r.storeGet(cfg, q.bench, storeMode(q.mode, replay)); e != nil {
+		e, err := r.storeGet(cfg, q.bench, storeMode(q.mode, replay))
+		if e != nil {
 			res.run, res.sampled = e.Run, e.Sampled
 			res.provenance = stats.ProvStore
 			return res
 		}
+		getErr = err
 	}
 
 	// Replay fast path: every eligible point, the benchmark's first
@@ -400,7 +390,6 @@ func (r *Runner) execute(q request, key string) (res result) {
 		if te.err != nil {
 			return fail(fmt.Errorf("recording: %w", te.err))
 		}
-		r.logf("replaying %s...\n", key)
 		run, err := replayTrace(cfg, prog, te.hdr, te.recs)
 		if err != nil {
 			return fail(err)
@@ -417,7 +406,6 @@ func (r *Runner) execute(q request, key string) (res result) {
 		return fail(err)
 	}
 	if q.mode == modeSampled {
-		r.logf("sampling %s...\n", key)
 		out, err := sampling.Run(s)
 		if err != nil {
 			return fail(err)
@@ -436,7 +424,6 @@ func (r *Runner) execute(q request, key string) (res result) {
 	}
 
 	res.provenance = stats.ProvCold
-	r.logf("running %s...\n", key)
 	res.run = s.Run()
 	if chk := s.Checker(); chk != nil && chk.Total() > 0 {
 		return fail(fmt.Errorf("%s", chk.Report()))

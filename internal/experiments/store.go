@@ -29,18 +29,15 @@ func storeMode(mode runMode, replay bool) string {
 }
 
 // storeGet looks the point up under the mode and returns the entry, or
-// nil on miss. Store corruption is logged and treated as a miss — the
-// point re-simulates.
-func (r *Runner) storeGet(cfg sim.Config, bench, mode string) *resultstore.Entry {
+// nil on miss. Store corruption is a miss that also returns the store's
+// error (a quarantined entry, say): the point re-simulates, and the error
+// reaches the request's RunDone.
+func (r *Runner) storeGet(cfg sim.Config, bench, mode string) (*resultstore.Entry, error) {
 	e, err := r.Store.Get(storeKey(cfg, bench, mode))
-	if err != nil {
-		r.logf("result store: %v\n", err)
-		return nil
-	}
 	if e == nil || e.Run == nil || (mode == resultstore.ModeSampled && e.Sampled == nil) {
-		return nil
+		return nil, err
 	}
-	return e
+	return e, nil
 }
 
 // provenances maps every provenance a computed result can carry to the
@@ -55,11 +52,12 @@ var provenances = map[string]string{
 // storePut persists one computed result. It is a no-op without a store,
 // for failed or store-served results, and for checked runs (their
 // purpose is to distrust cached numbers, so they neither read nor seed
-// the store). Persistence errors are logged, never fatal: the store is a
-// cache, and losing a put only costs a future re-simulation.
-func (r *Runner) storePut(cfg sim.Config, bench string, res result) {
+// the store). A persistence error is returned for the request's RunDone,
+// never fatal: the store is a cache, and losing a put only costs a
+// future re-simulation.
+func (r *Runner) storePut(cfg sim.Config, bench string, res result) error {
 	if r.Store == nil || r.Check || res.run == nil || res.provenance == stats.ProvStore {
-		return
+		return nil
 	}
 	e := &resultstore.Entry{
 		Key:     storeKey(cfg, bench, provenances[res.provenance]),
@@ -67,7 +65,5 @@ func (r *Runner) storePut(cfg sim.Config, bench string, res result) {
 		Run:     res.run,
 		Sampled: res.sampled,
 	}
-	if err := r.Store.Put(e); err != nil {
-		r.logf("result store: %v\n", err)
-	}
+	return r.Store.Put(e)
 }

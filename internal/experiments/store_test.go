@@ -2,8 +2,10 @@ package experiments_test
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -264,5 +266,75 @@ func TestStoreReplayModeSeparation(t *testing.T) {
 	}
 	if !reflect.DeepEqual(served, got) {
 		t.Errorf("served replay entry differs:\n got %+v\nwant %+v", served, got)
+	}
+}
+
+// TestStoreErrorsJournaled checks that result-store errors reach the
+// journal record of the request that met them, without failing it. A
+// truncated entry is quarantined on read and its point re-simulates: the
+// record is cold and its storeError names the quarantine. A put into a
+// store whose directory has gone fails, and the record says so.
+func TestStoreErrorsJournaled(t *testing.T) {
+	const bench = "compress"
+	// journaled runs the one point through a fresh journaled runner on
+	// the store and returns its record.
+	journaled := func(store *resultstore.Store) journal.Record {
+		t.Helper()
+		r := experiments.NewRunner(1_000, 3_000)
+		r.Workers = 1
+		r.Store = store
+		var buf bytes.Buffer
+		r.OnRun = journal.RunnerListener(journal.NewWriter(&buf), func(err error) { t.Errorf("journal: %v", err) })
+		if _, err := r.RunE(config.Baseline(), bench); err != nil {
+			t.Fatalf("RunE: %v", err)
+		}
+		recs, truncated, err := journal.Read(&buf)
+		if err != nil || truncated || len(recs) != 1 {
+			t.Fatalf("journal: %d records, truncated=%v, err=%v; want one record", len(recs), truncated, err)
+		}
+		return recs[0]
+	}
+
+	dir := t.TempDir()
+	store, err := resultstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := journaled(store); rec.Provenance != stats.ProvCold || rec.StoreError != "" {
+		t.Fatalf("filling run: provenance %q, storeError %q; want cold and none", rec.Provenance, rec.StoreError)
+	}
+	entries, _ := filepath.Glob(filepath.Join(dir, "*.tcresult"))
+	if len(entries) != 1 {
+		t.Fatalf("store holds %v, want one entry", entries)
+	}
+	data, err := os.ReadFile(entries[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(entries[0], data[:len(data)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rec := journaled(store)
+	if rec.Provenance != stats.ProvCold || rec.Error != "" ||
+		!strings.Contains(rec.StoreError, filepath.Base(entries[0])+": quarantined") {
+		t.Errorf("run over a truncated entry: provenance %q, error %q, storeError %q; want cold, none and the quarantine",
+			rec.Provenance, rec.Error, rec.StoreError)
+	}
+	if n, _ := store.Len(); n != 1 {
+		t.Errorf("after the re-simulation the store holds %d entries, want the point stored again", n)
+	}
+
+	gone := filepath.Join(t.TempDir(), "store")
+	lost, err := resultstore.Open(gone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(gone); err != nil {
+		t.Fatal(err)
+	}
+	rec = journaled(lost)
+	if rec.Provenance != stats.ProvCold || rec.Error != "" || !strings.Contains(rec.StoreError, gone) {
+		t.Errorf("run with a lost put: provenance %q, error %q, storeError %q; want cold, none and the put's error",
+			rec.Provenance, rec.Error, rec.StoreError)
 	}
 }

@@ -45,6 +45,11 @@ type Record struct {
 	// Error is the failure message of an unsuccessful request; the
 	// headline statistics are zero when it is set.
 	Error string `json:"error,omitempty"`
+	// StoreError holds the result-store errors the request met
+	// (experiments.RunEvent.StoreErr): an entry quarantined on read, after
+	// which the point re-simulated, or a failed put. The request itself
+	// succeeded unless Error is set.
+	StoreError string `json:"storeError,omitempty"`
 
 	// Headline statistics of the measured window.
 	Cycles            uint64  `json:"cycles,omitempty"`

@@ -275,10 +275,12 @@ func TestDiffGolden(t *testing.T) {
 }
 
 // TestSweepTieOut runs a real 10-point sweep (2 configurations × 5
-// benchmarks, with duplicate requests) through a journaled runner and
-// checks the journal alone reproduces the runner's RunDone events: every
-// request has exactly one record, carrying its event's provenance, and
-// the measured insts the report prints are those of the executed events.
+// benchmarks, with duplicate requests) plus one failing request through
+// a journaled runner and checks the journal alone reproduces the
+// runner's RunDone events: every request has exactly one record,
+// carrying its event's provenance, the failed record carries its error,
+// and the measured insts the report prints are those of the executed
+// events.
 func TestSweepTieOut(t *testing.T) {
 	r := experiments.NewRunner(1_000, 3_000)
 	r.Workers = 4
@@ -308,20 +310,28 @@ func TestSweepTieOut(t *testing.T) {
 	cfgA := config.Baseline()
 	cfgB := config.Baseline()
 	cfgB.Name = "baseline-copy"
-	benches := r.Benchmarks()[:5]
-	var wg sync.WaitGroup
+	bad := config.Baseline()
+	bad.Name = "bad-engine"
+	bad.Engine.FUs = 0
+	type request struct {
+		cfg   sim.Config
+		bench string
+	}
+	reqs := []request{{bad, "gcc"}}
 	for range 2 { // duplicate every request once → memo hits
-		for _, b := range benches {
-			for _, c := range []sim.Config{cfgA, cfgB} {
-				wg.Add(1)
-				go func(c sim.Config, b string) {
-					defer wg.Done()
-					if _, err := r.RunE(c, b); err != nil {
-						t.Errorf("RunE: %v", err)
-					}
-				}(c, b)
-			}
+		for _, b := range r.Benchmarks()[:5] {
+			reqs = append(reqs, request{cfgA, b}, request{cfgB, b})
 		}
+	}
+	var wg sync.WaitGroup
+	for _, q := range reqs {
+		wg.Add(1)
+		go func(q request) {
+			defer wg.Done()
+			if _, err := r.RunE(q.cfg, q.bench); (err != nil) != (q.cfg.Name == bad.Name) {
+				t.Errorf("RunE(%s, %s): %v", q.cfg.Name, q.bench, err)
+			}
+		}(q)
 	}
 	wg.Wait()
 	if len(appendErrs) > 0 {
@@ -332,21 +342,35 @@ func TestSweepTieOut(t *testing.T) {
 	if err != nil || truncated {
 		t.Fatalf("read back: err=%v truncated=%v", err, truncated)
 	}
-	if got, want := len(recs), 20; got != want {
+	if got, want := len(recs), len(reqs); got != want {
 		t.Errorf("journal records = %d, want one per request, %d", got, want)
 	}
 	prov := map[string]int{}
+	var executed, failed, memo int
 	for _, rec := range recs {
-		if rec.Error != "" {
-			t.Errorf("unexpected failed record: %+v", rec)
-		}
 		prov[rec.Provenance]++
+		switch {
+		case rec.Error != "":
+			failed++
+			if rec.Config != bad.Name || !strings.Contains(rec.Error, "bad-engine/gcc") || rec.Meta != nil {
+				t.Errorf("failed record does not carry its request's error: %+v", rec)
+			}
+			continue
+		case rec.Provenance == stats.ProvMemoized:
+			memo++
+		default:
+			executed++
+		}
 		if rec.Retired == 0 || rec.IPC == 0 {
 			t.Errorf("record missing statistics: %+v", rec)
 		}
 		if rec.Meta == nil {
 			t.Errorf("record missing meta: %+v", rec)
 		}
+	}
+	if executed != 10 || failed != 1 || memo != 10 {
+		t.Errorf("journal holds %d executed, %d failed and %d memoized records, want 10, 1 and 10",
+			executed, failed, memo)
 	}
 	if !reflect.DeepEqual(prov, eventProv) {
 		t.Errorf("journal provenances = %v, RunDone events %v", prov, eventProv)

@@ -4,11 +4,12 @@
 # StepAt and Commit), the fill unit (FuzzFillUnit) and the two on-disk
 # decoders (FuzzStoreEntry: result-store entries; FuzzJournalRead:
 # journals), a race pass over the observability layer, the simulator,
-# the result store and the parallel sweep engine, a fast-forward
-# agreement step (tcbench -ffwd and tcsim -ffwd must print the same mean
-# fetch size), a self-check smoke (tcsim -check), a monitoring smoke
-# (/progress and /debug/pprof/ of a live tcbench -http -store sweep) and
-# a run of examples/monitoring, a warm result-store smoke, an interrupt
+# the journal, the result store and the parallel sweep engine, a
+# fast-forward agreement step (tcbench -ffwd and tcsim -ffwd must print
+# the same mean fetch size), a self-check smoke (tcsim -check), a journal
+# smoke (a tcbench -j 4 -progress -journal -store sweep prints what a
+# bare -j 1 sweep prints, and one progress line per journal record on
+# stderr), a warm result-store smoke, an interrupt
 # smoke (a tcbench -store -journal sweep killed by SIGTERM or SIGKILL
 # leaves only whole entries and a readable journal, and its rerun
 # simulates only the missing points), a replay-determinism smoke
@@ -47,10 +48,9 @@ go test -run '^$' -fuzz '^FuzzFillUnit$' -fuzztime 15s ./internal/core/
 go test -run '^$' -fuzz '^FuzzStoreEntry$' -fuzztime 15s ./internal/resultstore/
 go test -run '^$' -fuzz '^FuzzJournalRead$' -fuzztime 15s ./internal/journal/
 
-echo "== go test -race (obs, sim, monitor, journal, resultstore) =="
+echo "== go test -race (obs, sim, journal, resultstore) =="
 go test -race ./internal/obs/... ./internal/sim/... \
-	./internal/monitor/... ./internal/journal/... \
-	./internal/resultstore/...
+	./internal/journal/... ./internal/resultstore/...
 
 echo "== go test -race (sweep engine: worker pool + singleflight + executor in every mode + spare reuse + program cache) =="
 go test -race -run 'Parallel|Singleflight|RunE|SweepE|RunAll|Shared|FastForward|Sampled|Store|Replay|Memoizes|Reuse' \
@@ -70,41 +70,21 @@ go run ./cmd/tcsim -check -bench gcc -config baseline \
 go run ./cmd/tcsim -check -bench gcc -config promo-pack-costreg \
 	-warmup 40000 -insts 80000 -json >/dev/null
 
-echo "== monitoring smoke (live /progress + /debug/pprof/ during a -j N sweep, stdout purity) =="
+echo "== journal smoke (-progress and -journal on a -j 4 -store sweep: stdout purity, one progress line per record) =="
 go build -o /tmp/tcbench-ci ./cmd/tcbench
 rm -rf /tmp/tcbench-ci-journal.jsonl /tmp/tcbench-ci-mon-store
-# Empty the announce file first: the loop below can read it before the
-# launch's redirection truncates it, and must not find an earlier run's
-# address there.
-: >/tmp/tcbench-ci.err
-/tmp/tcbench-ci -exp all -warmup 2000 -insts 8000 -j 4 \
-	-http 127.0.0.1:0 -journal /tmp/tcbench-ci-journal.jsonl \
-	-store /tmp/tcbench-ci-mon-store \
-	>/tmp/tcbench-ci-monitored.out 2>/tmp/tcbench-ci.err &
-MON_PID=$!
-# Wait for the server announce, then hit the endpoints while the sweep runs.
-ADDR=""
-for _ in $(seq 1 50); do
-	ADDR=$(sed -n 's|.*monitoring on http://\([^ ]*\).*|\1|p' /tmp/tcbench-ci.err)
-	[ -n "$ADDR" ] && break
-	sleep 0.1
-done
-[ -n "$ADDR" ] || { echo "FAIL: no monitoring announce"; cat /tmp/tcbench-ci.err; exit 1; }
-curl -sf "http://$ADDR/progress" >/tmp/tcbench-ci-progress.json
-curl -sf "http://$ADDR/debug/pprof/" >/dev/null
-wait "$MON_PID"
-for field in total done memoHits instsPerSec; do
-	grep -q "\"$field\"" /tmp/tcbench-ci-progress.json || {
-		echo "FAIL: /progress missing $field"; exit 1; }
-done
-[ -s /tmp/tcbench-ci-journal.jsonl ] || { echo "FAIL: journal empty"; exit 1; }
+/tmp/tcbench-ci -exp all -warmup 2000 -insts 8000 -j 4 -progress \
+	-journal /tmp/tcbench-ci-journal.jsonl -store /tmp/tcbench-ci-mon-store \
+	>/tmp/tcbench-ci-monitored.out 2>/tmp/tcbench-ci.err
+RECORDS=$(wc -l </tmp/tcbench-ci-journal.jsonl)
+LINES=$(wc -l </tmp/tcbench-ci.err)
+PROGRESS=$(grep -c '^tcbench: done ' /tmp/tcbench-ci.err || true)
+[ "$RECORDS" -gt 0 ] && [ "$PROGRESS" -eq "$RECORDS" ] && [ "$LINES" -eq "$RECORDS" ] || {
+	echo "FAIL: $RECORDS journal records, $PROGRESS progress lines, $LINES stderr lines"; exit 1; }
 /tmp/tcbench-ci -journal-report /tmp/tcbench-ci-journal.jsonl >/dev/null
 /tmp/tcbench-ci -exp all -warmup 2000 -insts 8000 -j 1 >/tmp/tcbench-ci-bare.out 2>/dev/null
 cmp /tmp/tcbench-ci-monitored.out /tmp/tcbench-ci-bare.out || {
-	echo "FAIL: monitored stdout differs from bare run"; exit 1; }
-
-echo "== monitoring example (examples/monitoring: a journaled sweep polled on /progress, self-terminating) =="
-go run ./examples/monitoring >/dev/null
+	echo "FAIL: -progress -journal stdout differs from bare run"; exit 1; }
 
 echo "== store smoke (a warm result store serves every executed point; stdout unchanged) =="
 rm -rf /tmp/tcbench-ci-store /tmp/tcbench-ci-store1.jsonl /tmp/tcbench-ci-store2.jsonl

@@ -30,8 +30,6 @@ import (
 	"tracecache/internal/config"
 	"tracecache/internal/core"
 	"tracecache/internal/experiments"
-	"tracecache/internal/journal"
-	"tracecache/internal/monitor"
 	"tracecache/internal/obs"
 	"tracecache/internal/program"
 	"tracecache/internal/sampling"
@@ -260,62 +258,11 @@ func NewIntervalCollector(everyCycles uint64) *IntervalCollector {
 // most maxEvents events (non-positive selects the default cap).
 func NewChromeTrace(maxEvents int) *ChromeTrace { return obs.NewChromeTrace(maxEvents) }
 
-// Sweep observability. A Runner reports through RunEvents alone (its
-// OnRun listener): SweepProgress plus MonitorServer expose a live sweep
-// over HTTP (/progress as JSON or SSE, /debug/pprof), and a JournalWriter
-// persists one JSONL record per simulation request. Both count the same
-// events, so a finished sweep's /progress and its journal report agree.
-// Everything here is opt-in and out-of-band: a runner with no listener
-// pays one nil check per event, and enabling monitoring changes no
+// RunEvent is one run-lifecycle notification from a Runner, delivered to
+// its OnRun listener: the Runner's one reporting channel. A runner with
+// no listener pays one nil check per event, and a listener changes no
 // simulated statistic and no experiment output.
-type (
-	// RunEvent is one run-lifecycle notification from a Runner.
-	RunEvent = experiments.RunEvent
-	// SweepProgress aggregates run events into live sweep status.
-	SweepProgress = monitor.Progress
-	// MonitorServer serves /progress and /debug/pprof/.
-	MonitorServer = monitor.Server
-	// JournalWriter appends one JSON line per simulation request.
-	JournalWriter = journal.Writer
-	// JournalRecord is one journal line.
-	JournalRecord = journal.Record
-)
-
-// NewSweepProgress builds a live progress tracker; wire its Listener into
-// Runner.OnRun. workers sizes the ETA divisor (non-positive means
-// GOMAXPROCS, the Runner's default).
-func NewSweepProgress(workers int) *SweepProgress { return monitor.NewProgress(workers) }
-
-// OpenJournal opens (creating if needed) a JSONL run journal for
-// appending; wire journal listeners via RunnerJournalListener.
-func OpenJournal(path string) (*JournalWriter, error) { return journal.OpenFile(path) }
-
-// RunnerJournalListener adapts a journal writer into a Runner.OnRun
-// listener appending one record per resolved request. Combine listeners
-// with RunListeners.
-func RunnerJournalListener(w *JournalWriter, onErr func(error)) func(RunEvent) {
-	return journal.RunnerListener(w, onErr)
-}
-
-// RunListeners fans one RunEvent to every non-nil listener in order.
-func RunListeners(ls ...func(RunEvent)) func(RunEvent) {
-	return experiments.MultiListener(ls...)
-}
-
-// ReadJournal reads a journal file; truncatedTail reports an unterminated
-// final line (the signature of a process killed mid-append), which is
-// skipped rather than failing the read.
-func ReadJournal(path string) (recs []JournalRecord, truncatedTail bool, err error) {
-	return journal.ReadFile(path)
-}
-
-// JournalReport renders a human-readable summary of journal records.
-func JournalReport(recs []JournalRecord, truncatedTail bool) string {
-	return journal.Report(recs, truncatedTail)
-}
-
-// JournalDiff renders a point-by-point comparison of two journals.
-func JournalDiff(a, b []JournalRecord) string { return journal.Diff(a, b) }
+type RunEvent = experiments.RunEvent
 
 // Analysis summarises a program's dynamic instruction stream (block sizes,
 // branch bias, call/indirect mix).
