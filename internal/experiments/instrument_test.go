@@ -137,10 +137,12 @@ func TestMultiListener(t *testing.T) {
 }
 
 // TestInstrumentationPreservesOutput pins that an OnRun listener
-// changes no experiment output byte.
+// changes no experiment output byte: a listened 4-worker sweep prints
+// what a bare 4-worker sweep prints, and what a bare serial sweep
+// prints.
 func TestInstrumentationPreservesOutput(t *testing.T) {
-	render := func(listen bool) string {
-		r := parallelBudgetRunner(4)
+	render := func(workers int, listen bool) string {
+		r := parallelBudgetRunner(workers)
 		if listen {
 			r.OnRun = MultiListener((&eventLog{}).listen)
 		}
@@ -153,7 +155,15 @@ func TestInstrumentationPreservesOutput(t *testing.T) {
 		}
 		return sb.String()
 	}
-	if plain, listened := render(false), render(true); plain != listened {
-		t.Error("an OnRun listener changed experiment output")
-	}
+	listened := render(4, true)
+	t.Run("bare-parallel", func(t *testing.T) {
+		if render(4, false) != listened {
+			t.Error("an OnRun listener changed experiment output")
+		}
+	})
+	t.Run("bare-serial", func(t *testing.T) {
+		if render(1, false) != listened {
+			t.Error("a listened 4-worker sweep printed other bytes than a bare serial sweep")
+		}
+	})
 }
